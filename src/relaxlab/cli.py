@@ -170,7 +170,11 @@ def parse_config_dict(tree: dict) -> tuple:
 
 
 def parse_config(path: str) -> tuple:
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as e:
+        raise ConfigError(f"{path}: cannot read the config file ({e.strerror})") from e
+    with fh:
         try:
             tree = json.load(fh)
         except json.JSONDecodeError as e:
@@ -294,7 +298,7 @@ def dispatch(cfg: dict, cfg_hash: str, out_dir: str = "runs", jobs: int | None =
         inv = np.unique(np.sort(np.append(inv, peak)))
         result = harness.run_overdamping_scan(grid, a, tuple(cfg["scan"]["mode"]),
                                               eps_grid=1.0 / inv, scheme=stepper.scheme,
-                                              cfl=min(stepper.cfl, 0.3), jobs=jobs)
+                                              cfl=min(stepper.cfl, 0.3))
         worst = result["fits"]["worst_rel_err"]
         pk = result["fits"]["peak"]
         if worst > 0.02:
@@ -318,8 +322,7 @@ def dispatch(cfg: dict, cfg_hash: str, out_dir: str = "runs", jobs: int | None =
         result = harness.run_decay_study(
             grid, flux, a, float(m["eps"]), data, stepper, p=cfg["p"], k0=cfg["k0"],
             fit_window=tuple(fitc["window"]), sigma_list=tuple(fitc["sigma_list"]),
-            with_difference=fitc["with_difference"], compare_half_eps=fitc["compare_half_eps"],
-            jobs=jobs)
+            with_difference=fitc["with_difference"], compare_half_eps=fitc["compare_half_eps"])
         rows = result["fits"]["rows"]
         flagged = [r for r in rows if r["low_r2"]]
         if flagged:
@@ -404,7 +407,9 @@ def main(argv=None) -> int:
 
     try:
         if args.config:
-            tree = json.load(open(args.config))
+            # validated here for path-aware errors, and again below after the
+            # seed override (validation is idempotent on its own output)
+            tree, _ = parse_config(args.config)
         elif args.preset:
             tree = json.loads(json.dumps(PRESETS[args.preset]))
         else:

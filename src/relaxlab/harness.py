@@ -21,12 +21,14 @@ import numpy as np
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
 from .models import (
+    DivergenceError,
     Flux,
     JinXinModel,
     JinXinState,
     LimitState,
     darcy_velocity,
     effective_Z,
+    make_flux,
 )
 from .integrators import (
     LimitModel,
@@ -407,6 +409,13 @@ def _sample_ladder(t_lo: float, t_end: float, n_geo: int = 40, n_lin: int = 0) -
 def run_uniformity_study(grid: Grid, flux: Flux, a, eps_list, data: InitialDataSpec,
                          stepper: StepperConfig, p=2, k0: int = 0, jobs: int = 1) -> dict:
     """Uniform-bound experiment: X ratios across an eps sweep."""
+    for eps in eps_list:
+        t1 = _growth_onset(eps)
+        if t1 >= stepper.t_end:
+            raise ValueError(
+                f"eps={eps:g}: the growth onset t1=max(1, 10 eps^2)={t1:g} is not before "
+                f"t_end={stepper.t_end:g}, so the no-growth check would see no samples; "
+                "raise stepper.t_end")
     rows = []
     args = [(grid, flux.spec, a, eps, data, stepper, p, k0) for eps in eps_list]
     for out in _pmap(_uniformity_one, args, jobs):
@@ -435,9 +444,7 @@ def _uniformity_one(arg):
     traj = evolve(model, jx0, stepper, _X_TRACKERS(p), sample_times=ts)
     x0 = functional_X0(jx0, eps, p, J)
     d = grid.d
-    # growth onset: five e-foldings of the slowest high-frequency mode, whose
-    # rate is the oscillatory-side plateau 1/(2 eps^2) of decay_rate_omega
-    t1 = max(1.0, 5.0 / (0.5 / eps**2))
+    t1 = _growth_onset(eps)
     i1 = int(np.searchsorted(traj.times, t1, side="right"))
     x_at_t1 = functional_X_at(traj.series, eps, p, J, d, i1)
     x_end = functional_X(traj.series, eps, p, J, d).total
@@ -455,6 +462,13 @@ def _uniformity_one(arg):
         "mean_drift": traj.mean_drift,
         "small_data_ok": traj.max_abs_u <= 1.0,
     }
+
+
+def _growth_onset(eps: float) -> float:
+    """Start of the no-growth window: five e-foldings of the slowest
+    high-frequency mode, whose rate is the oscillatory-side plateau
+    1/(2 eps^2) of decay_rate_omega."""
+    return max(1.0, 5.0 / (0.5 / eps**2))
 
 
 def run_epsilon_convergence(grid: Grid, flux: Flux, a, eps_list, data: InitialDataSpec,
@@ -510,7 +524,7 @@ def run_decay_study(grid: Grid, flux: Flux, a, eps: float, data: InitialDataSpec
                     stepper: StepperConfig, p=2, k0: int = 0,
                     fit_window=(5.0, 500.0), sigma_list=(0.0,),
                     with_difference: bool = False, compare_half_eps: bool = False,
-                    jobs: int = 1, v_scale_mode: str = "inv_eps") -> dict:
+                    v_scale_mode: str = "inv_eps") -> dict:
     """Long-time decay exponents of Besov norms, with optional difference.
 
     Ill-prepared velocity data scales as v_scale/eps by default so that
@@ -590,12 +604,19 @@ def run_decay_study(grid: Grid, flux: Flux, a, eps: float, data: InitialDataSpec
         d1 = np.asarray(curves["du"])
         sel = (tarr >= fit_window[0]) & (tarr <= fit_window[1])
         fits["half_eps_level_ratio"] = float(np.median(d1[sel] / d2[sel]))
-    return {"fits": fits, "norm_rows": _norm_rows(u_series, "u", fits=None), "csv_curves": curves}
+    return {"fits": fits, "norm_rows": _norm_rows(u_series, "u"), "csv_curves": curves}
 
 
 def run_overdamping_scan(grid: Grid, a, mode, eps_grid=None, scheme: str = "imex_ssp2",
-                         cfl: float = 0.3, jobs: int = 1) -> dict:
-    """Measured vs analytic decay rate of one linear mode across friction."""
+                         cfl: float = 0.3) -> dict:
+    """Measured vs analytic decay rate of one linear mode across friction.
+
+    Every friction is one member of a packed batch: u has shape
+    (members, n, N...) and each of the d components of v the same. Member m
+    steps n_m times with its own dt_m and fits the energy decay of the
+    initialized wavevector pair over t >= t0 = 100/omega; the batch runs
+    max n_m steps and member m reads only its first n_m.
+    """
     kap = tuple(2 * np.pi * m / grid.L for m in mode)
     S = sum(ai * k * k for ai, k in zip(a, kap))
     if eps_grid is None:
@@ -603,8 +624,56 @@ def run_overdamping_scan(grid: Grid, a, mode, eps_grid=None, scheme: str = "imex
         inv = np.geomspace(0.5 * peak, 4.0 * peak, 19)
         inv = np.unique(np.sort(np.append(inv, peak)))
         eps_grid = 1.0 / inv
-    args = [(grid, tuple(a), tuple(mode), float(eps), scheme, cfl) for eps in eps_grid]
-    rows = list(_pmap(_overdamping_one, args, jobs))
+    a = tuple(a)
+    flux = make_flux("zero", 1, grid.d)
+    spec = InitialDataSpec(kind="single_mode", amplitude=1.0, mode=tuple(mode), v_kind="zero")
+    members = []
+    for eps in map(float, eps_grid):
+        model = JinXinModel(flux, a, eps)
+        om = decay_rate_omega(kap, eps, a)
+        t0, t1 = 100.0 / om, 300.0 / om
+        stepper = _JinXinStepper(model, grid)
+        dt = min(cfl * stepper.bound, 0.02 / om, (t1 - t0) / 4000.0)
+        stepper.check_dt(dt, scheme)
+        # members share flux, a and grid, so any member's kernel steps them all
+        kernel, coeffs = stepper.prepare(scheme, dt)
+        members.append({"eps": eps, "om": om, "t0": t0, "dt": dt, "n": int(math.ceil(t1 / dt)),
+                        "coeffs": coeffs, "state": make_initial_data(spec, grid, model)[0]})
+
+    u = np.stack([m["state"].u.coeffs for m in members])
+    v = [np.stack([m["state"].v[i].coeffs for m in members]) for i in range(grid.d)]
+    coeffs = [_stack_members([m["coeffs"][j] for m in members], u.ndim)
+              for j in range(len(members[0]["coeffs"]))]
+    eps_col = np.array([m["eps"] for m in members]).reshape(-1, 1, 1)
+    # energy of the initialized wavevector pair only; the conserved mean
+    # and roundoff injected elsewhere must not floor the measurement
+    sel = tuple(np.array([m % grid.N, (-m) % grid.N]) for m in mode)
+    idx = (slice(None), slice(None)) + sel
+    n_max = max(m["n"] for m in members)
+    energy = np.empty((n_max, len(members)))
+    for k in range(n_max):
+        u, v = kernel(u, v, coeffs)
+        if not (np.isfinite(u).all() and all(np.isfinite(vi).all() for vi in v)):
+            bad = next(m for i, m in enumerate(members)
+                       if not (np.isfinite(u[i]).all() and all(np.isfinite(vi[i]).all() for vi in v)))
+            raise DivergenceError((k + 1) * bad["dt"], f"friction 1/eps={1.0 / bad['eps']:g}")
+        energy[k] = (np.sum(np.abs(u[idx]) ** 2, axis=(1, 2))
+                     + sum(np.sum(np.abs(eps_col * vi[idx]) ** 2, axis=(1, 2)) for vi in v))
+
+    rows = []
+    for i, m in enumerate(members):
+        # a sequential sum: the same instants as stepping t += dt
+        times = np.add.accumulate(np.full(m["n"], m["dt"]))
+        keep = times >= m["t0"]
+        slope = np.polyfit(times[keep], np.log(energy[:m["n"], i][keep]), 1)[0]
+        om_meas = -0.5 * float(slope)
+        rows.append({
+            "inv_eps": 1.0 / m["eps"],
+            "omega_measured": om_meas,
+            "omega_analytic": m["om"],
+            "rel_err": abs(om_meas - m["om"]) / m["om"],
+            "regime": classify_regime(kap, m["eps"], a).regime.value,
+        })
     rows.sort(key=lambda r: r["inv_eps"])
     worst = max(r["rel_err"] for r in rows)
     peak_row = min(rows, key=lambda r: abs(r["inv_eps"] - 2.0 * math.sqrt(S)))
@@ -624,45 +693,11 @@ def run_overdamping_scan(grid: Grid, a, mode, eps_grid=None, scheme: str = "imex
     return {"fits": fits, "norm_rows": [], "csv_curves": curves}
 
 
-def _overdamping_one(arg):
-    from .models import make_flux
-
-    grid, a, mode, eps, scheme, cfl = arg
-    d = grid.d
-    flux = make_flux("zero", 1, d)
-    model = JinXinModel(flux, a, eps)
-    kap = tuple(2 * np.pi * m / grid.L for m in mode)
-    om = decay_rate_omega(kap, eps, a)
-    S = sum(ai * k * k for ai, k in zip(a, kap))
-    spec = InitialDataSpec(kind="single_mode", amplitude=1.0, mode=mode, v_kind="zero")
-    state, _ = make_initial_data(spec, grid, model)
-    t0, t1 = 100.0 / om, 300.0 / om
-    dt = min(cfl * jinxin_dt_bound(model, grid), 0.02 / om, (t1 - t0) / 4000.0)
-    stepper = _JinXinStepper(model, grid)
-    n = int(math.ceil(t1 / dt))
-    # energy of the initialized wavevector pair only; the conserved mean
-    # and roundoff injected elsewhere must not floor the measurement
-    sel = tuple(np.array([m % grid.N, (-m) % grid.N]) for m in mode)
-    idx = (slice(None),) + sel
-    ts, Es = [], []
-    t = 0.0
-    for _ in range(n):
-        state = stepper.step(state, dt, scheme)
-        t += dt
-        if t >= t0:
-            ts.append(t)
-            Es.append(np.sum(np.abs(state.u.coeffs[idx]) ** 2)
-                      + sum(np.sum(np.abs(eps * v.coeffs[idx]) ** 2) for v in state.v))
-    slope = np.polyfit(ts, np.log(Es), 1)[0]
-    om_meas = -0.5 * float(slope)
-    reg = classify_regime(kap, eps, a).regime.value
-    return {
-        "inv_eps": 1.0 / eps,
-        "omega_measured": om_meas,
-        "omega_analytic": om,
-        "rel_err": abs(om_meas - om) / om,
-        "regime": reg,
-    }
+def _stack_members(values, ndim: int) -> np.ndarray:
+    """Per-member scalars or grid arrays on a leading member axis that
+    broadcasts against arrays of ndim dimensions, such as (members, n, N...)."""
+    arr = np.stack([np.asarray(x) for x in values])
+    return arr.reshape(arr.shape[:1] + (1,) * (ndim - arr.ndim) + arr.shape[1:])
 
 
 def run_simulate(grid: Grid, flux: Flux, a, eps: float, data: InitialDataSpec,
@@ -865,7 +900,7 @@ def _pmap(fn, args, jobs: int):
         return list(ex.map(fn, args))
 
 
-def _norm_rows(series: NormSeries, name: str, fits=None):
+def _norm_rows(series: NormSeries, name: str):
     rows = []
     for i, t in enumerate(series.times):
         rows.append((t, name, 0.0, series.p, 1, "full", series.besov_at(i, 0.0, 1)))

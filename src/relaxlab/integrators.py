@@ -118,68 +118,84 @@ def limit_advective_speed(flux: Flux, u: SpectralField) -> float:
 # relaxation system steppers
 
 class _JinXinStepper:
-    """Precomputed multipliers for one (model, grid) pair."""
+    """Precomputed multipliers for one (model, grid) pair.
+
+    The scheme kernels work on raw coefficient arrays: u of shape
+    (..., n, N...) and v a list of d arrays shaped like u. eps and dt enter
+    only through the coefficient tuple from prepare(), as scalars or as
+    arrays that broadcast against u, so one kernel advances a leading member
+    axis of systems that share flux, a and grid but not eps or dt. All
+    arithmetic is elementwise, so each member gets the numbers it would get
+    stepped alone.
+    """
 
     def __init__(self, model: JinXinModel, grid):
         self.model = model
         self.grid = grid
-        self.deriv = [1j * kap for kap in grid.kappa_axes()]
-        self.S = sum(model.a[i] * grid.kappa_axes()[i] ** 2 for i in range(model.d))
+        self.kap = grid.kappa_axes()
+        self.deriv = [1j * kap for kap in self.kap]
+        self.neg_a_deriv = [-model.a[i] * self.deriv[i] for i in range(model.d)]
+        self.S = sum(model.a[i] * self.kap[i] ** 2 for i in range(model.d))
+        self.bound = jinxin_dt_bound(model, grid)
 
-    def _flux(self, u: SpectralField):
-        return [f.coeffs for f in flux_fields(self.model.flux, u)]
+    def check_dt(self, dt: float, scheme: str):
+        """The hyperbolic CFL limit; the exact propagator has none."""
+        if scheme != "exact_linear" and dt > self.bound * (1.0 + 1e-12):
+            raise CFLError(dt, self.bound)
 
-    def _div_v(self, v_coeffs):
-        return sum(self.deriv[i] * v_coeffs[i] for i in range(self.model.d))
+    def prepare(self, scheme: str, dt: float) -> tuple:
+        """(kernel, coefficients) of one step of `scheme` with size dt."""
+        e2 = self.model.eps**2
+        if scheme == "imex_euler":
+            return self.euler, (dt, e2, e2 + dt)
+        if scheme == "imex_ssp2":
+            g = dt * _GAMMA
+            return self.ssp2, (dt, e2, g, e2 + g, dt * (1 - _GAMMA))
+        if scheme == "exact_linear":
+            return self.exact_linear, self._propagator(dt)
+        raise ValueError(f"unknown relaxation scheme {scheme!r}")
 
-    def euler(self, state: JinXinState, dt: float) -> JinXinState:
-        m = self.model
-        e2 = m.eps**2
-        u1 = SpectralField(self.grid, state.u.coeffs - dt * self._div_v([v.coeffs for v in state.v]))
+    def _flux(self, u):
+        """f_i(u) coefficient arrays, or None for the zero flux."""
+        if self.model.flux.is_zero:
+            return None
+        return [f.coeffs for f in flux_fields(self.model.flux, SpectralField(self.grid, u))]
+
+    def _stiff(self, u, fv, i):
+        """-a_i d_i u + f_i(u), the relaxed target of v_i."""
+        s = self.neg_a_deriv[i] * u
+        return s if fv is None else s + fv[i]
+
+    def _div_v(self, v):
+        return sum(self.deriv[i] * v[i] for i in range(self.model.d))
+
+    def euler(self, u0, v0, coeffs):
+        dt, e2, e2dt = coeffs
+        u1 = u0 - dt * self._div_v(v0)
         fv = self._flux(u1)
-        v1 = [
-            SpectralField(
-                self.grid,
-                (e2 * state.v[i].coeffs + dt * (-m.a[i] * self.deriv[i] * u1.coeffs + fv[i]))
-                / (e2 + dt),
-            )
-            for i in range(m.d)
-        ]
-        return JinXinState(u1, v1, state.t + dt)
+        v1 = [(e2 * v0[i] + dt * self._stiff(u1, fv, i)) / e2dt for i in range(self.model.d)]
+        return u1, v1
 
-    def ssp2(self, state: JinXinState, dt: float) -> JinXinState:
-        m = self.model
-        e2 = m.eps**2
-        u0, v0 = state.u.coeffs, [v.coeffs for v in state.v]
-        g = dt * _GAMMA
+    def ssp2(self, u0, v0, coeffs):
+        dt, e2, g, e2g, dt_rest = coeffs
+        d = self.model.d
         # first implicit stage
-        u2 = SpectralField(self.grid, u0 - g * self._div_v(v0))
+        u2 = u0 - g * self._div_v(v0)
         f2 = self._flux(u2)
-        stiff2 = [-m.a[i] * self.deriv[i] * u2.coeffs + f2[i] for i in range(m.d)]
-        v2 = [(e2 * v0[i] + g * stiff2[i]) / (e2 + g) for i in range(m.d)]
-        s2 = [(stiff2[i] - v2[i]) / e2 for i in range(m.d)]
+        stiff2 = [self._stiff(u2, f2, i) for i in range(d)]
+        v2 = [(e2 * v0[i] + g * stiff2[i]) / e2g for i in range(d)]
+        s2 = [(stiff2[i] - v2[i]) / e2 for i in range(d)]
         # second implicit stage (equals the update: stiffly accurate)
-        u3 = SpectralField(
-            self.grid, u0 - dt * self._div_v([_DELTA * v0[i] + (1 - _DELTA) * v2[i] for i in range(m.d)])
-        )
+        u3 = u0 - dt * self._div_v([_DELTA * v0[i] + (1 - _DELTA) * v2[i] for i in range(d)])
         f3 = self._flux(u3)
-        v3 = [
-            SpectralField(
-                self.grid,
-                (e2 * (v0[i] + dt * (1 - _GAMMA) * s2[i])
-                 + g * (-m.a[i] * self.deriv[i] * u3.coeffs + f3[i]))
-                / (e2 + g),
-            )
-            for i in range(m.d)
-        ]
-        return JinXinState(u3, v3, state.t + dt)
+        v3 = [(e2 * (v0[i] + dt_rest * s2[i]) + g * self._stiff(u3, f3, i)) / e2g for i in range(d)]
+        return u3, v3
 
-    def exact_linear(self, state: JinXinState, dt: float) -> JinXinState:
-        """Mode-wise exact propagator; valid only for the zero flux."""
+    def _propagator(self, dt: float) -> tuple:
+        """Mode-wise exact propagator over dt; valid only for the zero flux."""
         if not self.model.flux.is_zero:
             raise ValueError("exact_linear applies to the linear system (zero flux) only")
-        m = self.model
-        eps = m.eps
+        eps = self.model.eps
         S = self.S
         disc = 1.0 / eps**4 - 4.0 * S / eps**2
         root = np.sqrt(disc.astype(complex))
@@ -199,34 +215,31 @@ class _JinXinStepper:
         E11 = np.where(defective, el * (1.0 + dt * (-1.0 / eps**2 - lam)), E11)
         E01 = Ecross * (-1j * S / eps)
         E10 = Ecross * (-1j / eps)
+        return E00, E01, E10, E11 - damp, damp, eps
 
-        kap = self.grid.kappa_axes()
-        u0 = state.u.coeffs
-        V0 = [eps * state.v[i].coeffs for i in range(m.d)]
+    def exact_linear(self, u0, v0, coeffs):
+        E00, E01, E10, E11_slow, damp, eps = coeffs
+        d = self.model.d
+        kap, S = self.kap, self.S
+        V0 = [eps * v0[i] for i in range(d)]
         Ssafe = np.where(S > 0, S, 1.0)
-        beta0 = sum(kap[i] * V0[i] for i in range(m.d)) / Ssafe
+        beta0 = sum(kap[i] * V0[i] for i in range(d)) / Ssafe
         u1 = np.where(S > 0, E00 * u0 + E01 * beta0, u0)
-        slow = E10 * u0 + (E11 - damp) * beta0
+        slow = E10 * u0 + E11_slow * beta0
         v1 = []
-        for i in range(m.d):
-            c_i = m.a[i] * kap[i]
+        for i in range(d):
+            c_i = self.model.a[i] * kap[i]
             Vi = np.where(S > 0, damp * V0[i] + c_i * slow, damp * V0[i])
-            v1.append(SpectralField(self.grid, Vi / eps))
-        return JinXinState(SpectralField(self.grid, u1), v1, state.t + dt)
+            v1.append(Vi / eps)
+        return u1, v1
 
     def step(self, state: JinXinState, dt: float, scheme: str) -> JinXinState:
-        bound = jinxin_dt_bound(self.model, self.grid)
-        if scheme != "exact_linear" and dt > bound * (1.0 + 1e-12):
-            raise CFLError(dt, bound)
-        if scheme == "imex_euler":
-            new = self.euler(state, dt)
-        elif scheme == "imex_ssp2":
-            new = self.ssp2(state, dt)
-        elif scheme == "exact_linear":
-            new = self.exact_linear(state, dt)
-        else:
-            raise ValueError(f"unknown relaxation scheme {scheme!r}")
-        if new.u.has_bad_values() or any(v.has_bad_values() for v in new.v):
+        self.check_dt(dt, scheme)
+        kernel, coeffs = self.prepare(scheme, dt)
+        u, v = kernel(state.u.coeffs, [vi.coeffs for vi in state.v], coeffs)
+        new = JinXinState(SpectralField(self.grid, u), [SpectralField(self.grid, vi) for vi in v],
+                          state.t + dt)
+        if new.u.has_bad_values() or any(vi.has_bad_values() for vi in new.v):
             raise DivergenceError(new.t)
         return new
 
@@ -336,11 +349,6 @@ def sample_times_linear(t_end: float, every: float) -> np.ndarray:
     return np.linspace(0.0, t_end, n + 1)
 
 
-def sample_times_geometric(t0: float, t_end: float, count: int) -> np.ndarray:
-    """0 followed by a geometric ladder from t0 to t_end."""
-    return np.concatenate([[0.0], np.geomspace(t0, t_end, count)])
-
-
 def evolve(system, initial, config: StepperConfig, trackers, sample_times=None) -> Trajectory:
     """March to t_end sampling per-block norms of the tracked quantities.
 
@@ -356,7 +364,7 @@ def evolve(system, initial, config: StepperConfig, trackers, sample_times=None) 
         if config.scheme == "exact_linear":
             dt_target = config.dt_max
         else:
-            dt_target = min(config.dt_max, config.cfl * jinxin_dt_bound(system, grid))
+            dt_target = min(config.dt_max, config.cfl * stepper.bound)
     elif isinstance(system, LimitModel):
         stepper = _LimitStepper(system, grid)
         speed = limit_advective_speed(system.flux, initial.u_star)
@@ -436,7 +444,7 @@ def co_evolve(
     if config.scheme == "exact_linear":
         dt_jx = config.dt_max
     else:
-        dt_jx = min(config.dt_max, config.cfl * jinxin_dt_bound(model, grid))
+        dt_jx = min(config.dt_max, config.cfl * jx_stepper.bound)
     speed = limit_advective_speed(limit_model.flux, lim0.u_star)
     dt_lim = min(config.dt_max, config.cfl * grid.dx / speed if speed > 0 else math.inf)
 

@@ -99,6 +99,13 @@ class TestDispatch:
         assert rc == 2
         assert "single-eps" in capsys.readouterr().err
 
+    def test_main_missing_config(self, tmp_path, capsys):
+        p = tmp_path / "missing.json"
+        rc = main(["run", "--config", str(p), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(p) in err and "Traceback" not in err
+
 
 class TestPlotEmit:
     def test_two_column_monotone(self, tmp_path):

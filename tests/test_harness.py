@@ -217,6 +217,16 @@ class TestExperiments:
                          / functional_X_at(traj.series, 1.0, 2, J, 1, i1))
         assert growth_from_1 > 1.05
 
+    def test_uniformity_onset_past_t_end_rejected(self):
+        # at eps=1 the onset is t1=10: with t_end=5 no sample follows it and
+        # the growth check would pass vacuously
+        g = Grid(1, 16, 2 * np.pi)
+        flux = make_flux("zero", 1, 1)
+        data = InitialDataSpec(kind="single_mode", amplitude=0.1, mode=(1,), v_kind="darcy")
+        stepper = StepperConfig(scheme="imex_ssp2", dt_max=0.05, t_end=5.0)
+        with pytest.raises(ValueError, match=r"eps=1\b.*t1=.*=10\b.*t_end=5\b"):
+            run_uniformity_study(g, flux, (1.0,), [0.1, 1.0], data, stepper)
+
     def test_decay_window_guard(self):
         g = Grid(1, 256, 2 * np.pi * 16)  # cutoff time 0.05*16^2 = 12.8
         flux = make_flux("burgers1d")
@@ -244,6 +254,22 @@ class TestExperiments:
         # the peak friction 1/eps = 2 is in the grid: measured 2S within 2%
         peak = out["fits"]["peak"]
         assert abs(peak["omega_measured"] - peak["target"]) <= 0.02 * peak["target"]
+
+    @pytest.mark.parametrize("scheme", ["imex_ssp2", "imex_euler", "exact_linear"])
+    def test_overdamping_batch_matches_single_frictions(self, scheme):
+        # the frictions step together at different dt; each row must equal
+        # the row of that friction scanned alone, bit for bit
+        g = Grid(1, 16, 2 * np.pi)
+        grid_eps = [1.0, 0.5, 0.25]
+        rows = run_overdamping_scan(g, (1.0,), (1,), eps_grid=grid_eps, scheme=scheme)["fits"]["rows"]
+        alone = [run_overdamping_scan(g, (1.0,), (1,), eps_grid=[e], scheme=scheme)["fits"]["rows"][0]
+                 for e in grid_eps]
+        assert rows == sorted(alone, key=lambda r: r["inv_eps"])
+
+    def test_overdamping_rejects_limit_scheme(self):
+        g = Grid(1, 16, 2 * np.pi)
+        with pytest.raises(ValueError, match="if_rk2"):
+            run_overdamping_scan(g, (1.0,), (1,), eps_grid=[1.0, 0.5], scheme="if_rk2")
 
     def test_zero_mode_no_decay(self):
         # the conserved mean mode never decays
