@@ -376,6 +376,17 @@ def plot_emit(csv_path: str, kind: str = "loglog", out_path: str | None = None) 
     return out_path
 
 
+def _worker_count(text: str, source: str) -> int:
+    """A worker count given on the command line or in the environment."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ConfigError(f"{source}: worker count must be a positive integer, got {text!r}")
+    return n
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="relaxlab",
@@ -388,7 +399,7 @@ def main(argv=None) -> int:
     parser.add_argument("--preset", choices=sorted(PRESETS), help="named experiment preset")
     parser.add_argument("--out", default="runs", help="results directory (default: runs)")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--jobs", type=int, default=None,
+    parser.add_argument("--jobs", default=None,
                         help="worker count (fallback: RELAXLAB_JOBS, then 1)")
     parser.add_argument("--kind", default="loglog", choices=["loglog", "linear"],
                         help="plot style for the plot command")
@@ -401,11 +412,13 @@ def main(argv=None) -> int:
         print(out)
         return 0
 
-    jobs = args.jobs
-    if jobs is None:
-        jobs = int(os.environ.get("RELAXLAB_JOBS", "0")) or None
-
     try:
+        if args.jobs is not None:
+            jobs = _worker_count(args.jobs, "--jobs")
+        elif "RELAXLAB_JOBS" in os.environ:
+            jobs = _worker_count(os.environ["RELAXLAB_JOBS"], "RELAXLAB_JOBS")
+        else:
+            jobs = None
         if args.config:
             # validated here for path-aware errors, and again below after the
             # seed override (validation is idempotent on its own output)

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_trapz = getattr(np, "trapezoid", None) or np.trapz
-
 from .models import (
     DivergenceError,
     Flux,
@@ -53,6 +51,7 @@ from .spectral_core import (
     dyadic_block,
     base_block,
     nonlinear_product,
+    _trapz,
 )
 from .spectral_analysis import (
     classify_regime,

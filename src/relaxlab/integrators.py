@@ -137,6 +137,7 @@ class _JinXinStepper:
         self.neg_a_deriv = [-model.a[i] * self.deriv[i] for i in range(model.d)]
         self.S = sum(model.a[i] * self.kap[i] ** 2 for i in range(model.d))
         self.bound = jinxin_dt_bound(model, grid)
+        self._prepared = (None, None)
 
     def check_dt(self, dt: float, scheme: str):
         """The hyperbolic CFL limit; the exact propagator has none."""
@@ -144,7 +145,18 @@ class _JinXinStepper:
             raise CFLError(dt, self.bound)
 
     def prepare(self, scheme: str, dt: float) -> tuple:
-        """(kernel, coefficients) of one step of `scheme` with size dt."""
+        """(kernel, coefficients) of one step of `scheme` with size dt.
+
+        The last result is kept: the drivers repeat one step size over each
+        sampling interval, and the exact propagator is costly to rebuild.
+        """
+        key, prepared = self._prepared
+        if key != (scheme, dt):
+            prepared = self._prepare(scheme, dt)
+            self._prepared = ((scheme, dt), prepared)
+        return prepared
+
+    def _prepare(self, scheme: str, dt: float) -> tuple:
         e2 = self.model.eps**2
         if scheme == "imex_euler":
             return self.euler, (dt, e2, e2 + dt)

@@ -3,7 +3,10 @@
 Fields live on a uniform grid over the torus [0, L)^d and are stored as
 complex Fourier coefficients; all frequency bookkeeping is done in physical
 wavenumber units kappa = 2*pi*k/L so that dyadic scales 2^j are physically
-meaningful regardless of the box size.
+meaningful regardless of the box size. Every field is real, so transforms to
+and from physical samples are real-to-complex; the coefficients keep the
+full lattice layout, with the modes above N/2 on the last axis filled in as
+conjugates.
 """
 
 from __future__ import annotations
@@ -87,8 +90,8 @@ class Grid:
     L: float
 
     def __post_init__(self):
-        if self.d not in (1, 2, 3):
-            raise ValueError(f"d must be 1, 2 or 3, got {self.d}")
+        if self.d not in (1, 2):
+            raise ValueError(f"d must be 1 or 2, got {self.d}")
         if self.N < 8 or (self.N & (self.N - 1)) != 0:
             raise ValueError(f"N must be a power of two >= 8, got {self.N}")
         if not self.L > 0:
@@ -169,6 +172,43 @@ def _grid_tables(d: int, N: int, L: float):
 
 
 # ---------------------------------------------------------------------------
+# real-to-complex transform helpers
+
+def _conjugate_fill(c: np.ndarray):
+    """Complete in place an (n, N...) coefficient array whose last-axis modes
+    0..N/2 are set, so that it is exactly Hermitian.
+
+    Modes above N/2 on the last axis become the conjugates of their mirrors
+    (every other axis flipped about mode 0). The planes at last-axis modes 0
+    and N/2 are their own mirrors, so the same fill runs on them along the
+    axis before, down to the self-conjugate modes, which are made real.
+    """
+    if c.ndim == 1:
+        c.imag = 0.0
+        return
+    h = c.shape[-1] // 2
+    mirror = c[..., h - 1 : 0 : -1]
+    for ax in range(1, c.ndim - 1):
+        mirror = np.roll(np.flip(mirror, axis=ax), 1, axis=ax)
+    np.conjugate(mirror, out=c[..., h + 1 :])
+    for k in (0, h):
+        _conjugate_fill(c[..., k])
+
+
+def _irfft(half: np.ndarray, grid: Grid) -> np.ndarray:
+    """Grid samples (n,) + grid.shape from unnormalized half-spectrum coefficients."""
+    return np.fft.irfftn(half, s=grid.shape, axes=tuple(range(1, half.ndim)))
+
+
+def _lp_physical(phys: np.ndarray, p, grid: Grid) -> float:
+    """Rectangle-rule L^p norm of (n,) + grid.shape samples, Euclidean over n."""
+    mag = np.sqrt(np.sum(phys**2, axis=0))
+    if np.isinf(p):
+        return float(np.max(mag))
+    return float((np.sum(mag**p) * grid.dx**grid.d) ** (1.0 / p))
+
+
+# ---------------------------------------------------------------------------
 # spectral fields
 
 class SpectralField:
@@ -198,7 +238,10 @@ class SpectralField:
         values = np.asarray(values, dtype=float)
         if values.shape == grid.shape:
             values = values[None, ...]
-        c = np.fft.fftn(values, axes=tuple(range(1, values.ndim))) / grid.N**grid.d
+        half = np.fft.rfftn(values, axes=tuple(range(1, values.ndim))) / grid.N**grid.d
+        c = np.empty(values.shape, dtype=complex)
+        c[..., : grid.N // 2 + 1] = half
+        _conjugate_fill(c)
         f = cls(grid, c)
         return f.dealias() if dealias else f
 
@@ -211,13 +254,20 @@ class SpectralField:
         return SpectralField(self.grid, self.coeffs.copy())
 
     def to_physical(self) -> np.ndarray:
-        """Real-valued grid samples, shape (n,) + grid.shape."""
-        axes = tuple(range(1, self.coeffs.ndim))
-        phys = np.fft.ifftn(self.coeffs * self.grid.N**self.grid.d, axes=axes)
-        return phys.real
+        """Real-valued grid samples, shape (n,) + grid.shape.
+
+        Only the half spectrum (last-axis modes 0..N/2) is read, so the
+        result assumes Hermitian coefficients; hermitian_defect checks that.
+        """
+        g = self.grid
+        return _irfft(self.coeffs[..., : g.N // 2 + 1] * g.N**g.d, g)
 
     def hermitian_defect(self) -> float:
-        """Max |imag| of the physical samples, relative to the field size."""
+        """Max |imag| of the physical samples, relative to the field size.
+
+        Uses the full complex inverse transform, since it checks the symmetry
+        that the real inverse transform of to_physical takes for granted.
+        """
         axes = tuple(range(1, self.coeffs.ndim))
         phys = np.fft.ifftn(self.coeffs * self.grid.N**self.grid.d, axes=axes)
         scale = np.max(np.abs(phys)) or 1.0
@@ -299,27 +349,27 @@ class DyadicScheme:
     def j_indices(self) -> np.ndarray:
         return np.arange(self.j_min, self.j_max + 1)
 
-    def window(self, window) -> np.ndarray:
-        """Dyadic indices selected by 'full', ('low', J) or ('high', J).
-
-        Low means j <= J and high means j >= J-1; the two windows share the
-        boundary blocks by construction.
-        """
-        js = self.j_indices
-        if window is None or window == "full":
-            return js
-        kind, J = window
-        if kind == "low":
-            return js[js <= J]
-        if kind == "high":
-            return js[js >= J - 1]
-        raise ValueError(f"unknown window {window!r}")
-
     def check_index(self, j: int):
         if j < self.j_min or j > self.j_max:
             raise DyadicRangeError(
                 f"dyadic index {j} outside resolvable window [{self.j_min}, {self.j_max}]"
             )
+
+
+def _window_mask(j_indices: np.ndarray, window) -> np.ndarray:
+    """True at the dyadic indices selected by 'full', ('low', J) or ('high', J).
+
+    Low means j <= J and high means j >= J-1; the two windows share the
+    boundary blocks by construction.
+    """
+    if window is None or window == "full":
+        return np.ones(j_indices.size, dtype=bool)
+    kind, J = window
+    if kind == "low":
+        return j_indices <= J
+    if kind == "high":
+        return j_indices >= J - 1
+    raise ValueError(f"unknown window {window!r}")
 
 
 @lru_cache(maxsize=32)
@@ -402,15 +452,15 @@ def lp_norm(field: SpectralField, p) -> float:
     g = field.grid
     if p == 2:
         return float(np.sqrt(g.L**g.d * np.sum(np.abs(field.coeffs) ** 2)))
-    phys = field.to_physical()
-    mag = np.sqrt(np.sum(phys**2, axis=0))
-    if np.isinf(p):
-        return float(np.max(mag))
-    return float((np.sum(mag**p) * g.dx**g.d) ** (1.0 / p))
+    return _lp_physical(field.to_physical(), p, g)
 
 
 def block_lp_norms(field: SpectralField, p, sch: DyadicScheme | None = None) -> np.ndarray:
-    """||block_j field||_{L^p} for every j in the scheme's range."""
+    """||block_j field||_{L^p} for every j in the scheme's range.
+
+    p=2 is Parseval on the full coefficients; other p take one real inverse
+    transform per block of the half spectrum times the block's multiplier.
+    """
     sch = sch or scheme_for(field.grid)
     g = field.grid
     out = np.empty(sch.j_max - sch.j_min + 1)
@@ -419,8 +469,10 @@ def block_lp_norms(field: SpectralField, p, sch: DyadicScheme | None = None) -> 
         for i, j in enumerate(sch.j_indices):
             out[i] = np.sqrt(g.L**g.d * np.sum(sch.multipliers[j] ** 2 * e))
         return out
+    h = g.N // 2 + 1
+    half = field.coeffs[..., :h] * g.N**g.d
     for i, j in enumerate(sch.j_indices):
-        out[i] = lp_norm(dyadic_block(field, j), p)
+        out[i] = _lp_physical(_irfft(half * sch.multipliers[j][..., :h], g), p, g)
     return out
 
 
@@ -439,13 +491,12 @@ def besov_norm(field: SpectralField, s: float, p, r=1, window="full") -> float:
     An empty window returns 0 and emits a warning.
     """
     sch = scheme_for(field.grid)
-    js = sch.window(window)
+    sel = _window_mask(sch.j_indices, window)
+    js = sch.j_indices[sel]
     if js.size == 0:
         warnings.warn(f"besov_norm: empty dyadic window {window!r}", stacklevel=2)
         return 0.0
-    norms = block_lp_norms(field, p, sch)
-    sel = np.isin(sch.j_indices, js)
-    vals = 2.0 ** (js * s) * norms[sel]
+    vals = 2.0 ** (js * s) * block_lp_norms(field, p, sch)[sel]
     return _ell_r(vals, r)
 
 
@@ -474,20 +525,9 @@ class NormSeries:
         """Shape (n_blocks, n_times)."""
         return np.array(self._rows).T if self._rows else np.empty((self.j_indices.size, 0))
 
-    def _select(self, window) -> np.ndarray:
-        js = self.j_indices
-        if window is None or window == "full":
-            return np.ones(js.size, dtype=bool)
-        kind, J = window
-        if kind == "low":
-            return js <= J
-        if kind == "high":
-            return js >= J - 1
-        raise ValueError(f"unknown window {window!r}")
-
     def besov_at(self, i: int, s: float, r=1, window="full") -> float:
         """Instantaneous Besov norm assembled from the stored blocks."""
-        sel = self._select(window)
+        sel = _window_mask(self.j_indices, window)
         vals = 2.0 ** (self.j_indices[sel] * s) * self.table[sel, i]
         return _ell_r(vals, r)
 
@@ -508,7 +548,7 @@ def chemin_lerner_norm(series: NormSeries, rho, s: float, r=1, window="full") ->
 
     Time integrals use the trapezoid rule on the stored instants.
     """
-    sel = series._select(window)
+    sel = _window_mask(series.j_indices, window)
     js = series.j_indices[sel]
     if js.size == 0:
         warnings.warn(f"chemin_lerner_norm: empty dyadic window {window!r}", stacklevel=2)

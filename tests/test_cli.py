@@ -106,6 +106,26 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(p) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("jobs", ["0", "-3", "abc", "1.5"])
+    def test_main_bad_jobs_flag(self, tmp_path, capsys, jobs):
+        rc = main(["run", "--preset", "selftest", "--jobs", jobs, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --jobs: ") and repr(jobs) in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("jobs", ["abc", "0", "-3", ""])
+    def test_main_bad_jobs_env(self, tmp_path, capsys, monkeypatch, jobs):
+        monkeypatch.setenv("RELAXLAB_JOBS", jobs)
+        rc = main(["run", "--preset", "selftest", "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: RELAXLAB_JOBS: ") and "Traceback" not in err
+
+    def test_main_jobs_flag_overrides_env(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("RELAXLAB_JOBS", "abc")
+        assert main(["run", "--preset", "selftest", "--jobs", "2", "--out", str(tmp_path)]) == 0
+
 
 class TestPlotEmit:
     def test_two_column_monotone(self, tmp_path):

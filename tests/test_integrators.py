@@ -263,6 +263,24 @@ class TestEvolve:
         traj = evolve(model, st, StepperConfig(t_end=2.0, sample_every=0.5), [("u", 2)])
         assert traj.mean_drift <= 1e-13
 
+    def test_cached_propagator_trajectory_identical(self, grid):
+        # evolve reuses one stepper, whose exact propagator is kept between
+        # steps of one size; step_jinxin builds a fresh stepper every step
+        eps = 0.3
+        model = JinXinModel(make_flux("zero", 1, 1), (1.0,), eps)
+        st0 = single_mode_state(grid, eps)
+        cfg = StepperConfig(scheme="exact_linear", dt_max=0.1)
+        # three intervals with three different step sizes
+        traj = evolve(model, st0, cfg, [("u", 2)], sample_times=[0.25, 0.55, 1.0])
+        st = st0
+        for span in np.diff(traj.times):
+            n_sub = max(1, int(math.ceil(span / cfg.dt_max - 1e-12)))
+            for _ in range(n_sub):
+                st = step_jinxin(model, st, span / n_sub, "exact_linear")
+        assert traj.steps == 11
+        assert np.array_equal(traj.final_state.u.coeffs, st.u.coeffs)
+        assert np.array_equal(traj.final_state.v[0].coeffs, st.v[0].coeffs)
+
 
 class TestCoEvolve:
     def test_difference_vanishes_for_matched_linear_heat(self):

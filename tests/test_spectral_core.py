@@ -61,6 +61,10 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(1, 4, 1.0)
 
+    def test_three_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="d must be 1 or 2"):
+            Grid(3, 16, 1.0)
+
     def test_wavenumber_range(self, grid1d):
         kap = grid1d.kappa_axes()[0].ravel()
         assert kap.min() == -grid1d.kappa_min * grid1d.N / 2
@@ -341,6 +345,60 @@ class TestHermitian:
             lowfreq_cutoff(f, 2),
         ):
             assert out.hermitian_defect() <= 1e-10
+
+    def test_defect_detects_asymmetry(self, grid1d, rng):
+        # one coefficient whose conjugate partner is missing
+        c = random_field(grid1d, rng).coeffs.copy()
+        c[0, 3] += 1j * np.max(np.abs(c))
+        assert SpectralField(grid1d, c).hermitian_defect() > 1e-3
+
+
+def _mirror(c):
+    """c at the negated wavevector, for (n, N...) coefficient arrays."""
+    for ax in range(1, c.ndim):
+        c = np.roll(np.flip(c, axis=ax), 1, axis=ax)
+    return c
+
+
+def _c2c_lp(coeffs, grid, p):
+    """Reference L^p norm through the complex inverse transform."""
+    axes = tuple(range(1, coeffs.ndim))
+    phys = np.fft.ifftn(coeffs * grid.N**grid.d, axes=axes).real
+    mag = np.sqrt(np.sum(phys**2, axis=0))
+    if np.isinf(p):
+        return np.max(mag)
+    return (np.sum(mag**p) * grid.dx**grid.d) ** (1.0 / p)
+
+
+class TestRealTransforms:
+    @pytest.mark.parametrize("d,N", [(1, 16), (1, 512), (2, 64)])
+    def test_from_physical_matches_fftn_and_is_hermitian(self, rng, d, N):
+        g = Grid(d, N, 3.0)
+        x = rng.standard_normal((2,) + g.shape)
+        c = SpectralField.from_physical(g, x, dealias=False).coeffs
+        ref = np.fft.fftn(x, axes=tuple(range(1, d + 1))) / N**d
+        assert np.max(np.abs(c - ref)) <= 1e-15 * np.max(np.abs(c))
+        assert np.array_equal(c, np.conj(_mirror(c)))
+
+    @pytest.mark.parametrize("d,N", [(1, 16), (1, 512), (2, 64)])
+    def test_to_physical_matches_ifftn(self, rng, d, N):
+        g = Grid(d, N, 3.0)
+        f = SpectralField.from_physical(g, rng.standard_normal((2,) + g.shape), dealias=False)
+        for field in (f, spectral_derivative(f.dealias(), d - 1), nonlinear_product(f, f)):
+            ref = np.fft.ifftn(field.coeffs * N**d, axes=tuple(range(1, d + 1))).real
+            assert np.max(np.abs(field.to_physical() - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("d,N", [(1, 256), (2, 64)])
+    @pytest.mark.parametrize("p", [4, np.inf])
+    def test_block_norms_match_per_block(self, rng, d, N, p):
+        g = Grid(d, N, 2 * np.pi)
+        f = SpectralField.from_physical(g, rng.standard_normal((2,) + g.shape))
+        sch = scheme_for(g)
+        got = block_lp_norms(f, p, sch)
+        for i, j in enumerate(sch.j_indices):
+            blk = dyadic_block(f, j)
+            for ref in (lp_norm(blk, p), _c2c_lp(blk.coeffs, g, p)):
+                assert got[i] == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 class TestSerialization:
