@@ -31,7 +31,6 @@ from .models import (
 from .integrators import (
     LimitModel,
     StepperConfig,
-    co_evolve,
     evolve,
     jinxin_dt_bound,
     _JinXinStepper,
@@ -505,13 +504,11 @@ def _convergence_one(arg):
         np.linspace(1.0, stepper.t_end, int(stepper.t_end / stepper.sample_every) + 1),
     ]))
     dp = grid.d / p
-    sjx, slim, sdiff, jx, lim = co_evolve(
-        model, limit, jx0, lim0, stepper, ts,
-        trackers_jx=[("Z", p)], trackers_lim=[], diff_trackers=[("du", p), ("dv", p)],
-    )[:5]
-    du = sdiff[("du", p)]
-    dv = sdiff[("dv", p)]
-    Zs = sjx[("Z", p)]
+    traj = evolve(model, jx0, stepper, [("Z", p), ("du", p), ("dv", p)], sample_times=ts,
+                  limit=(limit, lim0))
+    du = traj.get("du", p)
+    dv = traj.get("dv", p)
+    Zs = traj.get("Z", p)
     sup_du = max(du.besov_curve(dp - 1, 1, "full"))
     tarr = np.asarray(du.times)
     int_dv = float(_trapz(dv.besov_curve(dp, 1, "full"), tarr))
@@ -559,16 +556,11 @@ def run_decay_study(grid: Grid, flux: Flux, a, eps: float, data: InitialDataSpec
 
     dp = d / p
     fits = {"experiment": "decay", "eps": eps, "p": p, "sigma1": data.sigma1, "rows": []}
-    if with_difference or compare_half_eps:
-        sjx, slim, sdiff, _, _ = co_evolve(
-            model, limit, jx0, lim0, stepper, ts,
-            trackers_jx=[("u", p)], trackers_lim=[], diff_trackers=[("du", p)],
-        )[:5]
-        u_series = sjx[("u", p)]
-        du_series = sdiff[("du", p)]
-    else:
-        traj = evolve(model, jx0, stepper, [("u", p)], sample_times=ts)
-        u_series, du_series = traj.get("u", p), None
+    diff = with_difference or compare_half_eps
+    traj = evolve(model, jx0, stepper, [("u", p)] + [("du", p)] * diff, sample_times=ts,
+                  limit=(limit, lim0) if diff else None)
+    u_series = traj.get("u", p)
+    du_series = traj.get("du", p) if diff else None
 
     tarr = np.asarray(u_series.times)
     for sigma in sigma_list:
@@ -595,11 +587,8 @@ def run_decay_study(grid: Grid, flux: Flux, a, eps: float, data: InitialDataSpec
     if compare_half_eps:
         model2 = JinXinModel(flux, tuple(a), eps / 2)
         jx02, lim02 = make_initial_data(scaled(data, eps / 2), grid, model2, k0)
-        _, _, sdiff2, _, _ = co_evolve(
-            model2, limit, jx02, lim02, stepper, ts,
-            trackers_jx=[], trackers_lim=[], diff_trackers=[("du", p)],
-        )[:5]
-        d2 = sdiff2[("du", p)].besov_curve(sigma_list[0], 1, "full")
+        traj2 = evolve(model2, jx02, stepper, [("du", p)], sample_times=ts, limit=(limit, lim02))
+        d2 = traj2.get("du", p).besov_curve(sigma_list[0], 1, "full")
         d1 = np.asarray(curves["du"])
         sel = (tarr >= fit_window[0]) & (tarr <= fit_window[1])
         fits["half_eps_level_ratio"] = float(np.median(d1[sel] / d2[sel]))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .models import (
     JinXinModel,
     JinXinState,
     LimitState,
+    checked_velocities,
     darcy_velocity,
     effective_Z,
     effective_z,
@@ -41,7 +42,6 @@ __all__ = [
     "step_jinxin",
     "step_limit",
     "evolve",
-    "co_evolve",
     "Trajectory",
     "jinxin_dt_bound",
     "limit_advective_speed",
@@ -69,9 +69,7 @@ class LimitModel:
     a: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(float(x) for x in self.a))
-        if any(x <= 0 for x in self.a):
-            raise ValueError("a_i must be positive")
+        object.__setattr__(self, "a", checked_velocities(self.flux, self.a))
 
 
 @dataclass
@@ -314,7 +312,6 @@ class Trajectory:
     wall_time: float
     mean_drift: float
     max_abs_u: float
-    u_mean0: np.ndarray
 
     def get(self, fieldname: str, p) -> NormSeries:
         return self.series[(fieldname, p)]
@@ -338,7 +335,8 @@ class Trajectory:
         return out
 
 
-def _tracked_field(system, state, name: str) -> SpectralField:
+def _tracked_field(system, state, name: str, limit=None) -> SpectralField:
+    """The named field of state; du/dv need limit = (LimitModel, LimitState)."""
     if isinstance(system, JinXinModel):
         if name == "u":
             return state.u
@@ -348,6 +346,13 @@ def _tracked_field(system, state, name: str) -> SpectralField:
             return SpectralField.stack(effective_z(system, state))
         if name == "Z":
             return SpectralField.stack(effective_Z(system, state))
+        if limit is not None:
+            limit_model, lim = limit
+            if name == "du":
+                return state.u - lim.u_star
+            if name == "dv":
+                vstar = darcy_velocity(limit_model.flux, limit_model.a, lim.u_star)
+                return SpectralField.stack([state.v[i] - vstar[i] for i in range(system.d)])
     else:
         if name == "u":
             return state.u_star
@@ -361,31 +366,45 @@ def sample_times_linear(t_end: float, every: float) -> np.ndarray:
     return np.linspace(0.0, t_end, n + 1)
 
 
-def evolve(system, initial, config: StepperConfig, trackers, sample_times=None) -> Trajectory:
-    """March to t_end sampling per-block norms of the tracked quantities.
-
-    trackers is a list of (field, p) pairs; field is one of u/v/z/Z for the
-    relaxation system and u/v (closure velocity) for the limit. Deterministic
-    for a fixed config; steps subdivide each sampling interval uniformly so
-    samples land exactly on the requested instants.
-    """
+def _stepper_for(system, initial, config: StepperConfig, scheme: str) -> tuple:
+    """(stepper, dt, scheme): the dt policy of one run evolve advances."""
     grid = initial.grid
-    sch = scheme_for(grid)
     if isinstance(system, JinXinModel):
         stepper = _JinXinStepper(system, grid)
-        if config.scheme == "exact_linear":
-            dt_target = config.dt_max
+        if scheme == "exact_linear":
+            dt = config.dt_max
         else:
-            dt_target = min(config.dt_max, config.cfl * stepper.bound)
+            dt = min(config.dt_max, config.cfl * stepper.bound)
     elif isinstance(system, LimitModel):
         stepper = _LimitStepper(system, grid)
         speed = limit_advective_speed(system.flux, initial.u_star)
-        dt_adv = config.cfl * grid.dx / speed if speed > 0 else math.inf
-        dt_target = min(config.dt_max, dt_adv)
+        dt = min(config.dt_max, config.cfl * grid.dx / speed if speed > 0 else math.inf)
     else:
         raise TypeError(f"cannot evolve a {type(system).__name__}")
-    if dt_target < config.dt_min:
-        raise ValueError(f"required dt {dt_target:g} is below dt_min {config.dt_min:g}")
+    if dt < config.dt_min:
+        raise ValueError(f"required dt {dt:g} is below dt_min {config.dt_min:g}")
+    return stepper, dt, scheme
+
+
+def evolve(system, initial, config: StepperConfig, trackers, sample_times=None,
+           limit=None) -> Trajectory:
+    """March to t_end sampling per-block norms of the tracked quantities.
+
+    trackers is a list of (field, p) pairs; field is one of u/v/z/Z for the
+    relaxation system and u/v (closure velocity) for the limit. limit is an
+    optional (LimitModel, LimitState) pair stepped with if_rk2 in lockstep
+    with a relaxation system; it adds the fields du = u - u* and
+    dv = v - v*(u*). Deterministic for a fixed config; each run subdivides
+    every sampling interval uniformly so samples land exactly on the
+    requested instants.
+    """
+    runs = [_stepper_for(system, initial, config, config.scheme)]
+    states = [initial]
+    if limit is not None:
+        if not isinstance(system, JinXinModel):
+            raise TypeError(f"a limit companion needs a JinXinModel, not a {type(system).__name__}")
+        runs.append(_stepper_for(limit[0], limit[1], config, "if_rk2"))
+        states.append(limit[1])
 
     if sample_times is None:
         sample_times = sample_times_linear(config.t_end, config.sample_every)
@@ -393,107 +412,41 @@ def evolve(system, initial, config: StepperConfig, trackers, sample_times=None) 
     if sample_times[0] != 0.0:
         sample_times = np.concatenate([[0.0], sample_times])
 
+    sch = scheme_for(initial.grid)
     series = {(name, p): NormSeries(sch.j_indices, p) for (name, p) in trackers}
     t_start = time.perf_counter()
-    state = initial
-    u_field = state.u if isinstance(system, JinXinModel) else state.u_star
-    mean0 = u_field.mean()
+    mean0 = _tracked_field(system, initial, "u").mean()
     max_abs_u = 0.0
     mean_drift = 0.0
     steps = 0
 
-    def sample(st, t):
+    def sample(t):
         nonlocal max_abs_u, mean_drift
-        uf = st.u if isinstance(system, JinXinModel) else st.u_star
+        st = states[0]
+        lim = (limit[0], states[1]) if limit is not None else None
+        uf = _tracked_field(system, st, "u")
         max_abs_u = max(max_abs_u, lp_norm(uf, np.inf))
         mean_drift = max(mean_drift, float(np.max(np.abs(uf.mean() - mean0))))
         for (name, p), ser in series.items():
-            ser.append(t, block_lp_norms(_tracked_field(system, st, name), p, sch))
-
-    sample(state, 0.0)
-    for k in range(1, sample_times.size):
-        span = sample_times[k] - sample_times[k - 1]
-        n_sub = max(1, int(math.ceil(span / dt_target - 1e-12)))
-        h = span / n_sub
-        for _ in range(n_sub):
-            state = stepper.step(state, h, config.scheme)
-            steps += 1
-        sample(state, sample_times[k])
-
-    return Trajectory(
-        times=sample_times,
-        series=series,
-        final_state=state,
-        steps=steps,
-        wall_time=time.perf_counter() - t_start,
-        mean_drift=mean_drift,
-        max_abs_u=max_abs_u,
-        u_mean0=mean0,
-    )
-
-
-def co_evolve(
-    model: JinXinModel,
-    limit_model: LimitModel,
-    jx0: JinXinState,
-    lim0: LimitState,
-    config: StepperConfig,
-    sample_times,
-    trackers_jx,
-    trackers_lim,
-    diff_trackers,
-) -> tuple:
-    """Advance both systems in lockstep on matched sampling instants.
-
-    diff_trackers lists (field, p) with field in {du, dv}: per-block norms of
-    u - u* and v - v* (closure velocity) at the shared instants. The limit
-    system always steps with if_rk2 regardless of config.scheme.
-    """
-    grid = jx0.grid
-    sch = scheme_for(grid)
-    jx_stepper = _JinXinStepper(model, grid)
-    lim_stepper = _LimitStepper(limit_model, grid)
-    if config.scheme == "exact_linear":
-        dt_jx = config.dt_max
-    else:
-        dt_jx = min(config.dt_max, config.cfl * jx_stepper.bound)
-    speed = limit_advective_speed(limit_model.flux, lim0.u_star)
-    dt_lim = min(config.dt_max, config.cfl * grid.dx / speed if speed > 0 else math.inf)
-
-    sample_times = np.asarray(sample_times, dtype=float)
-    if sample_times[0] != 0.0:
-        sample_times = np.concatenate([[0.0], sample_times])
-
-    series_jx = {(n, p): NormSeries(sch.j_indices, p) for (n, p) in trackers_jx}
-    series_lim = {(n, p): NormSeries(sch.j_indices, p) for (n, p) in trackers_lim}
-    series_diff = {(n, p): NormSeries(sch.j_indices, p) for (n, p) in diff_trackers}
-    jx, lim = jx0, lim0
-    steps = 0
-
-    def sample(t):
-        for (n, p), s in series_jx.items():
-            s.append(t, block_lp_norms(_tracked_field(model, jx, n), p, sch))
-        for (n, p), s in series_lim.items():
-            s.append(t, block_lp_norms(_tracked_field(limit_model, lim, n), p, sch))
-        if diff_trackers:
-            du = jx.u - lim.u_star
-            vstar = darcy_velocity(limit_model.flux, limit_model.a, lim.u_star)
-            dv = SpectralField.stack([jx.v[i] - vstar[i] for i in range(model.d)])
-            for (n, p), s in series_diff.items():
-                s.append(t, block_lp_norms(du if n == "du" else dv, p, sch))
+            ser.append(t, block_lp_norms(_tracked_field(system, st, name, lim), p, sch))
 
     sample(0.0)
     for k in range(1, sample_times.size):
         span = sample_times[k] - sample_times[k - 1]
-        for stepper, dt_t, which in ((jx_stepper, dt_jx, "jx"), (lim_stepper, dt_lim, "lim")):
-            n_sub = max(1, int(math.ceil(span / dt_t - 1e-12)))
+        for i, (stepper, dt, scheme) in enumerate(runs):
+            n_sub = max(1, int(math.ceil(span / dt - 1e-12)))
             h = span / n_sub
             for _ in range(n_sub):
-                if which == "jx":
-                    jx = stepper.step(jx, h, config.scheme)
-                else:
-                    lim = stepper.step(lim, h, "if_rk2")
-                steps += 1
+                states[i] = stepper.step(states[i], h, scheme)
+            steps += n_sub
         sample(sample_times[k])
 
-    return series_jx, series_lim, series_diff, jx, lim, sample_times
+    return Trajectory(
+        times=sample_times,
+        series=series,
+        final_state=states[0],
+        steps=steps,
+        wall_time=time.perf_counter() - t_start,
+        mean_drift=mean_drift,
+        max_abs_u=max_abs_u,
+    )

@@ -204,6 +204,16 @@ def rebuild_flux(spec: tuple) -> Flux:
 # ---------------------------------------------------------------------------
 # models and states
 
+def checked_velocities(flux: Flux, a) -> tuple:
+    """The closure velocities a as floats, one positive entry per dimension."""
+    a = tuple(float(x) for x in a)
+    if len(a) != flux.d:
+        raise ValueError(f"need {flux.d} diffusion coefficients, got {len(a)}")
+    if any(x <= 0 for x in a):
+        raise ValueError("a_i must be positive")
+    return a
+
+
 @dataclass(frozen=True)
 class JinXinModel:
     flux: Flux
@@ -211,11 +221,7 @@ class JinXinModel:
     eps: float
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(float(x) for x in self.a))
-        if len(self.a) != self.flux.d:
-            raise ValueError(f"need {self.flux.d} diffusion coefficients, got {len(self.a)}")
-        if any(x <= 0 for x in self.a):
-            raise ValueError("a_i must be positive")
+        object.__setattr__(self, "a", checked_velocities(self.flux, self.a))
         if not self.eps > 0:
             raise ValueError("eps must be positive")
         if self.flux.n > MAX_COMPONENTS:

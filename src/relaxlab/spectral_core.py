@@ -202,10 +202,10 @@ def _irfft(half: np.ndarray, grid: Grid) -> np.ndarray:
 
 def _lp_physical(phys: np.ndarray, p, grid: Grid) -> float:
     """Rectangle-rule L^p norm of (n,) + grid.shape samples, Euclidean over n."""
-    mag = np.sqrt(np.sum(phys**2, axis=0))
+    sq = np.sum(phys**2, axis=0)
     if np.isinf(p):
-        return float(np.max(mag))
-    return float((np.sum(mag**p) * grid.dx**grid.d) ** (1.0 / p))
+        return float(np.sqrt(np.max(sq)))
+    return float((np.sum(sq ** (p / 2)) * grid.dx**grid.d) ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ from relaxlab.integrators import (
     CFLError,
     LimitModel,
     StepperConfig,
-    co_evolve,
     evolve,
     jinxin_dt_bound,
     step_jinxin,
@@ -20,7 +20,7 @@ from relaxlab.models import (
     darcy_velocity,
     make_flux,
 )
-from relaxlab.spectral_core import Grid, SpectralField, lp_norm
+from relaxlab.spectral_core import Grid, SpectralField, block_lp_norms, lp_norm, scheme_for
 from relaxlab.spectral_analysis import exact_linear_propagator
 
 
@@ -296,7 +296,67 @@ class TestCoEvolve:
             lim0 = LimitState(u0.copy())
             cfg = StepperConfig(scheme="imex_ssp2", cfl=0.4, dt_max=0.02, t_end=2.0)
             ts = np.linspace(0.1, 2.0, 20)
-            _, _, sdiff, _, _ = co_evolve(model, LimitModel(fl, (1.0,)), jx0, lim0, cfg, ts,
-                                          [], [], [("du", 2)])[:5]
-            sups.append(max(sdiff[("du", 2)].besov_curve(0.0, 1)))
+            du = evolve(model, jx0, cfg, [("du", 2)], sample_times=ts,
+                        limit=(LimitModel(fl, (1.0,)), lim0)).get("du", 2)
+            sups.append(max(du.besov_curve(0.0, 1)))
         assert sups[1] < sups[0] / 2
+
+
+class TestLimitCompanion:
+    """evolve with limit=(LimitModel, LimitState) co-runs the limit equation."""
+
+    def setup_runs(self, scheme="imex_ssp2"):
+        g = Grid(1, 32, 2 * np.pi)
+        fl = make_flux("burgers1d")
+        x = g.coords()[0]
+        u0 = SpectralField.from_physical(g, 0.2 * np.cos(x) + 0.1 * np.sin(2 * x))
+        model = JinXinModel(fl, (1.0,), 0.3)
+        jx0 = JinXinState(u0.copy(), darcy_velocity(fl, (1.0,), u0))
+        lim = (LimitModel(fl, (1.0,)), LimitState(u0.copy()))
+        cfg = StepperConfig(scheme=scheme, cfl=0.4, dt_max=0.02, t_end=0.6, sample_every=0.2)
+        return model, jx0, lim, cfg
+
+    def test_relaxation_run_unchanged_by_companion(self):
+        model, jx0, lim, cfg = self.setup_runs()
+        alone = evolve(model, jx0, cfg, [("u", 4)])
+        co = evolve(model, jx0, cfg, [("u", 4), ("du", 4)], limit=lim)
+        assert np.array_equal(co.get("u", 4).table, alone.get("u", 4).table)
+        assert np.array_equal(co.final_state.u.coeffs, alone.final_state.u.coeffs)
+        assert np.array_equal(co.final_state.v[0].coeffs, alone.final_state.v[0].coeffs)
+        assert co.max_abs_u == alone.max_abs_u
+        assert co.mean_drift == alone.mean_drift
+
+    def test_difference_equals_lone_runs(self):
+        model, jx0, lim, cfg = self.setup_runs()
+        co = evolve(model, jx0, cfg, [("du", 4), ("dv", 2)], limit=lim)
+        alone = evolve(model, jx0, cfg, [("u", 2)])
+        lone_lim = evolve(*lim, dataclasses.replace(cfg, scheme="if_rk2"), [("u", 2)])
+        u, u_star = alone.final_state.u, lone_lim.final_state.u_star
+        sch = scheme_for(u.grid)
+        assert np.array_equal(co.get("du", 4).table[:, -1], block_lp_norms(u - u_star, 4, sch))
+        vstar = darcy_velocity(lim[0].flux, lim[0].a, u_star)
+        dv = SpectralField.stack([alone.final_state.v[0] - vstar[0]])
+        assert np.array_equal(co.get("dv", 2).table[:, -1], block_lp_norms(dv, 2, sch))
+        assert co.steps == alone.steps + lone_lim.steps
+
+    def test_difference_needs_limit(self):
+        model, jx0, _, cfg = self.setup_runs()
+        with pytest.raises(KeyError, match="du"):
+            evolve(model, jx0, cfg, [("du", 2)])
+
+    def test_limit_dt_below_dt_min_rejected(self):
+        # |u| = 10 makes the limit's advective dt 0.45*dx/10 ~ 0.018, below
+        # dt_min, while the relaxation system steps at dt_max
+        g = Grid(1, 16, 2 * np.pi)
+        fl = make_flux("burgers1d")
+        u0 = SpectralField.from_physical(g, np.full(g.shape, 10.0))
+        model = JinXinModel(fl, (1.0,), 0.5)
+        jx0 = JinXinState(u0.copy(), darcy_velocity(fl, (1.0,), u0))
+        cfg = StepperConfig(dt_min=0.03, dt_max=0.05, t_end=0.05, sample_every=0.05)
+        assert evolve(model, jx0, cfg, [("u", 2)]).steps == 1
+        with pytest.raises(ValueError, match="dt_min"):
+            evolve(model, jx0, cfg, [("du", 2)], limit=(LimitModel(fl, (1.0,)), LimitState(u0)))
+
+    def test_limit_velocities_must_match_dimension(self):
+        with pytest.raises(ValueError, match="need 2 diffusion coefficients"):
+            LimitModel(make_flux("zero", 1, 2), (1.0,))
