@@ -8,6 +8,7 @@ so identical configs land in identical run directories.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -334,7 +335,6 @@ def dispatch(cfg: dict, cfg_hash: str, out_dir: str = "runs", jobs: int | None =
     elif exp == "simulate":
         grid, flux, a, data, stepper = _build_common(cfg)
         if m["eps_list"]:
-            import dataclasses
             variants = cfg["data_variants"] or [data.v_kind]
             rows_all, fits_all = [], {}
             for vk in variants:

@@ -14,7 +14,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -250,6 +250,8 @@ def flat_profile_ratio(u: SpectralField, sigma1: float, J: int, p=2) -> float:
 
 
 def check_sigma1_admissible(sigma1: float, d: int, p: float):
+    if p > 2 * d:
+        raise ValueError(f"a decay study needs p <= 2d, got p={p} at d={d}: no sigma1 is admissible")
     if not (-d / p <= sigma1 <= d / p - 1):
         raise ValueError(
             f"sigma1={sigma1} outside the admissible range [{-d/p}, {d/p-1}] "
@@ -264,11 +266,6 @@ def check_sigma1_admissible(sigma1: float, d: int, p: float):
 class FunctionalX:
     terms: dict
     total: float
-    x0: float
-
-    @property
-    def ratio(self) -> float:
-        return self.total / self.x0 if self.x0 > 0 else math.inf
 
 
 _X_TRACKERS = lambda p: sorted({("u", p), ("v", p), ("u", 2), ("v", 2)})
@@ -302,7 +299,7 @@ def functional_X(series: dict, eps: float, p, J: int, d: int) -> FunctionalX:
             "v_high_int": (1 + 1 / eps) * cl(v2, 1, d / 2, 1, hi),
         }
     total = float(sum(terms.values()))
-    return FunctionalX(terms, total, x0=math.nan)
+    return FunctionalX(terms, total)
 
 
 def functional_X0(state: JinXinState, eps: float, p, J: int) -> float:
@@ -396,14 +393,6 @@ def fit_rate(x, y, window=None, kind: str = "time", r2_flag: float = 0.98,
 # ---------------------------------------------------------------------------
 # experiment drivers (pure: take plain dicts, return result dicts)
 
-def _sample_ladder(t_lo: float, t_end: float, n_geo: int = 40, n_lin: int = 0) -> np.ndarray:
-    """Geometric cadence from t_lo to t_end, optionally padded linearly."""
-    ts = np.geomspace(t_lo, t_end, n_geo)
-    if n_lin:
-        ts = np.unique(np.concatenate([ts, np.linspace(t_lo, t_end, n_lin)]))
-    return ts
-
-
 def run_uniformity_study(grid: Grid, flux: Flux, a, eps_list, data: InitialDataSpec,
                          stepper: StepperConfig, p=2, k0: int = 0, jobs: int = 1) -> dict:
     """Uniform-bound experiment: X ratios across an eps sweep."""
@@ -469,6 +458,15 @@ def _growth_onset(eps: float) -> float:
     return max(1.0, 5.0 / (0.5 / eps**2))
 
 
+def _scaled_v(spec: InitialDataSpec, eps: float, v_scale_mode: str) -> InitialDataSpec:
+    """spec with ill-prepared velocity data scaled to v_scale/eps^k, where
+    v_scale_mode fixed, inv_eps or inv_eps2 sets k = 0, 1 or 2."""
+    if spec.v_kind != "ill_prepared":
+        return spec
+    power = {"fixed": 0, "inv_eps": 1, "inv_eps2": 2}[v_scale_mode]
+    return replace(spec, v_scale=spec.v_scale / eps**power)
+
+
 def run_epsilon_convergence(grid: Grid, flux: Flux, a, eps_list, data: InitialDataSpec,
                             stepper: StepperConfig, p=2, k0: int = 0, jobs: int = 1,
                             v_scale_mode: str = "inv_eps") -> dict:
@@ -489,15 +487,9 @@ def _convergence_one(arg):
 
     grid, flux_spec, a, eps, data, stepper, p, k0, v_scale_mode = arg
     flux = rebuild_flux(flux_spec)
-    import dataclasses
-    dspec = dataclasses.replace(data)
-    if dspec.v_kind == "ill_prepared" and v_scale_mode == "inv_eps":
-        dspec.v_scale = data.v_scale / eps
-    elif dspec.v_kind == "ill_prepared" and v_scale_mode == "inv_eps2":
-        dspec.v_scale = data.v_scale / eps**2
     model = JinXinModel(flux, tuple(a), eps)
     limit = LimitModel(flux, tuple(a))
-    jx0, lim0 = make_initial_data(dspec, grid, model, k0)
+    jx0, lim0 = make_initial_data(_scaled_v(data, eps, v_scale_mode), grid, model, k0)
     J = threshold_J(eps, k0)
     ts = np.unique(np.concatenate([
         np.geomspace(max(1e-4, eps**2 / 4), 1.0, 30),
@@ -526,16 +518,8 @@ def run_decay_study(grid: Grid, flux: Flux, a, eps: float, data: InitialDataSpec
     Ill-prepared velocity data scales as v_scale/eps by default so that
     eps*|v0| stays fixed across the half-eps comparison.
     """
-    import dataclasses
-
     d = grid.d
     check_sigma1_admissible(data.sigma1, d, p)
-
-    def scaled(spec, e):
-        if spec.v_kind != "ill_prepared" or v_scale_mode == "fixed":
-            return dataclasses.replace(spec)
-        power = 1 if v_scale_mode == "inv_eps" else 2
-        return dataclasses.replace(spec, v_scale=spec.v_scale / e**power)
     t_cut = 0.05 * (grid.L / (2 * np.pi)) ** 2 / min(a)
     if fit_window[1] > t_cut * (1 + 1e-9):
         raise ValueError(
@@ -544,9 +528,9 @@ def run_decay_study(grid: Grid, flux: Flux, a, eps: float, data: InitialDataSpec
         )
     model = JinXinModel(flux, tuple(a), eps)
     limit = LimitModel(flux, tuple(a))
-    jx0, lim0 = make_initial_data(scaled(data, eps), grid, model, k0)
+    jx0, lim0 = make_initial_data(_scaled_v(data, eps, v_scale_mode), grid, model, k0)
     J = threshold_J(eps, k0)
-    ts = _sample_ladder(min(0.25, fit_window[0] / 4), fit_window[1], n_geo=48)
+    ts = np.geomspace(min(0.25, fit_window[0] / 4), fit_window[1], 48)
     if data.v_kind == "ill_prepared":
         # the O(eps) kick develops on the relaxation layer t ~ eps^2; the
         # steps must resolve it or the kick amplitude is integrated wrong
@@ -586,7 +570,7 @@ def run_decay_study(grid: Grid, flux: Flux, a, eps: float, data: InitialDataSpec
         curves["du"] = dcurve.tolist()
     if compare_half_eps:
         model2 = JinXinModel(flux, tuple(a), eps / 2)
-        jx02, lim02 = make_initial_data(scaled(data, eps / 2), grid, model2, k0)
+        jx02, lim02 = make_initial_data(_scaled_v(data, eps / 2, v_scale_mode), grid, model2, k0)
         traj2 = evolve(model2, jx02, stepper, [("du", p)], sample_times=ts, limit=(limit, lim02))
         d2 = traj2.get("du", p).besov_curve(sigma_list[0], 1, "full")
         d1 = np.asarray(curves["du"])
@@ -595,7 +579,7 @@ def run_decay_study(grid: Grid, flux: Flux, a, eps: float, data: InitialDataSpec
     return {"fits": fits, "norm_rows": _norm_rows(u_series, "u"), "csv_curves": curves}
 
 
-def run_overdamping_scan(grid: Grid, a, mode, eps_grid=None, scheme: str = "imex_ssp2",
+def run_overdamping_scan(grid: Grid, a, mode, eps_grid, scheme: str = "imex_ssp2",
                          cfl: float = 0.3) -> dict:
     """Measured vs analytic decay rate of one linear mode across friction.
 
@@ -607,11 +591,6 @@ def run_overdamping_scan(grid: Grid, a, mode, eps_grid=None, scheme: str = "imex
     """
     kap = tuple(2 * np.pi * m / grid.L for m in mode)
     S = sum(ai * k * k for ai, k in zip(a, kap))
-    if eps_grid is None:
-        peak = 2.0 * math.sqrt(S)
-        inv = np.geomspace(0.5 * peak, 4.0 * peak, 19)
-        inv = np.unique(np.sort(np.append(inv, peak)))
-        eps_grid = 1.0 / inv
     a = tuple(a)
     flux = make_flux("zero", 1, grid.d)
     spec = InitialDataSpec(kind="single_mode", amplitude=1.0, mode=tuple(mode), v_kind="zero")

@@ -34,6 +34,7 @@ from .spectral_core import (
     lp_norm,
     scheme_for,
 )
+from .spectral_analysis import exp_slow_block
 
 __all__ = [
     "StepperConfig",
@@ -206,25 +207,8 @@ class _JinXinStepper:
         if not self.model.flux.is_zero:
             raise ValueError("exact_linear applies to the linear system (zero flux) only")
         eps = self.model.eps
-        S = self.S
-        disc = 1.0 / eps**4 - 4.0 * S / eps**2
-        root = np.sqrt(disc.astype(complex))
-        lam_p = -0.5 / eps**2 + 0.5 * root
-        lam_m = -0.5 / eps**2 - 0.5 * root
+        E00, E01, E10, E11 = exp_slow_block(self.S, eps, dt)
         damp = math.exp(-dt / eps**2)
-        defective = np.abs(disc) < 1e-8 * np.maximum(1.0 / eps**4, 16.0 * S**2)
-        diff = np.where(defective, 1.0, lam_p - lam_m)
-        ep, em = np.exp(lam_p * dt), np.exp(lam_m * dt)
-        E00 = (-lam_m * ep + lam_p * em) / diff
-        Ecross = (ep - em) / diff  # common factor of the off-diagonal entries
-        E11 = ((-1.0 / eps**2 - lam_m) * ep - (-1.0 / eps**2 - lam_p) * em) / diff
-        lam = -0.5 / eps**2
-        el = np.exp(lam * dt)
-        E00 = np.where(defective, el * (1.0 - dt * lam), E00)
-        Ecross = np.where(defective, el * dt, Ecross)
-        E11 = np.where(defective, el * (1.0 + dt * (-1.0 / eps**2 - lam)), E11)
-        E01 = Ecross * (-1j * S / eps)
-        E10 = Ecross * (-1j / eps)
         return E00, E01, E10, E11 - damp, damp, eps
 
     def exact_linear(self, u0, v0, coeffs):

@@ -31,6 +31,7 @@ __all__ = [
     "threshold_J",
     "classify_regime",
     "exact_linear_propagator",
+    "exp_slow_block",
     "generator_matrix",
 ]
 
@@ -69,9 +70,10 @@ def _S(xi, a) -> float:
     return float(sum(ai * x * x for ai, x in zip(a, xi)))
 
 
-def _slow_pair(S: float, eps: float):
-    disc = 1.0 / eps**2 - 4.0 * S
-    root = np.sqrt(complex(disc))
+def _slow_pair(S, eps: float):
+    """The slow eigenvalues (lam_+, lam_-); S may be an array."""
+    disc = 1.0 / eps**2 - 4.0 * np.asarray(S, dtype=float)
+    root = np.sqrt(disc.astype(complex))
     lam_p = -0.5 / eps**2 + 0.5 / eps * root
     lam_m = -0.5 / eps**2 - 0.5 / eps * root
     return lam_p, lam_m
@@ -149,22 +151,29 @@ def generator_matrix(xi, eps: float, a) -> np.ndarray:
     return A
 
 
-def _exp_slow_block(S: float, eps: float, t: float) -> np.ndarray:
-    """exp(t*B) for B = [[0, -i S/eps], [-i/eps, -1/eps^2]].
+def exp_slow_block(S, eps: float, t: float) -> tuple:
+    """Entries (E00, E01, E10, E11) of exp(t*B), B = [[0, -i S/eps], [-i/eps, -1/eps^2]].
 
-    Near the defective point to the quadratic the spectral formula is
-    replaced by the Jordan limit exp(lam t)(I + t(B - lam I)).
+    S may be an array; every entry is computed elementwise over it. Within a
+    relative 1e-8 of the defective point 1/eps^2 = 4S, measured on the
+    1/eps^2 scale, the spectral formula loses accuracy to cancellation and is
+    replaced by the Jordan limit exp(lam t)(I + t(B - lam I)), lam = -1/(2 eps^2).
     """
-    B = np.array([[0.0, -1j * S / eps], [-1j / eps, -1.0 / eps**2]], dtype=complex)
-    disc = 1.0 / eps**2 - 4.0 * S
+    S = np.asarray(S, dtype=float)
     lam_p, lam_m = _slow_pair(S, eps)
-    I = np.eye(2, dtype=complex)
-    if abs(disc) < _DEFECTIVE_TOL * max(1.0 / eps**4, 16.0 * S * S):
-        lam = -0.5 / eps**2
-        return np.exp(lam * t) * (I + t * (B - lam * I))
-    return (np.exp(lam_p * t) * (B - lam_m * I) - np.exp(lam_m * t) * (B - lam_p * I)) / (
-        lam_p - lam_m
-    )
+    disc = 1.0 / eps**2 - 4.0 * S
+    defective = np.abs(disc) < _DEFECTIVE_TOL * np.maximum(1.0 / eps**2, 16.0 * eps**2 * S**2)
+    # spectral formula (e_+ (B - lam_- I) - e_- (B - lam_+ I)) / (lam_+ - lam_-)
+    diff = np.where(defective, 1.0, lam_p - lam_m)
+    ep, em = np.exp(lam_p * t), np.exp(lam_m * t)
+    b11 = -1.0 / eps**2
+    # Jordan limit at the double eigenvalue lam = -1/(2 eps^2), h = -lam t
+    h = 0.5 * t / eps**2
+    el = np.exp(-h)
+    E00 = np.where(defective, el * (1.0 + h), (lam_p * em - lam_m * ep) / diff)
+    cross = np.where(defective, el * t, (ep - em) / diff)  # common factor of E01 and E10
+    E11 = np.where(defective, el * (1.0 - h), ((b11 - lam_m) * ep - (b11 - lam_p) * em) / diff)
+    return E00, cross * (-1j * S / eps), cross * (-1j / eps), E11
 
 
 def exact_linear_propagator(xi, eps: float, a, t: float) -> np.ndarray:
@@ -188,12 +197,12 @@ def exact_linear_propagator(xi, eps: float, a, t: float) -> np.ndarray:
         return P
     c = a * xi  # drives v from u
     r = xi      # couples v back into u
-    E = _exp_slow_block(S, eps, t)
+    E00, E01, E10, E11 = exp_slow_block(S, eps, t)
     # column from u_hat = 1
-    P[0, 0] = E[0, 0]
-    P[1:, 0] = E[1, 0] * c
+    P[0, 0] = E00
+    P[1:, 0] = E10 * c
     # columns from eps*v_hat_i = 1: slow part beta0 = xi_i / S, rest damped
     beta0 = r / S
-    P[0, 1:] = E[0, 1] * beta0
-    P[1:, 1:] = damp * np.eye(d) + np.outer(c, beta0) * (E[1, 1] - damp)
+    P[0, 1:] = E01 * beta0
+    P[1:, 1:] = damp * np.eye(d) + np.outer(c, beta0) * (E11 - damp)
     return P

@@ -94,6 +94,11 @@ class TestInitialData:
         with pytest.raises(ValueError, match="admissible range"):
             check_sigma1_admissible(0.3, 1, 2)
 
+    def test_sigma1_admissibility_needs_p_at_most_2d(self):
+        check_sigma1_admissible(-0.5, 2, 4)
+        with pytest.raises(ValueError, match=r"needs p <= 2d"):
+            check_sigma1_admissible(-0.5, 1, 4)
+
 
 class TestFunctionalX:
     def _zero_series(self, grid, p):

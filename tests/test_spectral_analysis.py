@@ -9,6 +9,7 @@ from relaxlab.spectral_analysis import (
     decay_rate_omega,
     eigenvalues,
     exact_linear_propagator,
+    exp_slow_block,
     generator_matrix,
     threshold_J,
 )
@@ -179,3 +180,64 @@ class TestPropagator:
         # Jordan structure: algebraic growth factor against exp(-t/2)
         expected_norm = math.exp(-1.0)
         assert np.linalg.norm(P, 2) == pytest.approx(expected_norm, rel=1.5)
+
+
+def _expm_reference(A):
+    """exp(A) by a Taylor series with scaling and squaring, in numpy alone."""
+    s = max(0, math.ceil(math.log2(np.abs(A).sum(axis=1).max() / 0.25)))
+    X = A / 2.0**s
+    term = np.eye(len(A), dtype=complex)
+    out = term.copy()
+    for k in range(1, 25):
+        term = term @ X / k
+        out = out + term
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
+def _rel_err(P, R):
+    return np.max(np.abs(P - R)) / np.max(np.abs(R))
+
+
+def _defective_xi(eps, delta, a):
+    """xi along (1, ..., 1) with 4 eps^2 S = 1 - delta: relative distance
+    |delta| from the defective point, overdamped for delta > 0."""
+    a = np.asarray(a, dtype=float)
+    S = (1.0 - delta) / (4.0 * eps**2)
+    return np.full(a.size, math.sqrt(S / a.sum()))
+
+
+_TIMES_OVER_EPS2 = (0.5, 1.0, 2.0, 4.0, 8.0)
+
+
+class TestSlowBlockReference:
+    """The closed-form slow block against exp(t*generator_matrix) across the
+    defective point 1/eps = 2 sqrt(S), where the pair of eigenvalues merges."""
+
+    @pytest.mark.parametrize("eps", [0.01, 0.3, 3.0])
+    @pytest.mark.parametrize("delta,tol", [(1e-7, 1e-12), (1e-5, 1e-12), (1e-9, 1e-7)])
+    def test_near_defective_point(self, eps, delta, tol):
+        # both sides of the defective point in one call over an array of S;
+        # in 1D with a = 1 the block is generator_matrix conjugated by diag(1, xi)
+        xi = np.array([_defective_xi(eps, s * delta, [1.0])[0] for s in (1.0, -1.0)])
+        S = xi**2
+        for t in eps**2 * np.array(_TIMES_OVER_EPS2):
+            E00, E01, E10, E11 = exp_slow_block(S, eps, t)
+            for k in range(S.size):
+                P = np.array([[E00[k], E01[k] / xi[k]], [E10[k] * xi[k], E11[k]]])
+                R = _expm_reference(t * generator_matrix([xi[k]], eps, [1.0]))
+                assert _rel_err(P, R) <= tol, (t / eps**2, S[k])
+
+    @pytest.mark.parametrize(
+        "xi,eps,a",
+        [
+            (tuple(_defective_xi(0.01, 1e-5, [1.0, 2.0])), 0.01, (1.0, 2.0)),
+            ((0.0, 0.0), 0.5, (1.0, 2.0)),  # S = 0
+        ],
+    )
+    def test_propagator(self, xi, eps, a):
+        for t in eps**2 * np.array(_TIMES_OVER_EPS2):
+            P = exact_linear_propagator(xi, eps, a, t)
+            R = _expm_reference(t * generator_matrix(xi, eps, a))
+            assert _rel_err(P, R) <= 1e-12, t / eps**2
