@@ -323,7 +323,8 @@ def dispatch(cfg: dict, cfg_hash: str, out_dir: str = "runs", jobs: int | None =
         result = harness.run_decay_study(
             grid, flux, a, float(m["eps"]), data, stepper, p=cfg["p"], k0=cfg["k0"],
             fit_window=tuple(fitc["window"]), sigma_list=tuple(fitc["sigma_list"]),
-            with_difference=fitc["with_difference"], compare_half_eps=fitc["compare_half_eps"])
+            with_difference=fitc["with_difference"], compare_half_eps=fitc["compare_half_eps"],
+            v_scale_mode=cfg["data"]["v_scale_mode"])
         rows = result["fits"]["rows"]
         flagged = [r for r in rows if r["low_r2"]]
         if flagged:
@@ -405,14 +406,12 @@ def main(argv=None) -> int:
                         help="plot style for the plot command")
     args = parser.parse_args(argv)
 
-    if args.command == "plot":
-        if not args.csv:
-            parser.error("plot requires a CSV path")
-        out = plot_emit(args.csv, args.kind)
-        print(out)
-        return 0
-
     try:
+        if args.command == "plot":
+            if not args.csv:
+                parser.error("plot requires a CSV path")
+            print(plot_emit(args.csv, args.kind))
+            return 0
         if args.jobs is not None:
             jobs = _worker_count(args.jobs, "--jobs")
         elif "RELAXLAB_JOBS" in os.environ:

@@ -107,22 +107,25 @@ class InitialDataSpec:
 
 
 def _hermitian_randomize(grid: Grid, modulus: np.ndarray, rng) -> np.ndarray:
-    """Random phases on a prescribed modulus profile, exactly Hermitian.
+    """Random phases on a prescribed modulus profile, even in kappa.
 
     The modulus of every coefficient is preserved, so L2-based block norms
-    are deterministic functions of the profile alone.
+    are deterministic functions of the profile alone. Phases are drawn on the
+    full lattice; a stored mode whose conjugate has the lower flat index
+    takes the negated phase of that conjugate.
     """
     idx = np.arange(grid.N**grid.d).reshape(grid.shape)
     conj_idx = idx
     for ax in range(grid.d):
         conj_idx = np.roll(np.flip(conj_idx, axis=ax), 1, axis=ax)
     theta = rng.uniform(0.0, 2.0 * np.pi, size=grid.shape)
-    c = modulus * np.exp(1j * theta)
-    flat, cflat = c.reshape(-1), conj_idx.reshape(-1)
-    keep = idx.reshape(-1) <= cflat
-    out = np.where(keep, flat, np.conj(flat[cflat]))
-    out[idx.reshape(-1) == cflat] = np.abs(flat[idx.reshape(-1) == cflat])  # self-paired: real
-    return out.reshape(grid.shape)
+    half = (Ellipsis, slice(0, grid.N // 2 + 1))
+    idx, conj_idx = idx[half], conj_idx[half]
+    phase = np.where(idx <= conj_idx, theta[half], -theta.reshape(-1)[conj_idx])
+    c = modulus * np.exp(1j * phase)
+    self_paired = idx == conj_idx
+    c[self_paired] = np.abs(c[self_paired])
+    return c
 
 
 def _random_spectrum_component(grid: Grid, spec: InitialDataSpec, eps: float, k0: int, rng) -> np.ndarray:
@@ -131,9 +134,9 @@ def _random_spectrum_component(grid: Grid, spec: InitialDataSpec, eps: float, k0
     J = threshold_J(eps, k0)
     top = min((8.0 / 3.0) * 2.0**J, spec.band_hi)
     band = mask & (mag > 0) & (mag <= top) & (mag >= max(spec.band_lo, 0.5 * grid.kappa_min))
-    prof = np.zeros(grid.shape)
+    prof = np.zeros(grid.spectral_shape)
     prof[band] = mag[band] ** (-(spec.sigma1 + grid.d / 2.0))
-    nrm = math.sqrt(grid.L**grid.d * np.sum(prof**2))
+    nrm = math.sqrt(grid.L**grid.d * np.sum(grid.multiplicity() * prof**2))
     if nrm == 0.0:
         raise ValueError("random_spectrum: empty band; enlarge the grid or the threshold")
     prof *= spec.amplitude / nrm
@@ -169,7 +172,7 @@ def _add_ir_tail(grid: Grid, prof: np.ndarray, sigma1: float, sigma_fit: float, 
     mag = grid.kappa_mag()
     shell = np.isclose(mag, kmin)
     out = prof.copy()
-    out[shell] += (deficit / resp) / math.sqrt(grid.L**grid.d * np.count_nonzero(shell))
+    out[shell] += (deficit / resp) / math.sqrt(grid.L**grid.d * np.sum(grid.multiplicity() * shell))
     return out
 
 
@@ -209,9 +212,9 @@ def make_initial_data(spec: InitialDataSpec, grid: Grid, model: JinXinModel, k0:
     elif spec.v_kind == "ill_prepared":
         mag = grid.kappa_mag()
         band = grid.dealias_mask() & (mag > 0) & (mag <= spec.v_band_hi)
-        prof = np.zeros(grid.shape)
+        prof = np.zeros(grid.spectral_shape)
         prof[band] = 1.0
-        total = math.sqrt(grid.L**grid.d * np.sum(prof**2) * n * d)
+        total = math.sqrt(grid.L**grid.d * np.sum(grid.multiplicity() * prof**2) * n * d)
         if total == 0:
             raise ValueError("ill_prepared: empty band below v_band_hi")
         prof *= spec.v_scale / total
@@ -611,10 +614,13 @@ def run_overdamping_scan(grid: Grid, a, mode, eps_grid, scheme: str = "imex_ssp2
     v = [np.stack([m["state"].v[i].coeffs for m in members]) for i in range(grid.d)]
     coeffs = [_stack_members([m["coeffs"][j] for m in members], u.ndim)
               for j in range(len(members[0]["coeffs"]))]
-    eps_col = np.array([m["eps"] for m in members]).reshape(-1, 1, 1)
-    # energy of the initialized wavevector pair only; the conserved mean
-    # and roundoff injected elsewhere must not floor the measurement
-    sel = tuple(np.array([m % grid.N, (-m) % grid.N]) for m in mode)
+    eps_col = np.array([m["eps"] for m in members]).reshape(-1, 1)
+    # energy of the initialized wavevector pair only, read at its stored mode
+    # and weighted; the conserved mean and roundoff injected elsewhere must
+    # not floor the measurement
+    stored = mode if mode[-1] >= 0 else tuple(-m for m in mode)
+    sel = tuple(m % grid.N for m in stored)
+    weight = grid.multiplicity()[(0,) * (grid.d - 1) + sel[-1:]]
     idx = (slice(None), slice(None)) + sel
     n_max = max(m["n"] for m in members)
     energy = np.empty((n_max, len(members)))
@@ -624,8 +630,8 @@ def run_overdamping_scan(grid: Grid, a, mode, eps_grid, scheme: str = "imex_ssp2
             bad = next(m for i, m in enumerate(members)
                        if not (np.isfinite(u[i]).all() and all(np.isfinite(vi[i]).all() for vi in v)))
             raise DivergenceError((k + 1) * bad["dt"], f"friction 1/eps={1.0 / bad['eps']:g}")
-        energy[k] = (np.sum(np.abs(u[idx]) ** 2, axis=(1, 2))
-                     + sum(np.sum(np.abs(eps_col * vi[idx]) ** 2, axis=(1, 2)) for vi in v))
+        energy[k] = weight * (np.sum(np.abs(u[idx]) ** 2, axis=1)
+                              + sum(np.sum(np.abs(eps_col * vi[idx]) ** 2, axis=1) for vi in v))
 
     rows = []
     for i, m in enumerate(members):
@@ -773,7 +779,11 @@ def run_selftest(N: int = 256, seed: int = 0) -> dict:
 
     prod = nonlinear_product(f, f)
     record("hermitian_product", prod.hermitian_defect(), 1e-10)
-    record("hermitian_derivative", spectral_derivative(f, 0).hermitian_defect(), 1e-10)
+    # in 1D the self-conjugate plane 0 is the mean alone, which a derivative
+    # removes; in 2D a derivative along axis 0 carries the whole plane
+    x = f.to_physical()[0]
+    f2 = SpectralField.from_physical(Grid(2, N, g.L), np.add.outer(x, x))
+    record("hermitian_derivative", spectral_derivative(f2, 0).hermitian_defect(), 1e-10)
 
     worst = 0.0
     for _ in range(1000):

@@ -31,6 +31,7 @@ from .spectral_core import (
     NormSeries,
     SpectralField,
     block_lp_norms,
+    diffusion_symbol,
     lp_norm,
     scheme_for,
 )
@@ -134,7 +135,7 @@ class _JinXinStepper:
         self.kap = grid.kappa_axes()
         self.deriv = [1j * kap for kap in self.kap]
         self.neg_a_deriv = [-model.a[i] * self.deriv[i] for i in range(model.d)]
-        self.S = sum(model.a[i] * self.kap[i] ** 2 for i in range(model.d))
+        self.S = diffusion_symbol(grid, model.a)
         self.bound = jinxin_dt_bound(model, grid)
         self._prepared = (None, None)
 
@@ -251,7 +252,7 @@ class _LimitStepper:
         self.model = model
         self.grid = grid
         self.deriv = [1j * kap for kap in grid.kappa_axes()]
-        self.S = sum(model.a[i] * grid.kappa_axes()[i] ** 2 for i in range(len(model.a)))
+        self.S = diffusion_symbol(grid, model.a)
 
     def _nonlin(self, u: SpectralField):
         if self.model.flux.is_zero:

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spectral_core import Grid, SpectralField, spectral_derivative
+from .spectral_core import Grid, SpectralField, diffusion_symbol, spectral_derivative
 
 __all__ = [
     "Flux",
@@ -311,10 +311,7 @@ def limit_rhs(flux: Flux, a, state: LimitState) -> SpectralField:
     """du*/dt of the viscous conservation law, dealiased."""
     u = state.u_star
     g = u.grid
-    mult = np.zeros(g.shape)
-    for ax, kap in enumerate(g.kappa_axes()):
-        mult = mult - a[ax] * kap**2
-    rate = u.coeffs * mult
+    rate = u.coeffs * -diffusion_symbol(g, a)
     if not flux.is_zero:
         fvals = flux_fields(flux, u)
         for i in range(flux.d):

@@ -124,7 +124,7 @@ def classify_regime(xi, eps: float, a, k0: int = 0) -> RegimeLabel:
     a = np.atleast_1d(a)
     S = _S(xi, a)
     disc = 1.0 / eps**2 - 4.0 * S
-    tol = _TRANSITIONAL_TOL * max(1.0 / eps**4, 16.0 * S * S)
+    tol = _TRANSITIONAL_TOL * max(1.0 / eps**2, 16.0 * eps**2 * S * S)
     if abs(disc) <= tol:
         regime = Regime.TRANSITIONAL
     elif disc > 0:

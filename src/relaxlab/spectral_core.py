@@ -3,10 +3,10 @@
 Fields live on a uniform grid over the torus [0, L)^d and are stored as
 complex Fourier coefficients; all frequency bookkeeping is done in physical
 wavenumber units kappa = 2*pi*k/L so that dyadic scales 2^j are physically
-meaningful regardless of the box size. Every field is real, so transforms to
-and from physical samples are real-to-complex; the coefficients keep the
-full lattice layout, with the modes above N/2 on the last axis filled in as
-conjugates.
+meaningful regardless of the box size. Every field is real, so only the
+real-to-complex half spectrum (last-axis modes 0..N/2) is stored, and every
+table lives on that lattice; the other modes are conjugates of stored ones,
+so Parseval sums weight each stored mode by its multiplicity.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ __all__ = [
     "chemin_lerner_norm",
     "spectral_derivative",
     "spectral_laplacian",
+    "diffusion_symbol",
     "nonlinear_product",
     "lp_norm",
     "block_lp_norms",
@@ -106,31 +107,30 @@ class Grid:
         return (self.N,) * self.d
 
     @property
+    def spectral_shape(self) -> tuple:
+        """Shape of the stored half spectrum: last-axis modes 0..N/2."""
+        return (self.N,) * (self.d - 1) + (self.N // 2 + 1,)
+
+    @property
     def kappa_min(self) -> float:
         """Smallest nonzero physical wavenumber, 2*pi/L."""
         return 2.0 * np.pi / self.L
 
-    def modes(self) -> np.ndarray:
-        """Integer mode numbers along one axis in FFT order."""
-        return np.fft.fftfreq(self.N, d=1.0 / self.N)
-
     def kappa_axes(self) -> list:
-        """Physical wavenumber arrays, one per axis, broadcastable to shape."""
-        k1 = self.modes() * self.kappa_min
-        out = []
-        for ax in range(self.d):
-            sh = [1] * self.d
-            sh[ax] = self.N
-            out.append(k1.reshape(sh))
-        return out
+        """Physical wavenumber arrays, one per axis, broadcastable to spectral_shape."""
+        return list(_grid_tables(self.d, self.N, self.L)[0])
 
     def kappa_mag(self) -> np.ndarray:
-        """|kappa| on the full lattice."""
-        return _grid_tables(self.d, self.N, self.L)[0]
+        """|kappa| on the stored lattice."""
+        return _grid_tables(self.d, self.N, self.L)[1]
 
     def dealias_mask(self) -> np.ndarray:
         """True where every |mode| <= N/3 (2/3-rule survivors)."""
-        return _grid_tables(self.d, self.N, self.L)[1]
+        return _grid_tables(self.d, self.N, self.L)[2]
+
+    def multiplicity(self) -> np.ndarray:
+        """Full-lattice modes per stored mode: 1 on last-axis planes 0 and N/2, else 2."""
+        return _grid_tables(self.d, self.N, self.L)[4]
 
     @property
     def kappa_dealias(self) -> float:
@@ -140,7 +140,7 @@ class Grid:
     @property
     def kappa_grid_max(self) -> float:
         """Largest |kappa| among dealias survivors."""
-        return float(_grid_tables(self.d, self.N, self.L)[2])
+        return float(_grid_tables(self.d, self.N, self.L)[3])
 
     def coords(self) -> list:
         """Physical coordinate arrays, one per axis, broadcastable."""
@@ -155,49 +155,32 @@ class Grid:
 
 @lru_cache(maxsize=32)
 def _grid_tables(d: int, N: int, L: float):
-    k1 = np.fft.fftfreq(N, d=1.0 / N)
     kmin = 2.0 * np.pi / L
-    mag2 = np.zeros((N,) * d)
-    keep = np.ones((N,) * d, dtype=bool)
     cut = np.floor(N / 3.0)
+    kap, mag2, keep = [], 0.0, True
     for ax in range(d):
+        k = np.fft.rfftfreq(N, d=1.0 / N) if ax == d - 1 else np.fft.fftfreq(N, d=1.0 / N)
         sh = [1] * d
-        sh[ax] = N
-        k = k1.reshape(sh)
-        mag2 = mag2 + (k * kmin) ** 2
+        sh[ax] = k.size
+        k = k.reshape(sh)
+        kap.append(k * kmin)
+        mag2 = mag2 + kap[-1] ** 2
         keep = keep & (np.abs(k) <= cut)
     mag = np.sqrt(mag2)
     kmax = mag[keep].max()
-    return mag, keep, kmax
+    weight = np.full(N // 2 + 1, 2.0)
+    weight[[0, N // 2]] = 1.0
+    return kap, mag, keep, kmax, weight.reshape((1,) * (d - 1) + (-1,))
 
 
-# ---------------------------------------------------------------------------
-# real-to-complex transform helpers
-
-def _conjugate_fill(c: np.ndarray):
-    """Complete in place an (n, N...) coefficient array whose last-axis modes
-    0..N/2 are set, so that it is exactly Hermitian.
-
-    Modes above N/2 on the last axis become the conjugates of their mirrors
-    (every other axis flipped about mode 0). The planes at last-axis modes 0
-    and N/2 are their own mirrors, so the same fill runs on them along the
-    axis before, down to the self-conjugate modes, which are made real.
-    """
-    if c.ndim == 1:
-        c.imag = 0.0
-        return
-    h = c.shape[-1] // 2
-    mirror = c[..., h - 1 : 0 : -1]
-    for ax in range(1, c.ndim - 1):
-        mirror = np.roll(np.flip(mirror, axis=ax), 1, axis=ax)
-    np.conjugate(mirror, out=c[..., h + 1 :])
-    for k in (0, h):
-        _conjugate_fill(c[..., k])
+def diffusion_symbol(grid: Grid, a) -> np.ndarray:
+    """S = sum_i a_i kappa_i^2 on the stored lattice; -S is the symbol of sum_i a_i d_i^2."""
+    return sum(a[ax] * kap**2 for ax, kap in enumerate(grid.kappa_axes()))
 
 
-def _irfft(half: np.ndarray, grid: Grid) -> np.ndarray:
-    """Grid samples (n,) + grid.shape from unnormalized half-spectrum coefficients."""
-    return np.fft.irfftn(half, s=grid.shape, axes=tuple(range(1, half.ndim)))
+def _irfft(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """Grid samples (n,) + grid.shape of (n,) + spectral_shape coefficients."""
+    return np.fft.irfftn(coeffs, s=grid.shape, axes=tuple(range(1, coeffs.ndim)), norm="forward")
 
 
 def _lp_physical(phys: np.ndarray, p, grid: Grid) -> float:
@@ -212,38 +195,35 @@ def _lp_physical(phys: np.ndarray, p, grid: Grid) -> float:
 # spectral fields
 
 class SpectralField:
-    """n-component complex Fourier coefficients on a Grid.
+    """n-component complex Fourier coefficients of a real field on a Grid.
 
-    coeffs has shape (n,) + (N,)*d in numpy FFT layout; coeffs[:, 0, ...]
-    is the mean. Hermitian symmetry (real physical values) is preserved by
-    every operation in this module.
+    coeffs has shape (n,) + grid.spectral_shape in numpy rfftn layout;
+    coeffs[:, 0, ...] is the mean.
     """
 
     __slots__ = ("grid", "coeffs")
 
     def __init__(self, grid: Grid, coeffs: np.ndarray):
         coeffs = np.asarray(coeffs, dtype=complex)
-        if coeffs.shape[1:] != grid.shape:
-            raise ValueError(f"coefficient shape {coeffs.shape} does not match grid {grid.shape}")
+        if coeffs.shape[1:] != grid.spectral_shape:
+            raise ValueError(f"coefficient shape {coeffs.shape} does not match grid {grid.spectral_shape}")
         self.grid = grid
         self.coeffs = coeffs
 
     # -- constructors ------------------------------------------------------
     @classmethod
     def zero(cls, grid: Grid, n: int = 1) -> "SpectralField":
-        return cls(grid, np.zeros((n,) + grid.shape, dtype=complex))
+        return cls(grid, np.zeros((n,) + grid.spectral_shape, dtype=complex))
 
     @classmethod
     def from_physical(cls, grid: Grid, values: np.ndarray, dealias: bool = True) -> "SpectralField":
         values = np.asarray(values, dtype=float)
         if values.shape == grid.shape:
             values = values[None, ...]
-        half = np.fft.rfftn(values, axes=tuple(range(1, values.ndim))) / grid.N**grid.d
-        c = np.empty(values.shape, dtype=complex)
-        c[..., : grid.N // 2 + 1] = half
-        _conjugate_fill(c)
-        f = cls(grid, c)
-        return f.dealias() if dealias else f
+        c = np.fft.rfftn(values, axes=tuple(range(1, values.ndim)), norm="forward")
+        if dealias:
+            c *= grid.dealias_mask()
+        return cls(grid, c)
 
     # -- basics ------------------------------------------------------------
     @property
@@ -254,24 +234,20 @@ class SpectralField:
         return SpectralField(self.grid, self.coeffs.copy())
 
     def to_physical(self) -> np.ndarray:
-        """Real-valued grid samples, shape (n,) + grid.shape.
-
-        Only the half spectrum (last-axis modes 0..N/2) is read, so the
-        result assumes Hermitian coefficients; hermitian_defect checks that.
-        """
-        g = self.grid
-        return _irfft(self.coeffs[..., : g.N // 2 + 1] * g.N**g.d, g)
+        """Real-valued grid samples, shape (n,) + grid.shape."""
+        return _irfft(self.coeffs, self.grid)
 
     def hermitian_defect(self) -> float:
-        """Max |imag| of the physical samples, relative to the field size.
+        """Round-trip error max|c - rfftn(irfftn(c))| relative to max|c|.
 
-        Uses the full complex inverse transform, since it checks the symmetry
-        that the real inverse transform of to_physical takes for granted.
+        The self-conjugate planes (last-axis modes 0 and N/2) must be
+        Hermitian on their own for the coefficients to be those of a real
+        field; the real inverse transform drops any part that is not.
         """
-        axes = tuple(range(1, self.coeffs.ndim))
-        phys = np.fft.ifftn(self.coeffs * self.grid.N**self.grid.d, axes=axes)
-        scale = np.max(np.abs(phys)) or 1.0
-        return float(np.max(np.abs(phys.imag)) / scale)
+        c = self.coeffs
+        back = np.fft.rfftn(self.to_physical(), axes=tuple(range(1, c.ndim)), norm="forward")
+        scale = np.max(np.abs(c)) or 1.0
+        return float(np.max(np.abs(c - back)) / scale)
 
     def dealias(self) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs * self.grid.dealias_mask())
@@ -423,10 +399,7 @@ def spectral_laplacian(field: SpectralField, weights=None) -> SpectralField:
     g = field.grid
     if weights is None:
         weights = (1.0,) * g.d
-    mult = np.zeros(g.shape)
-    for ax, kap in enumerate(g.kappa_axes()):
-        mult = mult - weights[ax] * kap**2
-    return SpectralField(g, field.coeffs * mult)
+    return SpectralField(g, field.coeffs * -diffusion_symbol(g, weights))
 
 
 def nonlinear_product(a: SpectralField, b: SpectralField) -> SpectralField:
@@ -451,28 +424,26 @@ def lp_norm(field: SpectralField, p) -> float:
     """
     g = field.grid
     if p == 2:
-        return float(np.sqrt(g.L**g.d * np.sum(np.abs(field.coeffs) ** 2)))
+        return float(np.sqrt(g.L**g.d * np.sum(np.abs(field.coeffs) ** 2 * g.multiplicity())))
     return _lp_physical(field.to_physical(), p, g)
 
 
 def block_lp_norms(field: SpectralField, p, sch: DyadicScheme | None = None) -> np.ndarray:
     """||block_j field||_{L^p} for every j in the scheme's range.
 
-    p=2 is Parseval on the full coefficients; other p take one real inverse
-    transform per block of the half spectrum times the block's multiplier.
+    p=2 is Parseval weighted by the multiplicity; other p take one real
+    inverse transform per block.
     """
     sch = sch or scheme_for(field.grid)
     g = field.grid
     out = np.empty(sch.j_max - sch.j_min + 1)
     if p == 2:
-        e = np.sum(np.abs(field.coeffs) ** 2, axis=0)
+        e = np.sum(np.abs(field.coeffs) ** 2, axis=0) * g.multiplicity()
         for i, j in enumerate(sch.j_indices):
             out[i] = np.sqrt(g.L**g.d * np.sum(sch.multipliers[j] ** 2 * e))
         return out
-    h = g.N // 2 + 1
-    half = field.coeffs[..., :h] * g.N**g.d
     for i, j in enumerate(sch.j_indices):
-        out[i] = _lp_physical(_irfft(half * sch.multipliers[j][..., :h], g), p, g)
+        out[i] = _lp_physical(_irfft(field.coeffs * sch.multipliers[j], g), p, g)
     return out
 
 
@@ -563,6 +534,7 @@ def chemin_lerner_norm(series: NormSeries, rho, s: float, r=1, window="full") ->
 # serialization
 
 _MAGIC = b"RLXF"
+_LAYOUT = "rfftn half spectrum, complex interleaved, row-major wavevector"
 
 
 def save_field(field: SpectralField, path):
@@ -572,7 +544,7 @@ def save_field(field: SpectralField, path):
         "n": field.n,
         "N": field.grid.N,
         "L": field.grid.L,
-        "layout": "complex interleaved, row-major wavevector",
+        "layout": _LAYOUT,
     }
     hb = json.dumps(header, sort_keys=True).encode()
     with open(path, "wb") as fh:
@@ -588,9 +560,11 @@ def load_field(path) -> SpectralField:
             raise ValueError(f"{path}: not a spectral field container")
         (hlen,) = struct.unpack("<I", fh.read(4))
         header = json.loads(fh.read(hlen).decode())
+        if header.get("layout") != _LAYOUT:
+            raise ValueError(f"{path}: field layout {header.get('layout')!r} is not {_LAYOUT!r}")
         grid = Grid(header["d"], header["N"], header["L"])
         raw = np.frombuffer(fh.read(), dtype=complex)
-    coeffs = raw.reshape((header["n"],) + grid.shape).copy()
+    coeffs = raw.reshape((header["n"],) + grid.spectral_shape).copy()
     return SpectralField(grid, coeffs)
 
 

@@ -127,7 +127,11 @@ def render_curves(curves: dict, loglog: bool = False, xlabel: str = "", ylabel: 
 
 def render_csv(csv_path: str, kind: str = "loglog") -> str:
     """Render a simple header+columns CSV file (as written by the harness)."""
-    with open(csv_path) as fh:
+    try:
+        fh = open(csv_path)
+    except OSError as e:
+        raise ValueError(f"{csv_path}: cannot read the CSV file ({e.strerror})") from e
+    with fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if len(lines) < 2:
         raise ValueError(f"{csv_path}: empty or header-only CSV")

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from relaxlab import harness
 from relaxlab.cli import (
     PRESETS,
     ConfigError,
@@ -122,6 +123,21 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert err.startswith("error: RELAXLAB_JOBS: ") and "Traceback" not in err
 
+    def test_decay_honours_v_scale_mode(self, tmp_path, monkeypatch):
+        seen = {}
+
+        def record(*args, **kwargs):
+            seen.update(kwargs)
+            raise RuntimeError("recorded")
+
+        monkeypatch.setattr(harness, "run_decay_study", record)
+        for mode in ("fixed", "inv_eps2"):
+            cfg, h = parse_config_dict({"experiment": "decay", "data": {
+                "v_kind": "ill_prepared", "v_scale": 0.1, "v_scale_mode": mode}})
+            with pytest.raises(RuntimeError, match="recorded"):
+                dispatch(cfg, h, out_dir=str(tmp_path))
+            assert seen["v_scale_mode"] == mode
+
     def test_main_jobs_flag_overrides_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RELAXLAB_JOBS", "abc")
         assert main(["run", "--preset", "selftest", "--jobs", "2", "--out", str(tmp_path)]) == 0
@@ -153,6 +169,19 @@ class TestPlotEmit:
         p.write_text("x,y\n1.0\n")
         with pytest.raises(ValueError, match="malformed"):
             plot_emit(str(p))
+
+    def test_main_missing_csv(self, tmp_path, capsys):
+        p = tmp_path / "missing.csv"
+        assert main(["plot", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(p) in err and "Traceback" not in err
+
+    def test_main_no_numeric_pair(self, tmp_path, capsys):
+        p = tmp_path / "labels.csv"
+        p.write_text("inv_eps,regime\n1.0,low\n2.0,high\n")
+        assert main(["plot", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "two numeric columns" in err
 
     def test_deterministic_bytes(self, tmp_path):
         p = tmp_path / "c.csv"

@@ -40,7 +40,7 @@ def exact_mode_solution(grid, state, eps, a, T):
     kap = grid.kappa_axes()[0].ravel()
     uo, vo = state.u.coeffs.copy(), state.v[0].coeffs.copy()
     un, vn = np.zeros_like(uo), np.zeros_like(vo)
-    for idx in range(grid.N):
+    for idx in range(kap.size):
         P = exact_linear_propagator([kap[idx]], eps, [a], T)
         w = P @ np.array([uo[0, idx], eps * vo[0, idx]])
         un[0, idx], vn[0, idx] = w[0], w[1] / eps

@@ -157,7 +157,7 @@ class TestJinXinRHS:
 
     def test_divergence_error_carries_time(self, grid):
         model = JinXinModel(make_flux("burgers1d"), (1.0,), 0.3)
-        bad = SpectralField(grid, np.full((1,) + grid.shape, np.nan, dtype=complex))
+        bad = SpectralField(grid, np.full((1,) + grid.spectral_shape, np.nan, dtype=complex))
         st = JinXinState(bad, [SpectralField.zero(grid)], t=2.5)
         with pytest.raises(DivergenceError) as e:
             jinxin_rhs(model, st)

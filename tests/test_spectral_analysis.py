@@ -117,6 +117,13 @@ class TestRegimes:
     def test_transitional(self):
         assert classify_regime([0.5], 1.0, [1.0]).regime is Regime.TRANSITIONAL
 
+    @pytest.mark.parametrize("eps", [1.0, 0.01, 0.001])
+    def test_transitional_band_on_one_scale(self, eps):
+        # a relative 1e-7 past the defective point 1/eps^2 = 4S is oscillatory
+        # at every eps, the band being a relative 1e-12 on the 1/eps^2 scale
+        xi = math.sqrt((1.0 + 1e-7) / (4.0 * eps**2))
+        assert classify_regime([xi], eps, [1.0]).regime is Regime.HIGH
+
     def test_threshold_report(self):
         lab = classify_regime([0.1], 1.0, [1.0])
         assert lab.dyadic_index_le_threshold

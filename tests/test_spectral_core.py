@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -66,8 +68,9 @@ class TestGrid:
             Grid(3, 16, 1.0)
 
     def test_wavenumber_range(self, grid1d):
+        # the last axis stores the rfftn modes 0..N/2
         kap = grid1d.kappa_axes()[0].ravel()
-        assert kap.min() == -grid1d.kappa_min * grid1d.N / 2
+        assert kap.max() == grid1d.kappa_min * grid1d.N / 2
         assert grid1d.kappa_grid_max <= np.pi * grid1d.N / grid1d.L
 
 
@@ -298,7 +301,7 @@ class TestNonlinearProduct:
         a = SpectralField.from_physical(grid1d, np.cos(k1 * 2 * np.pi * x / grid1d.L))
         b = SpectralField.from_physical(grid1d, np.cos(k2 * 2 * np.pi * x / grid1d.L))
         out = nonlinear_product(a, b)
-        modes = grid1d.modes()
+        modes = np.fft.rfftfreq(grid1d.N, d=1.0 / grid1d.N)
         idx_sum = np.where(np.isclose(modes, k1 + k2))[0]
         idx_diff = np.where(np.isclose(modes, k2 - k1))[0]
         # k1+k2=70 = beyond the N/3=85... inside: check both produced lines
@@ -308,8 +311,9 @@ class TestNonlinearProduct:
         k3 = 80
         c = SpectralField.from_physical(grid1d, np.cos(k3 * 2 * np.pi * x / grid1d.L))
         out2 = nonlinear_product(c, c)
-        # 2*k3 = 160 wraps to -96 on N=256; both lie outside the mask
-        idx_bad = np.where(np.isclose(modes, 2 * k3 - grid1d.N))[0]
+        # 2*k3 = 160 wraps to -96 on N=256, stored as its conjugate +96;
+        # both lie outside the mask
+        idx_bad = np.where(np.isclose(modes, grid1d.N - 2 * k3))[0]
         assert np.max(np.abs(out2.coeffs[0, idx_bad])) == 0.0
 
     def test_holder_bound(self, grid1d, rng):
@@ -347,23 +351,25 @@ class TestHermitian:
             assert out.hermitian_defect() <= 1e-10
 
     def test_defect_detects_asymmetry(self, grid1d, rng):
-        # one coefficient whose conjugate partner is missing
+        # an imaginary mean: a self-conjugate mode that is not its own conjugate
         c = random_field(grid1d, rng).coeffs.copy()
-        c[0, 3] += 1j * np.max(np.abs(c))
+        c[0, 0] += 1j * np.max(np.abs(c))
         assert SpectralField(grid1d, c).hermitian_defect() > 1e-3
 
 
-def _mirror(c):
-    """c at the negated wavevector, for (n, N...) coefficient arrays."""
-    for ax in range(1, c.ndim):
-        c = np.roll(np.flip(c, axis=ax), 1, axis=ax)
-    return c
+def _full_lattice(c, N):
+    """The full fftn lattice of (n, ...) half-spectrum coefficients: the
+    last-axis modes above N/2 are the conjugates of their mirrors."""
+    upper = np.conj(c[..., N // 2 - 1 : 0 : -1])
+    for ax in range(1, c.ndim - 1):
+        upper = np.roll(np.flip(upper, axis=ax), 1, axis=ax)
+    return np.concatenate([c, upper], axis=-1)
 
 
 def _c2c_lp(coeffs, grid, p):
     """Reference L^p norm through the complex inverse transform."""
     axes = tuple(range(1, coeffs.ndim))
-    phys = np.fft.ifftn(coeffs * grid.N**grid.d, axes=axes).real
+    phys = np.fft.ifftn(_full_lattice(coeffs, grid.N) * grid.N**grid.d, axes=axes).real
     mag = np.sqrt(np.sum(phys**2, axis=0))
     if np.isinf(p):
         return np.max(mag)
@@ -375,18 +381,36 @@ class TestRealTransforms:
     def test_from_physical_matches_fftn_and_is_hermitian(self, rng, d, N):
         g = Grid(d, N, 3.0)
         x = rng.standard_normal((2,) + g.shape)
+        axes = tuple(range(1, d + 1))
         c = SpectralField.from_physical(g, x, dealias=False).coeffs
-        ref = np.fft.fftn(x, axes=tuple(range(1, d + 1))) / N**d
+        ref = np.fft.fftn(x, axes=axes)[..., : N // 2 + 1] / N**d
         assert np.max(np.abs(c - ref)) <= 1e-15 * np.max(np.abs(c))
-        assert np.array_equal(c, np.conj(_mirror(c)))
+        # the half spectrum of real samples, Hermitian by construction
+        assert np.array_equal(c, np.fft.rfftn(x, axes=axes) / N**d)
 
     @pytest.mark.parametrize("d,N", [(1, 16), (1, 512), (2, 64)])
     def test_to_physical_matches_ifftn(self, rng, d, N):
         g = Grid(d, N, 3.0)
         f = SpectralField.from_physical(g, rng.standard_normal((2,) + g.shape), dealias=False)
         for field in (f, spectral_derivative(f.dealias(), d - 1), nonlinear_product(f, f)):
-            ref = np.fft.ifftn(field.coeffs * N**d, axes=tuple(range(1, d + 1))).real
+            ref = np.fft.ifftn(_full_lattice(field.coeffs, N) * N**d, axes=tuple(range(1, d + 1))).real
             assert np.max(np.abs(field.to_physical() - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("d,N", [(1, 16), (1, 512), (2, 64)])
+    def test_parseval_weights_multiplicity(self, rng, d, N):
+        # without dealiasing the Nyquist planes carry mass, so a wrong weight
+        # on the last-axis planes 0 or N/2 shows in the field and its blocks
+        g = Grid(d, N, 3.0)
+        f = SpectralField.from_physical(g, rng.standard_normal((2,) + g.shape), dealias=False)
+        sch = scheme_for(g)
+
+        def rect_l2(field):
+            return math.sqrt(np.sum(field.to_physical() ** 2) * g.dx**d)
+
+        assert lp_norm(f, 2) == pytest.approx(rect_l2(f), rel=1e-12, abs=0.0)
+        got = block_lp_norms(f, 2, sch)
+        for i, j in enumerate(sch.j_indices):
+            assert got[i] == pytest.approx(rect_l2(dyadic_block(f, j)), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("d,N", [(1, 256), (2, 64)])
     @pytest.mark.parametrize("p", [4, np.inf])
@@ -409,6 +433,18 @@ class TestSerialization:
         g = load_field(path)
         assert g.grid == f.grid
         assert np.array_equal(g.coeffs, f.coeffs)
+
+    def test_full_layout_rejected(self, grid1d, rng, tmp_path):
+        # a container of the earlier full-lattice layout: header and data
+        header = {"d": 1, "n": 1, "N": grid1d.N, "L": grid1d.L,
+                  "layout": "complex interleaved, row-major wavevector"}
+        hb = json.dumps(header, sort_keys=True).encode()
+        path = tmp_path / "full.bin"
+        coeffs = np.fft.fft(rng.standard_normal(grid1d.N)) / grid1d.N
+        path.write_bytes(b"RLXF" + struct.pack("<I", len(hb)) + hb + coeffs.tobytes())
+        with pytest.raises(ValueError, match="complex interleaved, row-major wavevector") as e:
+            load_field(path)
+        assert str(path) in str(e.value)
 
     def test_block_norm_csv(self, grid1d, rng, tmp_path):
         f = random_field(grid1d, rng)
