@@ -25,11 +25,12 @@ from .models import (
     darcy_velocity,
     effective_Z,
     effective_z,
-    flux_fields,
+    flux_coeffs,
 )
 from .spectral_core import (
     NormSeries,
     SpectralField,
+    _dealiased_physical,
     block_lp_norms,
     diffusion_symbol,
     lp_norm,
@@ -101,7 +102,7 @@ def limit_advective_speed(flux: Flux, u: SpectralField) -> float:
     """Estimate max |df/du| over the grid by central differences."""
     if flux.is_zero:
         return 0.0
-    phys = u.dealias().to_physical()
+    phys = _dealiased_physical(u.coeffs, u.grid)
     h = 1e-5 * (1.0 + np.max(np.abs(phys)))
     speed = 0.0
     for k in range(flux.n):
@@ -167,16 +168,13 @@ class _JinXinStepper:
             return self.exact_linear, self._propagator(dt)
         raise ValueError(f"unknown relaxation scheme {scheme!r}")
 
-    def _flux(self, u):
-        """f_i(u) coefficient arrays, or None for the zero flux."""
-        if self.model.flux.is_zero:
-            return None
-        return [f.coeffs for f in flux_fields(self.model.flux, SpectralField(self.grid, u))]
-
-    def _stiff(self, u, fv, i):
-        """-a_i d_i u + f_i(u), the relaxed target of v_i."""
-        s = self.neg_a_deriv[i] * u
-        return s if fv is None else s + fv[i]
+    def _stiff(self, u):
+        """[-a_i d_i u + f_i(u)], the relaxed targets of v."""
+        s = [nad * u for nad in self.neg_a_deriv]
+        if not self.model.flux.is_zero:
+            for si, fi in zip(s, flux_coeffs(self.model.flux, self.grid, u)):
+                si += fi
+        return s
 
     def _div_v(self, v):
         return sum(self.deriv[i] * v[i] for i in range(self.model.d))
@@ -184,23 +182,24 @@ class _JinXinStepper:
     def euler(self, u0, v0, coeffs):
         dt, e2, e2dt = coeffs
         u1 = u0 - dt * self._div_v(v0)
-        fv = self._flux(u1)
-        v1 = [(e2 * v0[i] + dt * self._stiff(u1, fv, i)) / e2dt for i in range(self.model.d)]
+        stiff = self._stiff(u1)
+        v1 = [(e2 * v0[i] + dt * stiff[i]) / e2dt for i in range(self.model.d)]
         return u1, v1
 
     def ssp2(self, u0, v0, coeffs):
         dt, e2, g, e2g, dt_rest = coeffs
         d = self.model.d
         # first implicit stage
-        u2 = u0 - g * self._div_v(v0)
-        f2 = self._flux(u2)
-        stiff2 = [self._stiff(u2, f2, i) for i in range(d)]
+        stiff2 = self._stiff(u0 - g * self._div_v(v0))
         v2 = [(e2 * v0[i] + g * stiff2[i]) / e2g for i in range(d)]
         s2 = [(stiff2[i] - v2[i]) / e2 for i in range(d)]
+        # stage temporaries go before the next flux transform, the peak of a step
+        del stiff2
         # second implicit stage (equals the update: stiffly accurate)
         u3 = u0 - dt * self._div_v([_DELTA * v0[i] + (1 - _DELTA) * v2[i] for i in range(d)])
-        f3 = self._flux(u3)
-        v3 = [(e2 * (v0[i] + dt_rest * s2[i]) + g * self._stiff(u3, f3, i)) / e2g for i in range(d)]
+        del v2
+        stiff3 = self._stiff(u3)
+        v3 = [(e2 * (v0[i] + dt_rest * s2[i]) + g * stiff3[i]) / e2g for i in range(d)]
         return u3, v3
 
     def _propagator(self, dt: float) -> tuple:
@@ -228,15 +227,21 @@ class _JinXinStepper:
             v1.append(Vi / eps)
         return u1, v1
 
+    def advance(self, state: JinXinState, h: float, n_sub: int, scheme: str) -> JinXinState:
+        """n_sub steps of size h on raw coefficient arrays; one state at the end."""
+        self.check_dt(h, scheme)
+        kernel, coeffs = self.prepare(scheme, h)
+        u, v, t = state.u.coeffs, [vi.coeffs for vi in state.v], state.t
+        del state  # u and v hold its arrays now; the first step lets them go
+        for _ in range(n_sub):
+            u, v = kernel(u, v, coeffs)
+            t += h
+            if not (np.isfinite(u).all() and all(np.isfinite(vi).all() for vi in v)):
+                raise DivergenceError(t)
+        return JinXinState(SpectralField(self.grid, u), [SpectralField(self.grid, vi) for vi in v], t)
+
     def step(self, state: JinXinState, dt: float, scheme: str) -> JinXinState:
-        self.check_dt(dt, scheme)
-        kernel, coeffs = self.prepare(scheme, dt)
-        u, v = kernel(state.u.coeffs, [vi.coeffs for vi in state.v], coeffs)
-        new = JinXinState(SpectralField(self.grid, u), [SpectralField(self.grid, vi) for vi in v],
-                          state.t + dt)
-        if new.u.has_bad_values() or any(vi.has_bad_values() for vi in new.v):
-            raise DivergenceError(new.t)
-        return new
+        return self.advance(state, dt, 1, scheme)
 
 
 def step_jinxin(model: JinXinModel, state: JinXinState, dt: float, scheme: str = "imex_euler") -> JinXinState:
@@ -254,30 +259,34 @@ class _LimitStepper:
         self.deriv = [1j * kap for kap in grid.kappa_axes()]
         self.S = diffusion_symbol(grid, model.a)
 
-    def _nonlin(self, u: SpectralField):
-        if self.model.flux.is_zero:
-            return 0.0
-        fv = flux_fields(self.model.flux, u)
-        return -sum(self.deriv[i] * fv[i].coeffs for i in range(self.model.flux.d))
+    def _nonlin(self, u):
+        fv = flux_coeffs(self.model.flux, self.grid, u)
+        return -sum(self.deriv[i] * fv[i] for i in range(self.model.flux.d))
 
-    def if_rk2(self, state: LimitState, dt: float) -> LimitState:
-        ef = np.exp(-self.S * dt)
-        u0 = state.u_star.coeffs
+    def if_rk2(self, u0, ef, dt: float):
+        """One integrating-factor RK2 step of coefficients u0; ef = exp(-S dt)."""
         if self.model.flux.is_zero:
-            return LimitState(SpectralField(self.grid, ef * u0), state.t + dt)
-        k1 = self._nonlin(state.u_star)
-        pred = SpectralField(self.grid, ef * (u0 + dt * k1))
-        k2 = self._nonlin(pred)
-        u1 = ef * u0 + 0.5 * dt * (ef * k1 + k2)
-        return LimitState(SpectralField(self.grid, u1), state.t + dt)
+            return ef * u0
+        k1 = self._nonlin(u0)
+        k2 = self._nonlin(ef * (u0 + dt * k1))
+        return ef * u0 + 0.5 * dt * (ef * k1 + k2)
 
-    def step(self, state: LimitState, dt: float, scheme: str = "if_rk2") -> LimitState:
+    def advance(self, state: LimitState, h: float, n_sub: int, scheme: str = "if_rk2") -> LimitState:
+        """n_sub steps of size h on raw coefficient arrays; one state at the end."""
         if scheme != "if_rk2":
             raise ValueError(f"unknown limit scheme {scheme!r}")
-        new = self.if_rk2(state, dt)
-        if new.u_star.has_bad_values():
-            raise DivergenceError(new.t)
-        return new
+        ef = np.exp(-self.S * h)
+        u, t = state.u_star.coeffs, state.t
+        del state  # u holds its array now; the first step lets it go
+        for _ in range(n_sub):
+            u = self.if_rk2(u, ef, h)
+            t += h
+            if not np.isfinite(u).all():
+                raise DivergenceError(t)
+        return LimitState(SpectralField(self.grid, u), t)
+
+    def step(self, state: LimitState, dt: float, scheme: str = "if_rk2") -> LimitState:
+        return self.advance(state, dt, 1, scheme)
 
 
 def step_limit(flux: Flux, a, state: LimitState, dt: float, scheme: str = "if_rk2") -> LimitState:
@@ -297,6 +306,7 @@ class Trajectory:
     wall_time: float
     mean_drift: float
     max_abs_u: float
+    runs: list              # per stepped system: scheme, dt, stability bound, steps
 
     def get(self, fieldname: str, p) -> NormSeries:
         return self.series[(fieldname, p)]
@@ -310,6 +320,7 @@ class Trajectory:
             "wall_time": self.wall_time,
             "mean_drift": self.mean_drift,
             "max_abs_u": self.max_abs_u,
+            "runs": self.runs,
             "tracked": {},
         }
         for (name, p), ser in sorted(self.series.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))):
@@ -352,23 +363,43 @@ def sample_times_linear(t_end: float, every: float) -> np.ndarray:
 
 
 def _stepper_for(system, initial, config: StepperConfig, scheme: str) -> tuple:
-    """(stepper, dt, scheme): the dt policy of one run evolve advances."""
+    """(stepper, run): the dt policy of one run evolve advances.
+
+    run records the scheme, dt, the stability bound dt is taken against and
+    the steps taken so far. The bound is the hyperbolic CFL bound of the
+    relaxation system or dx/speed for the limit equation; it is None where
+    there is none (exact_linear, or the limit at zero speed).
+    """
     grid = initial.grid
     if isinstance(system, JinXinModel):
         stepper = _JinXinStepper(system, grid)
-        if scheme == "exact_linear":
-            dt = config.dt_max
-        else:
-            dt = min(config.dt_max, config.cfl * stepper.bound)
+        bound = None if scheme == "exact_linear" else stepper.bound
+        dt = config.dt_max if bound is None else min(config.dt_max, config.cfl * bound)
     elif isinstance(system, LimitModel):
         stepper = _LimitStepper(system, grid)
         speed = limit_advective_speed(system.flux, initial.u_star)
-        dt = min(config.dt_max, config.cfl * grid.dx / speed if speed > 0 else math.inf)
+        bound = grid.dx / speed if speed > 0 else None
+        dt = config.dt_max if bound is None else min(config.dt_max, config.cfl * grid.dx / speed)
     else:
         raise TypeError(f"cannot evolve a {type(system).__name__}")
     if dt < config.dt_min:
         raise ValueError(f"required dt {dt:g} is below dt_min {config.dt_min:g}")
-    return stepper, dt, scheme
+    return stepper, {"scheme": scheme, "dt": dt, "bound": bound, "steps": 0}
+
+
+def _checked_sample_times(sample_times) -> np.ndarray:
+    """Finite sample times, strictly increasing from a prepended 0."""
+    ts = np.asarray(sample_times, dtype=float)
+    if ts.ndim != 1:
+        raise ValueError("sample times must be a 1D sequence")
+    if ts.size == 0 or ts[0] != 0.0:
+        ts = np.concatenate([[0.0], ts])
+    bad = np.flatnonzero(~(np.isfinite(ts[1:]) & (ts[1:] > ts[:-1])))
+    if bad.size:
+        k = bad[0]
+        raise ValueError("sample times must be finite and strictly increasing from 0; "
+                         f"got {ts[k]:g} then {ts[k + 1]:g}")
+    return ts
 
 
 def evolve(system, initial, config: StepperConfig, trackers, sample_times=None,
@@ -381,8 +412,14 @@ def evolve(system, initial, config: StepperConfig, trackers, sample_times=None,
     with a relaxation system; it adds the fields du = u - u* and
     dv = v - v*(u*). Deterministic for a fixed config; each run subdivides
     every sampling interval uniformly so samples land exactly on the
-    requested instants.
+    requested instants, and advances over it on raw coefficient arrays.
+    sample_times must be finite and strictly increasing; 0 is prepended
+    when missing.
     """
+    if sample_times is None:
+        sample_times = sample_times_linear(config.t_end, config.sample_every)
+    sample_times = _checked_sample_times(sample_times)
+
     runs = [_stepper_for(system, initial, config, config.scheme)]
     states = [initial]
     if limit is not None:
@@ -391,19 +428,12 @@ def evolve(system, initial, config: StepperConfig, trackers, sample_times=None,
         runs.append(_stepper_for(limit[0], limit[1], config, "if_rk2"))
         states.append(limit[1])
 
-    if sample_times is None:
-        sample_times = sample_times_linear(config.t_end, config.sample_every)
-    sample_times = np.asarray(sample_times, dtype=float)
-    if sample_times[0] != 0.0:
-        sample_times = np.concatenate([[0.0], sample_times])
-
     sch = scheme_for(initial.grid)
     series = {(name, p): NormSeries(sch.j_indices, p) for (name, p) in trackers}
     t_start = time.perf_counter()
     mean0 = _tracked_field(system, initial, "u").mean()
     max_abs_u = 0.0
     mean_drift = 0.0
-    steps = 0
 
     def sample(t):
         nonlocal max_abs_u, mean_drift
@@ -418,20 +448,21 @@ def evolve(system, initial, config: StepperConfig, trackers, sample_times=None,
     sample(0.0)
     for k in range(1, sample_times.size):
         span = sample_times[k] - sample_times[k - 1]
-        for i, (stepper, dt, scheme) in enumerate(runs):
-            n_sub = max(1, int(math.ceil(span / dt - 1e-12)))
-            h = span / n_sub
-            for _ in range(n_sub):
-                states[i] = stepper.step(states[i], h, scheme)
-            steps += n_sub
+        for i, (stepper, run) in enumerate(runs):
+            n_sub = max(1, int(math.ceil(span / run["dt"] - 1e-12)))
+            # popped, not indexed: no reference to the old state stays here,
+            # so its arrays are freed as soon as advance has unpacked them
+            states.insert(i, stepper.advance(states.pop(i), span / n_sub, n_sub, run["scheme"]))
+            run["steps"] += n_sub
         sample(sample_times[k])
 
     return Trajectory(
         times=sample_times,
         series=series,
         final_state=states[0],
-        steps=steps,
+        steps=sum(run["steps"] for _, run in runs),
         wall_time=time.perf_counter() - t_start,
         mean_drift=mean_drift,
         max_abs_u=max_abs_u,
+        runs=[run for _, run in runs],
     )

@@ -11,12 +11,19 @@ with closure v*_i = -a_i d_i u* + f_i(u*).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
-from .spectral_core import Grid, SpectralField, diffusion_symbol, spectral_derivative
+from .spectral_core import (
+    Grid,
+    SpectralField,
+    _dealiased_physical,
+    _rfft,
+    diffusion_symbol,
+    spectral_derivative,
+)
 
 __all__ = [
     "Flux",
@@ -191,8 +198,7 @@ def make_flux(flux_id: str, n: int | None = None, d: int | None = None, terms=No
     else:
         raise FluxValidationError(f"unknown flux id {flux_id!r}")
     fl.check_origin()
-    object.__setattr__(fl, "spec", (flux_id, n, d, tuple(map(tuple, (t.items() for t in terms))) if terms else None))
-    return fl
+    return replace(fl, spec=(flux_id, n, d, tuple(tuple(t.items()) for t in terms) if terms else None))
 
 
 def rebuild_flux(spec: tuple) -> Flux:
@@ -271,13 +277,26 @@ class LimitState:
 # ---------------------------------------------------------------------------
 # flux evaluation on spectral fields
 
+def flux_coeffs(flux: Flux, grid: Grid, coeffs: np.ndarray) -> list:
+    """f_i(u) coefficient arrays of u's coefficients, dealiased.
+
+    The flux is evaluated on grid samples of the dealiased u, and the
+    coefficients of each f_i are dealiased again (2/3 rule).
+    """
+    if flux.is_zero:
+        return [np.zeros((flux.n,) + grid.spectral_shape, dtype=complex) for _ in range(flux.d)]
+    mask = grid.dealias_mask()
+    out = []
+    for val in flux.evaluate(_dealiased_physical(coeffs, grid)):
+        c = _rfft(val, grid)
+        c *= mask
+        out.append(c)
+    return out
+
+
 def flux_fields(flux: Flux, u: SpectralField) -> list:
     """f_i(u) as dealiased spectral fields (physical-space evaluation)."""
-    if flux.is_zero:
-        return [SpectralField.zero(u.grid, flux.n) for _ in range(flux.d)]
-    phys = u.dealias().to_physical()
-    vals = flux.evaluate(phys)
-    return [SpectralField.from_physical(u.grid, v, dealias=True) for v in vals]
+    return [SpectralField(u.grid, c) for c in flux_coeffs(flux, u.grid, u.coeffs)]
 
 
 def _check_finite(fields, t: float, what: str):

@@ -178,9 +178,24 @@ def diffusion_symbol(grid: Grid, a) -> np.ndarray:
     return sum(a[ax] * kap**2 for ax, kap in enumerate(grid.kappa_axes()))
 
 
+# rfftn/irfftn over the grid axes, spelled out: rfftn is an rfft of the last
+# axis followed by an fft of the one before it (d=2), and irfftn the reverse.
+def _rfft(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """(..., n) + spectral_shape coefficients of (..., n) + grid.shape samples."""
+    c = np.fft.rfft(values, axis=-1, norm="forward")
+    return c if grid.d == 1 else np.fft.fft(c, axis=-2, norm="forward")
+
+
 def _irfft(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    """Grid samples (n,) + grid.shape of (n,) + spectral_shape coefficients."""
-    return np.fft.irfftn(coeffs, s=grid.shape, axes=tuple(range(1, coeffs.ndim)), norm="forward")
+    """Grid samples (..., n) + grid.shape of (..., n) + spectral_shape coefficients."""
+    if grid.d == 2:
+        coeffs = np.fft.ifft(coeffs, axis=-2, norm="forward")
+    return np.fft.irfft(coeffs, grid.N, axis=-1, norm="forward")
+
+
+def _dealiased_physical(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """Grid samples of the 2/3-rule survivors of coeffs."""
+    return _irfft(coeffs * grid.dealias_mask(), grid)
 
 
 def _lp_physical(phys: np.ndarray, p, grid: Grid) -> float:
@@ -220,7 +235,7 @@ class SpectralField:
         values = np.asarray(values, dtype=float)
         if values.shape == grid.shape:
             values = values[None, ...]
-        c = np.fft.rfftn(values, axes=tuple(range(1, values.ndim)), norm="forward")
+        c = _rfft(values, grid)
         if dealias:
             c *= grid.dealias_mask()
         return cls(grid, c)
@@ -245,7 +260,7 @@ class SpectralField:
         field; the real inverse transform drops any part that is not.
         """
         c = self.coeffs
-        back = np.fft.rfftn(self.to_physical(), axes=tuple(range(1, c.ndim)), norm="forward")
+        back = _rfft(self.to_physical(), self.grid)
         scale = np.max(np.abs(c)) or 1.0
         return float(np.max(np.abs(c - back)) / scale)
 

@@ -6,6 +6,7 @@ import pytest
 
 from relaxlab.harness import (
     InitialDataSpec,
+    _decay_end,
     FunctionalX,
     check_sigma1_admissible,
     fit_rate,
@@ -184,6 +185,28 @@ class TestFitRate:
     def test_degenerate_window(self):
         with pytest.raises(ValueError, match="points"):
             fit_rate([1.0, 2.0], [1.0, 2.0], kind="plain")
+
+
+class TestDecayEnd:
+    """The high-frequency fit window ends where the trace stops falling."""
+
+    def test_exponential_plus_floor(self):
+        # e^{-50 t} + 2e-23 on a geometric ladder (ratio 40^(1/23)): the
+        # trace falls by at least 2 on every step up to t=1.059 (1.0e-23 +
+        # floor), then by 1.5 to t=1.243, so the window ends at t=0.902
+        t = np.concatenate([[0.0], np.geomspace(0.25, 10.0, 24)])
+        y = np.exp(-50.0 * t) + 2e-23 * (1.0 + 0.01 * np.sin(t))
+        end = _decay_end(t, y)
+        assert end == t[9] == pytest.approx(0.902, abs=1e-3)
+        assert y[t > end].max() < 1e-2 * y[t == end][0]
+
+    def test_pure_exponential_runs_to_the_last_step(self):
+        t = np.linspace(0.0, 1.0, 11)
+        assert _decay_end(t, np.exp(-20.0 * t)) == t[-2]
+
+    def test_no_fall(self):
+        t = np.linspace(0.0, 1.0, 11)
+        assert _decay_end(t, np.exp(-t)) == t[1]
 
 
 class TestExperiments:

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from relaxlab.integrators import (
     StepperConfig,
     evolve,
     jinxin_dt_bound,
+    limit_advective_speed,
     step_jinxin,
     step_limit,
 )
@@ -360,3 +362,115 @@ class TestLimitCompanion:
     def test_limit_velocities_must_match_dimension(self):
         with pytest.raises(ValueError, match="need 2 diffusion coefficients"):
             LimitModel(make_flux("zero", 1, 2), (1.0,))
+
+
+def _hand_loop(step, state, times, dt, scheme):
+    """One step() call per sub-step of evolve's subdivision of times."""
+    for span in np.diff(times):
+        n_sub = max(1, int(math.ceil(span / dt - 1e-12)))
+        for _ in range(n_sub):
+            state = step(state, span / n_sub, scheme)
+    return state
+
+
+def _burgers_state(g, eps):
+    x = g.coords()
+    phys = 0.2 * np.cos(x[0]) + 0.1 * np.sin(2 * x[-1])
+    fl = make_flux("burgers1d" if g.d == 1 else "burgers2d")
+    u0 = SpectralField.from_physical(g, np.stack([phys] * fl.n))
+    model = JinXinModel(fl, (1.0,) * g.d, eps)
+    return model, JinXinState(u0, darcy_velocity(fl, model.a, u0))
+
+
+class TestAdvance:
+    """evolve advances each interval on raw arrays; step() is one sub-step of it."""
+
+    @pytest.mark.parametrize("scheme,d", [("imex_ssp2", 1), ("imex_euler", 1), ("imex_ssp2", 2),
+                                          ("exact_linear", 1)])
+    def test_evolve_equals_step_loop(self, scheme, d):
+        g = Grid(d, 32 if d == 1 else 16, 2 * np.pi)
+        model, st0 = _burgers_state(g, 0.3)
+        if scheme == "exact_linear":
+            model = JinXinModel(make_flux("zero", 1, 1), (1.0,), 0.3)
+            st0 = single_mode_state(g, 0.3)
+        cfg = StepperConfig(scheme=scheme, cfl=0.4, dt_max=0.02)
+        traj = evolve(model, st0, cfg, [("u", 2)], sample_times=[0.1, 0.25, 0.3])
+        st = _hand_loop(lambda s, h, sc: step_jinxin(model, s, h, sc), st0, traj.times,
+                        traj.runs[0]["dt"], scheme)
+        assert traj.steps > len(traj.times)
+        assert np.array_equal(traj.final_state.u.coeffs, st.u.coeffs)
+        for vi, wi in zip(traj.final_state.v, st.v):
+            assert np.array_equal(vi.coeffs, wi.coeffs)
+        assert traj.final_state.t == st.t
+
+    def test_limit_companion_equals_step_loop(self):
+        g = Grid(1, 32, 2 * np.pi)
+        model, jx0 = _burgers_state(g, 0.3)
+        lim = (LimitModel(model.flux, model.a), LimitState(jx0.u.copy()))
+        cfg = StepperConfig(scheme="imex_ssp2", cfl=0.4, dt_max=0.02)
+        ts = [0.1, 0.25, 0.3]
+        co = evolve(model, jx0, cfg, [("du", 2)], sample_times=ts, limit=lim)
+        jx = _hand_loop(lambda s, h, sc: step_jinxin(model, s, h, sc), jx0, co.times,
+                        co.runs[0]["dt"], "imex_ssp2")
+        ls = _hand_loop(lambda s, h, sc: step_limit(model.flux, model.a, s, h, sc), lim[1],
+                        co.times, co.runs[1]["dt"], "if_rk2")
+        assert np.array_equal(co.final_state.u.coeffs, jx.u.coeffs)
+        assert np.array_equal(co.get("du", 2).table[:, -1],
+                              block_lp_norms(jx.u - ls.u_star, 2, scheme_for(g)))
+        lone = evolve(*lim, dataclasses.replace(cfg, scheme="if_rk2"), [("u", 2)], sample_times=ts)
+        assert np.array_equal(lone.final_state.u_star.coeffs, ls.u_star.coeffs)
+        assert lone.final_state.t == ls.t
+
+    def test_divergence_time_is_first_bad_step(self, grid):
+        # u ~ 1e20 overflows the Burgers flux on the third step of size 0.05,
+        # well inside the first sampling interval [0, 0.5]
+        model = JinXinModel(make_flux("burgers1d"), (1.0,), 0.5)
+        u = SpectralField.from_physical(grid, 1e20 * np.cos(grid.coords()[0]))
+        st = JinXinState(u, [u.copy()])
+        from relaxlab.models import DivergenceError
+
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
+            evolve(model, st, StepperConfig(t_end=5.0, sample_every=0.5, dt_max=0.05), [("u", 2)])
+        assert err.value.t == pytest.approx(3 * 0.05, rel=1e-12)
+
+    def test_runs_record_dt_bound_and_steps(self):
+        g = Grid(1, 32, 2 * np.pi)
+        model, jx0 = _burgers_state(g, 0.3)
+        lim = (LimitModel(model.flux, model.a), LimitState(jx0.u.copy()))
+        cfg = StepperConfig(scheme="imex_ssp2", cfl=0.4, dt_max=0.05, t_end=0.3, sample_every=0.1)
+        co = evolve(model, jx0, cfg, [("du", 2)], limit=lim)
+        relax, limit = co.runs
+        assert relax["scheme"] == "imex_ssp2" and limit["scheme"] == "if_rk2"
+        assert relax["bound"] == jinxin_dt_bound(model, g)
+        assert relax["dt"] == 0.4 * relax["bound"] < cfg.dt_max
+        assert limit["bound"] == g.dx / limit_advective_speed(model.flux, lim[1].u_star)
+        assert limit["dt"] == cfg.dt_max
+        assert relax["steps"] == 3 * math.ceil(0.1 / relax["dt"]) and limit["steps"] == 6
+        assert relax["steps"] + limit["steps"] == co.steps
+        assert json.loads(json.dumps(co.summary()))["runs"] == co.runs
+
+    def test_runs_record_no_bound_for_exact_linear(self, grid):
+        model = JinXinModel(make_flux("zero", 1, 1), (1.0,), 0.3)
+        cfg = StepperConfig(scheme="exact_linear", dt_max=0.1, t_end=0.5, sample_every=0.25)
+        traj = evolve(model, single_mode_state(grid, 0.3), cfg, [("u", 2)])
+        assert traj.runs == [{"scheme": "exact_linear", "dt": 0.1, "bound": None, "steps": 6}]
+
+
+class TestSampleTimes:
+    @pytest.mark.parametrize("times,pair", [([0.5, 0.25], "0.5 then 0.25"),
+                                            ([0.2, 0.2], "0.2 then 0.2"),
+                                            ([-0.1, 0.3], "0 then -0.1"),
+                                            ([0.1, np.nan], "0.1 then nan"),
+                                            ([0.1, np.inf], "0.1 then inf")])
+    def test_bad_sample_times_rejected(self, grid, times, pair):
+        model = JinXinModel(make_flux("zero", 1, 1), (1.0,), 0.5)
+        for trackers in ([], [("u", 2)]):
+            with pytest.raises(ValueError, match=f"strictly increasing from 0; got {pair}"):
+                evolve(model, single_mode_state(grid, 0.5), StepperConfig(t_end=1.0), trackers,
+                       sample_times=times)
+
+    def test_leading_zero_kept_once(self, grid):
+        model = JinXinModel(make_flux("zero", 1, 1), (1.0,), 0.5)
+        traj = evolve(model, single_mode_state(grid, 0.5), StepperConfig(), [("u", 2)],
+                      sample_times=[0.0, 0.1, 0.2])
+        assert traj.times.tolist() == [0.0, 0.1, 0.2]

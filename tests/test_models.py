@@ -11,6 +11,7 @@ from relaxlab.models import (
     darcy_velocity,
     effective_Z,
     effective_z,
+    flux_coeffs,
     flux_fields,
     jinxin_rhs,
     limit_rhs,
@@ -99,6 +100,50 @@ class TestFluxCatalog:
         u = np.array([[0.2], [0.4]])
         for a, b in zip(fl.evaluate(u), fl2.evaluate(u)):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("args,spec", [
+        (("zero", 2, 2), ("zero", 2, 2, None)),
+        (("burgers1d",), ("burgers1d", None, None, None)),
+        (("polynomial", 2, 1, [{"direction": 0, "component": 1, "exponents": [1, 2],
+                                "coefficient": 0.5}]),
+         ("polynomial", 2, 1, ((("direction", 0), ("component", 1), ("exponents", [1, 2]),
+                                ("coefficient", 0.5)),))),
+    ])
+    def test_rebuild_roundtrip_every_kind(self, args, spec):
+        fl = make_flux(*args)
+        assert fl.spec == spec
+        fl2 = rebuild_flux(fl.spec)
+        assert (fl2.spec, fl2.name, fl2.n, fl2.d, fl2.is_zero) == (fl.spec, fl.name, fl.n, fl.d,
+                                                                   fl.is_zero)
+        u = np.random.default_rng(0).standard_normal((fl.n, 5))
+        for a, b in zip(fl.evaluate(u), fl2.evaluate(u), strict=True):
+            assert np.array_equal(a, b)
+
+
+class TestFluxCoeffs:
+    @pytest.mark.parametrize("name,d,N", [("burgers1d", 1, 32), ("burgers2d", 2, 16)])
+    def test_matches_nd_reference(self, name, d, N):
+        # u carries modes above N/3, which the flux must not see, and the
+        # product's modes above N/3 must be cut from the result
+        g = Grid(d, N, 2 * np.pi)
+        fl = make_flux(name)
+        axes = tuple(range(1, d + 1))
+        x = np.random.default_rng(1).standard_normal((fl.n,) + g.shape)
+        c = np.fft.rfftn(x, axes=axes, norm="forward")
+        mask = g.dealias_mask()
+        phys = np.fft.irfftn(c * mask, s=g.shape, axes=axes, norm="forward")
+        ref = [np.fft.rfftn(f, axes=axes, norm="forward") * mask for f in fl.evaluate(phys)]
+        out = flux_coeffs(fl, g, c)
+        assert len(out) == fl.d
+        for a, b in zip(out, ref):
+            assert np.array_equal(a, b)
+        for a, b in zip(flux_fields(fl, SpectralField(g, c)), ref):
+            assert np.array_equal(a.coeffs, b)
+
+    def test_zero_flux(self, grid2d):
+        out = flux_coeffs(make_flux("zero", 2, 2), grid2d, np.ones((2,) + grid2d.spectral_shape))
+        assert [c.shape for c in out] == [(2,) + grid2d.spectral_shape] * 2
+        assert not any(np.any(c) for c in out)
 
 
 class TestModelValidation:

@@ -397,6 +397,18 @@ class TestRealTransforms:
             assert np.max(np.abs(field.to_physical() - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("d,N", [(1, 16), (1, 512), (2, 64)])
+    def test_transforms_equal_numpy_nd(self, rng, d, N):
+        # the grid-axis transforms are rfftn/irfftn spelled out per axis
+        g = Grid(d, N, 3.0)
+        axes = tuple(range(1, d + 1))
+        x = rng.standard_normal((2,) + g.shape)
+        f = SpectralField.from_physical(g, x, dealias=False)
+        assert np.array_equal(f.coeffs, np.fft.rfftn(x, axes=axes, norm="forward"))
+        c = f.coeffs * (1.0 + rng.standard_normal(f.coeffs.shape))
+        assert np.array_equal(SpectralField(g, c).to_physical(),
+                              np.fft.irfftn(c, s=g.shape, axes=axes, norm="forward"))
+
+    @pytest.mark.parametrize("d,N", [(1, 16), (1, 512), (2, 64)])
     def test_parseval_weights_multiplicity(self, rng, d, N):
         # without dealiasing the Nyquist planes carry mass, so a wrong weight
         # on the last-axis planes 0 or N/2 shows in the field and its blocks
