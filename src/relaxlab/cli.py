@@ -15,11 +15,10 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import harness
 from .harness import InitialDataSpec, StepperConfig, write_results
 from .models import make_flux
+from .spectral_analysis import mode_symbol
 from .spectral_core import Grid
 from .svgplot import render_csv
 
@@ -35,6 +34,20 @@ class ConfigError(ValueError):
 def _positive(path, v):
     if not v > 0:
         raise ConfigError(f"{path}: must be positive (the model assumes a_i > 0, eps > 0), got {v}")
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _increasing_pair(path, v):
+    if not (len(v) == 2 and all(_is_number(x) and math.isfinite(x) for x in v) and 0 < v[0] < v[1]):
+        _fail(path, f"need two increasing positive numbers, got {v!r}")
+
+
+def _numbers(path, v):
+    if not (v and all(_is_number(x) for x in v)):
+        _fail(path, f"need a non-empty list of numbers, got {v!r}")
 
 
 # schema: name -> (type(s), default, validator or None)
@@ -78,15 +91,15 @@ _STEPPER_SCHEMA = {
     "sample_every": ((int, float), 0.1, lambda p, v: _positive(p, v)),
 }
 _FIT_SCHEMA = {
-    "window": ((list,), [1.0, 10.0], None),
-    "sigma_list": ((list,), [0.0], None),
+    "window": ((list,), [1.0, 10.0], _increasing_pair),
+    "sigma_list": ((list,), [0.0], _numbers),
     "with_difference": ((bool,), False, None),
     "compare_half_eps": ((bool,), False, None),
 }
 _SCAN_SCHEMA = {
     "mode": ((list,), [1], None),
     "points": ((int,), 20, lambda p, v: _positive(p, v)),
-    "span": ((list,), [0.5, 4.0], None),
+    "span": ((list,), [0.5, 4.0], _increasing_pair),
 }
 _TOP_SCHEMA = {
     "experiment": ((str,), None, lambda p, v: v in EXPERIMENTS or _fail(p, f"must be one of {EXPERIMENTS}")),
@@ -160,11 +173,24 @@ def parse_config_dict(tree: dict) -> tuple:
         cfg["model"]["eps"] = 1.0
     if cfg["experiment"] == "epsilon-convergence" and m["eps_list"] is None:
         cfg["model"]["eps_list"] = [0.2, 0.1, 0.05, 0.025]
+    mode = cfg["scan"]["mode"]
+    if cfg["experiment"] in ("overdamping", "spectrum") and (
+            len(mode) != m["d"] or not all(isinstance(k, int) and not isinstance(k, bool) for k in mode)):
+        raise ConfigError(f"config.scan.mode: need d={m['d']} integers, got {mode!r}")
     for i, t in enumerate(cfg["trackers"]):
+        path = f"config.trackers[{i}]"
         if not isinstance(t, dict) or not {"field", "s", "p", "r"} <= set(t):
-            raise ConfigError(f"config.trackers[{i}]: need keys field, s, p, r (optional window)")
+            raise ConfigError(f"{path}: need keys field, s, p, r (optional window)")
+        if t["field"] not in ("u", "v", "z", "Z"):
+            raise ConfigError(f"{path}.field: must be u, v, z or Z, got {t['field']!r}")
+        for key in ("s", "p", "r"):
+            if not _is_number(t[key]):
+                raise ConfigError(f"{path}.{key}: must be a number, got {t[key]!r}")
+        for key in ("p", "r"):
+            if not t[key] > 0:
+                raise ConfigError(f"{path}.{key}: must be positive, got {t[key]!r}")
         if t.get("window", "full") not in ("full", "low", "high"):
-            raise ConfigError(f"config.trackers[{i}].window: must be full, low or high")
+            raise ConfigError(f"{path}.window: must be full, low or high")
 
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return cfg, hashlib.sha256(canon.encode()).hexdigest()[:16]
@@ -203,6 +229,7 @@ PRESETS: dict = {
         "experiment": "spectrum",
         "model": {"flux": "zero", "n": 1, "d": 1, "a": [1.0], "eps": 1.0},
         "grid": {"N": 16, "L": 2 * math.pi},
+        "scan": {"mode": [1], "points": 41, "span": [0.25, 4.0]},
     },
     "thm1-uniform": {
         "experiment": "simulate",
@@ -288,16 +315,16 @@ def dispatch(cfg: dict, cfg_hash: str, out_dir: str = "runs", jobs: int | None =
                    + (f" (FAILED: {', '.join(failures)})" if failures else ""))
     elif exp == "spectrum":
         grid, flux, a, data, stepper = _build_common(cfg)
-        result = harness.run_spectrum(a, mode_kappa=tuple(2 * math.pi * k / grid.L for k in cfg["scan"]["mode"]))
+        scan = cfg["scan"]
+        result = harness.run_spectrum(a, mode_kappa=tuple(2 * math.pi * k / grid.L for k in scan["mode"]),
+                                      points=scan["points"], span=scan["span"])
         summary = f"spectrum: {len(result['fits']['rows'])} curve points (S={result['fits']['S']:.4g})"
     elif exp == "overdamping":
         grid, flux, a, data, stepper = _build_common(cfg)
-        S = sum(ai * (2 * math.pi * k / grid.L) ** 2 for ai, k in zip(a, cfg["scan"]["mode"]))
-        span = cfg["scan"]["span"]
-        peak = 2 * math.sqrt(S)
-        inv = np.geomspace(span[0] * peak, span[1] * peak, cfg["scan"]["points"])
-        inv = np.unique(np.sort(np.append(inv, peak)))
-        result = harness.run_overdamping_scan(grid, a, tuple(cfg["scan"]["mode"]),
+        scan = cfg["scan"]
+        S = mode_symbol(tuple(2 * math.pi * k / grid.L for k in scan["mode"]), a)
+        inv = harness.friction_grid(S, scan["span"], scan["points"])
+        result = harness.run_overdamping_scan(grid, a, tuple(scan["mode"]),
                                               eps_grid=1.0 / inv, scheme=stepper.scheme,
                                               cfl=min(stepper.cfl, 0.3))
         worst = result["fits"]["worst_rel_err"]

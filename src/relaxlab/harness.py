@@ -58,6 +58,7 @@ from .spectral_analysis import (
     eigenvalues,
     exact_linear_propagator,
     generator_matrix,
+    mode_symbol,
     threshold_J,
 )
 
@@ -73,6 +74,7 @@ __all__ = [
     "run_epsilon_convergence",
     "run_decay_study",
     "run_overdamping_scan",
+    "friction_grid",
     "run_uniformity_study",
     "run_simulate",
     "run_spectrum",
@@ -558,14 +560,20 @@ def run_decay_study(grid: Grid, flux: Flux, a, eps: float, data: InitialDataSpec
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         hi_curve = u_series.besov_curve(d / 2, 1, ("high", J))
-    if np.all(hi_curve[1:] > 0):
+    j_max = scheme_for(grid).j_max
+    if j_max < J - 1:
+        fits["high_freq_fit_skipped"] = (f"the high window j >= J-1 = {J - 1} lies above "
+                                         f"the grid's last block j = {j_max}")
+    elif not np.all(hi_curve[1:] > 0):
+        fits["high_freq_fit_skipped"] = "the high-frequency trace vanishes at a sample"
+    else:
         # fit only while the trace still decays, not along its roundoff floor
         end = min(fit_window[0] * 2, _decay_end(tarr, hi_curve))
         try:
             f_hi = fit_rate(tarr, hi_curve, (tarr[1], end), kind="time", min_points=4)
             fits["high_freq_fit"] = f_hi.to_dict()
-        except ValueError:
-            pass
+        except ValueError as e:
+            fits["high_freq_fit_skipped"] = str(e)
 
     curves = {"t": tarr.tolist(), "u": u_series.besov_curve(sigma_list[0], 1, "full").tolist()}
     if du_series is not None:
@@ -603,7 +611,7 @@ def run_overdamping_scan(grid: Grid, a, mode, eps_grid, scheme: str = "imex_ssp2
     max n_m steps and member m reads only its first n_m.
     """
     kap = tuple(2 * np.pi * m / grid.L for m in mode)
-    S = sum(ai * k * k for ai, k in zip(a, kap))
+    S = mode_symbol(kap, a)
     a = tuple(a)
     flux = make_flux("zero", 1, grid.d)
     spec = InitialDataSpec(kind="single_mode", amplitude=1.0, mode=tuple(mode), v_kind="zero")
@@ -721,12 +729,24 @@ def run_simulate(grid: Grid, flux: Flux, a, eps: float, data: InitialDataSpec,
     return out
 
 
-def run_spectrum(a, eps_span=(0.125, 2.0), mode_kappa=(1.0,), points: int = 41) -> dict:
-    """Analytic overdamping curve: decay rate against friction."""
-    S = sum(ai * k * k for ai, k in zip(a, mode_kappa))
-    inv = np.geomspace(1.0 / eps_span[1], 1.0 / eps_span[0], points)
+def friction_grid(S: float, span, points: int) -> np.ndarray:
+    """Frictions 1/eps of a one-mode scan, sorted and without repeats.
+
+    `points` geometric values from span[0] to span[1] times the peak
+    1/eps = 2 sqrt(S), and the peak itself, which adds a value only where
+    the geometric values miss it.
+    """
+    if not S > 0:
+        raise ValueError("the scanned mode has S = 0: the mean mode has no overdamping peak")
+    peak = 2 * math.sqrt(S)
+    return np.unique(np.append(np.geomspace(span[0] * peak, span[1] * peak, points), peak))
+
+
+def run_spectrum(a, mode_kappa=(1.0,), points: int = 41, span=(0.25, 4.0)) -> dict:
+    """Analytic overdamping curve: decay rate against the frictions of friction_grid."""
+    S = mode_symbol(mode_kappa, a)
     rows = []
-    for ie in inv:
+    for ie in friction_grid(S, span, points):
         eps = 1.0 / ie
         om = decay_rate_omega(mode_kappa, eps, a)
         reg = classify_regime(mode_kappa, eps, a).regime.value

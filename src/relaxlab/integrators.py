@@ -36,7 +36,7 @@ from .spectral_core import (
     lp_norm,
     scheme_for,
 )
-from .spectral_analysis import exp_slow_block
+from .spectral_analysis import exact_linear_propagator
 
 __all__ = [
     "StepperConfig",
@@ -136,9 +136,7 @@ class _JinXinStepper:
         self.kap = grid.kappa_axes()
         self.deriv = [1j * kap for kap in self.kap]
         self.neg_a_deriv = [-model.a[i] * self.deriv[i] for i in range(model.d)]
-        self.S = diffusion_symbol(grid, model.a)
         self.bound = jinxin_dt_bound(model, grid)
-        self._prepared = (None, None)
 
     def check_dt(self, dt: float, scheme: str):
         """The hyperbolic CFL limit; the exact propagator has none."""
@@ -148,24 +146,25 @@ class _JinXinStepper:
     def prepare(self, scheme: str, dt: float) -> tuple:
         """(kernel, coefficients) of one step of `scheme` with size dt.
 
-        The last result is kept: the drivers repeat one step size over each
-        sampling interval, and the exact propagator is costly to rebuild.
+        exact_linear's coefficients are the entries P[i, j] of the per-mode
+        propagator on the stored lattice, row by row, then eps; one entry
+        per tuple slot lets a batch stack each entry along its member axis.
         """
-        key, prepared = self._prepared
-        if key != (scheme, dt):
-            prepared = self._prepare(scheme, dt)
-            self._prepared = ((scheme, dt), prepared)
-        return prepared
-
-    def _prepare(self, scheme: str, dt: float) -> tuple:
-        e2 = self.model.eps**2
+        eps = self.model.eps
+        e2 = eps**2
         if scheme == "imex_euler":
             return self.euler, (dt, e2, e2 + dt)
         if scheme == "imex_ssp2":
             g = dt * _GAMMA
             return self.ssp2, (dt, e2, g, e2 + g, dt * (1 - _GAMMA))
         if scheme == "exact_linear":
-            return self.exact_linear, self._propagator(dt)
+            if not self.model.flux.is_zero:
+                raise ValueError("exact_linear applies to the linear system (zero flux) only")
+            xi = np.stack(np.broadcast_arrays(*self.kap), -1)
+            P = exact_linear_propagator(xi, eps, self.model.a, dt)
+            n = self.model.d + 1
+            entries = tuple(np.ascontiguousarray(P[..., i, j]) for i in range(n) for j in range(n))
+            return self.exact_linear, entries + (eps,)
         raise ValueError(f"unknown relaxation scheme {scheme!r}")
 
     def _stiff(self, u):
@@ -202,30 +201,13 @@ class _JinXinStepper:
         v3 = [(e2 * (v0[i] + dt_rest * s2[i]) + g * stiff3[i]) / e2g for i in range(d)]
         return u3, v3
 
-    def _propagator(self, dt: float) -> tuple:
-        """Mode-wise exact propagator over dt; valid only for the zero flux."""
-        if not self.model.flux.is_zero:
-            raise ValueError("exact_linear applies to the linear system (zero flux) only")
-        eps = self.model.eps
-        E00, E01, E10, E11 = exp_slow_block(self.S, eps, dt)
-        damp = math.exp(-dt / eps**2)
-        return E00, E01, E10, E11 - damp, damp, eps
-
     def exact_linear(self, u0, v0, coeffs):
-        E00, E01, E10, E11_slow, damp, eps = coeffs
-        d = self.model.d
-        kap, S = self.kap, self.S
-        V0 = [eps * v0[i] for i in range(d)]
-        Ssafe = np.where(S > 0, S, 1.0)
-        beta0 = sum(kap[i] * V0[i] for i in range(d)) / Ssafe
-        u1 = np.where(S > 0, E00 * u0 + E01 * beta0, u0)
-        slow = E10 * u0 + E11_slow * beta0
-        v1 = []
-        for i in range(d):
-            c_i = self.model.a[i] * kap[i]
-            Vi = np.where(S > 0, damp * V0[i] + c_i * slow, damp * V0[i])
-            v1.append(Vi / eps)
-        return u1, v1
+        """w1 = P w0 mode by mode, w = (u_hat, eps*v_hat_1, ..., eps*v_hat_d)."""
+        *P, eps = coeffs
+        n = self.model.d + 1
+        w0 = [u0] + [eps * vi for vi in v0]
+        w1 = [sum(P[i * n + j] * w0[j] for j in range(n)) for i in range(n)]
+        return w1[0], [wi / eps for wi in w1[1:]]
 
     def advance(self, state: JinXinState, h: float, n_sub: int, scheme: str) -> JinXinState:
         """n_sub steps of size h on raw coefficient arrays; one state at the end."""

@@ -33,6 +33,7 @@ __all__ = [
     "exact_linear_propagator",
     "exp_slow_block",
     "generator_matrix",
+    "mode_symbol",
 ]
 
 # relative discriminant size below which the slow pair is treated as defective
@@ -66,8 +67,11 @@ class ModeSpectrum:
         return 1.0 / self.eps**2 - 4.0 * self.S
 
 
-def _S(xi, a) -> float:
-    return float(sum(ai * x * x for ai, x in zip(a, xi)))
+def mode_symbol(xi, a):
+    """S = sum_i a_i xi_i^2 over the last axis of xi; a float for one wavevector."""
+    xi, a = np.atleast_1d(xi).astype(float), np.atleast_1d(a)
+    S = sum(a[i] * xi[..., i] * xi[..., i] for i in range(xi.shape[-1]))
+    return float(S) if xi.ndim == 1 else S
 
 
 def _slow_pair(S, eps: float):
@@ -86,7 +90,7 @@ def eigenvalues(xi, eps: float, a) -> ModeSpectrum:
     if eps <= 0 or any(ai <= 0 for ai in a):
         raise ValueError("eps and all a_i must be positive")
     d = len(xi)
-    S = _S(xi, a)
+    S = mode_symbol(xi, a)
     lam_p, lam_m = _slow_pair(S, eps)
     lams = tuple([-1.0 / eps**2 + 0j] * (d - 1) + [lam_p, lam_m])
     return ModeSpectrum(xi, eps, a, lams, S)
@@ -100,7 +104,7 @@ def decay_rate_omega(xi, eps: float, a) -> float:
     """
     xi = np.atleast_1d(xi)
     a = np.atleast_1d(a)
-    S = _S(xi, a)
+    S = mode_symbol(xi, a)
     if S == 0.0:
         return 0.0
     if 1.0 / eps >= 2.0 * math.sqrt(S):
@@ -122,7 +126,7 @@ def classify_regime(xi, eps: float, a, k0: int = 0) -> RegimeLabel:
     """Low (real eigenvalues), high (complex pair) or transitional mode."""
     xi = np.atleast_1d(xi)
     a = np.atleast_1d(a)
-    S = _S(xi, a)
+    S = mode_symbol(xi, a)
     disc = 1.0 / eps**2 - 4.0 * S
     tol = _TRANSITIONAL_TOL * max(1.0 / eps**2, 16.0 * eps**2 * S * S)
     if abs(disc) <= tol:
@@ -179,30 +183,27 @@ def exp_slow_block(S, eps: float, t: float) -> tuple:
 def exact_linear_propagator(xi, eps: float, a, t: float) -> np.ndarray:
     """exp(t*A(xi)) on (u_hat, eps*v_hat_1, ..., eps*v_hat_d).
 
-    The v-space splits into the driven direction c = (a_i xi_i) and a
-    complement that decays as exp(-t/eps^2); the (u, c)-plane carries the
-    2x2 slow block, solved in closed form including the defective case.
+    xi is one wavevector or an array of them along its last axis, giving P
+    of shape xi.shape[:-1] + (d+1, d+1); one wavevector runs as a batch of
+    one, so a batch and the calls for its members agree bit for bit. The
+    v-space splits into the driven direction c = (a_i xi_i) and a complement
+    that decays as exp(-t/eps^2); the (u, c)-plane carries the 2x2 slow
+    block, solved in closed form including the defective case.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    xi = np.atleast_1d(xi).astype(float)
-    a = np.atleast_1d(a).astype(float)
-    d = xi.size
-    S = _S(xi, a)
-    P = np.zeros((d + 1, d + 1), dtype=complex)
-    damp = np.exp(-t / eps**2)
-    if S == 0.0:
-        P[0, 0] = 1.0
-        P[1:, 1:] = damp * np.eye(d)
-        return P
-    c = a * xi  # drives v from u
-    r = xi      # couples v back into u
+    xi = np.asarray(xi, dtype=float)
+    single = xi.ndim <= 1
+    xi = np.atleast_2d(xi)
+    c = np.atleast_1d(a).astype(float) * xi  # drives v from u
+    S = mode_symbol(xi, a)
+    beta0 = xi / np.where(S == 0.0, 1.0, S)[..., None]  # slow part of eps*v_hat_i = 1
     E00, E01, E10, E11 = exp_slow_block(S, eps, t)
-    # column from u_hat = 1
-    P[0, 0] = E00
-    P[1:, 0] = E10 * c
-    # columns from eps*v_hat_i = 1: slow part beta0 = xi_i / S, rest damped
-    beta0 = r / S
-    P[0, 1:] = E01 * beta0
-    P[1:, 1:] = damp * np.eye(d) + np.outer(c, beta0) * (E11 - damp)
-    return P
+    damp = np.exp(-t / eps**2)
+    d = xi.shape[-1]
+    P = np.empty(S.shape + (d + 1, d + 1), dtype=complex)
+    P[..., 0, 0] = np.where(S == 0.0, 1.0, E00)  # the conserved mean stays exact
+    P[..., 1:, 0] = E10[..., None] * c
+    P[..., 0, 1:] = E01[..., None] * beta0
+    P[..., 1:, 1:] = damp * np.eye(d) + c[..., :, None] * beta0[..., None, :] * (E11 - damp)[..., None, None]
+    return P[0] if single else P

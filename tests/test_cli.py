@@ -107,6 +107,46 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(p) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("tree,path", [
+        ({"experiment": "simulate", "trackers": [{"field": "w", "s": 0.5, "p": 2, "r": 1}]},
+         "config.trackers[0].field"),
+        ({"experiment": "simulate", "trackers": [{"field": "du", "s": 0.5, "p": 2, "r": 1}]},
+         "config.trackers[0].field"),
+        ({"experiment": "simulate", "trackers": [{"field": "u", "s": 0.5, "p": "x", "r": 1}]},
+         "config.trackers[0].p"),
+        ({"experiment": "simulate", "trackers": [{"field": "u", "s": "a", "p": 2, "r": 1}]},
+         "config.trackers[0].s"),
+        ({"experiment": "simulate", "trackers": [{"field": "u", "s": 0.5, "p": 2, "r": True}]},
+         "config.trackers[0].r"),
+        ({"experiment": "simulate", "trackers": [{"field": "u", "s": 0.5, "p": 0, "r": 1}]},
+         "config.trackers[0].p"),
+        ({"experiment": "overdamping", "scan": {"mode": [1, 1]}}, "config.scan.mode"),
+        ({"experiment": "overdamping", "scan": {"span": [0.5]}}, "config.scan.span"),
+        ({"experiment": "spectrum", "scan": {"span": [4.0, 0.5]}}, "config.scan.span"),
+        ({"experiment": "decay", "fit": {"window": [5]}}, "config.fit.window"),
+        ({"experiment": "decay", "fit": {"sigma_list": []}}, "config.fit.sigma_list"),
+        ({"experiment": "decay", "fit": {"sigma_list": ["0"]}}, "config.fit.sigma_list"),
+    ])
+    def test_main_malformed_config_lists(self, tmp_path, capsys, tree, path):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(tree))
+        rc = main(["run", "--config", str(p), "--out", str(tmp_path / "runs")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+        assert not (tmp_path / "runs").exists()
+
+    def test_spectrum_honours_scan_points_and_span(self, tmp_path):
+        # default grid L = 32 pi and mode 1: S = 1/256, the peak 1/eps = 2 sqrt(S) = 0.125
+        cfg, h = parse_config_dict({"experiment": "spectrum", "scan": {"points": 5, "span": [0.5, 2.0]}})
+        assert dispatch(cfg, h, out_dir=str(tmp_path)) == 0
+        rows = json.loads((tmp_path / h / "fits.json").read_text())["rows"]
+        inv = [r["inv_eps"] for r in rows]
+        assert len(rows) in (5, 6) and inv == sorted(inv)
+        assert inv[0] == pytest.approx(0.0625) and inv[-1] == pytest.approx(0.25)
+        assert 0.125 in inv
+        assert {"low", "high"} <= {r["regime"] for r in rows}
+
     @pytest.mark.parametrize("jobs", ["0", "-3", "abc", "1.5"])
     def test_main_bad_jobs_flag(self, tmp_path, capsys, jobs):
         rc = main(["run", "--preset", "selftest", "--jobs", jobs, "--out", str(tmp_path)])

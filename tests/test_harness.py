@@ -274,6 +274,20 @@ class TestExperiments:
                               fit_window=(1.0, 12.0), sigma_list=(0.0,))
         assert out["fits"]["rows"][0]["low_r2"]
 
+    def test_decay_reports_empty_high_window(self):
+        # eps = 0.05 gives J = 5: the high window j >= 4 lies above this
+        # grid's last block, so the high-frequency fit is skipped with a reason
+        g = Grid(1, 64, 2 * np.pi * 16)
+        assert scheme_for(g).j_max < threshold_J(0.05) - 1
+        data = InitialDataSpec(kind="random_spectrum", amplitude=0.02, sigma1=-0.5)
+        out = run_decay_study(g, make_flux("burgers1d"), (1.0,), 0.05, data,
+                              StepperConfig(scheme="imex_ssp2", dt_max=0.05),
+                              fit_window=(1.0, 12.0))
+        fits = out["fits"]
+        assert "high_freq_fit" not in fits
+        assert fits["high_freq_fit_skipped"] == (
+            f"the high window j >= J-1 = 4 lies above the grid's last block j = {scheme_for(g).j_max}")
+
     def test_overdamping_scan_small(self):
         g = Grid(1, 16, 2 * np.pi)
         out = run_overdamping_scan(g, (1.0,), (1,), eps_grid=[1.0, 0.5, 0.25])

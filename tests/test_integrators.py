@@ -474,3 +474,20 @@ class TestSampleTimes:
         traj = evolve(model, single_mode_state(grid, 0.5), StepperConfig(), [("u", 2)],
                       sample_times=[0.0, 0.1, 0.2])
         assert traj.times.tolist() == [0.0, 0.1, 0.2]
+
+
+class TestExactLinearMean:
+    def test_mean_bit_exact_over_1000_steps(self, grid):
+        # at eps = 0.3, dt = 0.05 the closed-form slow block puts 1 - 2^-53 on
+        # the mean mode; the stepper must keep the mean of u bit for bit
+        eps, dt = 0.3, 0.05
+        model = JinXinModel(make_flux("zero", 1, 1), (1.0,), eps)
+        x = grid.coords()[0]
+        u = SpectralField.from_physical(grid, 0.7 + 0.1 * np.cos(x))
+        v = SpectralField.from_physical(grid, 0.2 + 0.05 * np.sin(x))
+        st0 = JinXinState(u, [v])
+        cfg = StepperConfig(scheme="exact_linear", dt_max=dt)
+        traj = evolve(model, st0, cfg, [("u", 2)], sample_times=[1000 * dt])
+        assert traj.steps == 1000
+        assert np.array_equal(traj.final_state.u.coeffs[:, 0], st0.u.coeffs[:, 0])
+        assert traj.mean_drift == 0.0

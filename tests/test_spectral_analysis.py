@@ -13,6 +13,7 @@ from relaxlab.spectral_analysis import (
     generator_matrix,
     threshold_J,
 )
+from relaxlab.spectral_core import Grid
 
 
 class TestEigenvalues:
@@ -248,3 +249,43 @@ class TestSlowBlockReference:
             P = exact_linear_propagator(xi, eps, a, t)
             R = _expm_reference(t * generator_matrix(xi, eps, a))
             assert _rel_err(P, R) <= 1e-12, t / eps**2
+
+
+def _grid_wavevectors(grid):
+    return np.stack(np.broadcast_arrays(*grid.kappa_axes()), -1)
+
+
+class TestVectorizedPropagator:
+    """exact_linear_propagator over every stored wavevector of a 2D grid.
+
+    On L = 2 pi the wavevectors are integers and a = (1, 2) gives S = 1 at
+    (+-1, 0), so eps = 1/2 puts those modes exactly on the defective point
+    and the second eps puts them a relative 1e-7 off it; (0, 0) is S = 0.
+    """
+
+    A = (1.0, 2.0)
+    EPS = (0.5, 0.5 * math.sqrt(1.0 - 1e-7), 0.05)
+
+    @pytest.mark.parametrize("eps", EPS)
+    def test_every_mode_matches_matrix_exponential(self, eps):
+        xi = _grid_wavevectors(Grid(2, 8, 2 * np.pi))
+        for t in eps**2 * np.array(_TIMES_OVER_EPS2):
+            P = exact_linear_propagator(xi, eps, self.A, t)
+            assert P.shape == xi.shape[:-1] + (3, 3)
+            for idx in np.ndindex(xi.shape[:-1]):
+                R = _expm_reference(t * generator_matrix(xi[idx], eps, self.A))
+                assert _rel_err(P[idx], R) <= 1e-12, (t / eps**2, xi[idx])
+
+    @pytest.mark.parametrize("eps", EPS)
+    def test_batch_equals_scalar_calls(self, eps):
+        xi = _grid_wavevectors(Grid(2, 8, 2 * np.pi))
+        P = exact_linear_propagator(xi, eps, self.A, 0.7 * eps**2)
+        for idx in np.ndindex(xi.shape[:-1]):
+            assert np.array_equal(P[idx], exact_linear_propagator(tuple(xi[idx]), eps, self.A, 0.7 * eps**2))
+
+    def test_conserved_mode_exact(self):
+        # exp_slow_block's E00 at S = 0 is 1 - 2^-53 here; the mean must not drift
+        assert exp_slow_block(0.0, 0.3, 0.05)[0] != 1.0
+        P = exact_linear_propagator(np.zeros((2, 1)), 0.3, (1.0,), 0.05)
+        assert np.array_equal(P[:, 0, 0], [1.0, 1.0])
+        assert np.array_equal(P[:, 0, 1], [0.0, 0.0]) and np.array_equal(P[:, 1, 0], [0.0, 0.0])
