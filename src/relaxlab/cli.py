@@ -105,7 +105,7 @@ _TOP_SCHEMA = {
     "experiment": ((str,), None, lambda p, v: v in EXPERIMENTS or _fail(p, f"must be one of {EXPERIMENTS}")),
     "seed": ((int,), 0, None),
     "k0": ((int,), 0, None),
-    "p": ((int, float), 2, None),
+    "p": ((int, float), 2, lambda p, v: v > 0 or _fail(p, f"must be positive, got {v!r}")),
     "jobs": ((int,), 1, lambda p, v: _positive(p, v)),
     "model": ((dict,), {}, None),
     "grid": ((dict,), {}, None),
@@ -118,8 +118,17 @@ _TOP_SCHEMA = {
 }
 
 
+_TRACKER_KEYS = {"field", "s", "p", "r", "window"}
+
+
 def _fail(path, msg):
     raise ConfigError(f"{path}: {msg}")
+
+
+def _mode(path, mode, d):
+    """An integer wavevector of d entries."""
+    if len(mode) != d or not all(isinstance(k, int) and not isinstance(k, bool) for k in mode):
+        _fail(path, f"need d={d} integers, got {mode!r}")
 
 
 def _validate_section(tree: dict, schema: dict, path: str) -> dict:
@@ -173,14 +182,17 @@ def parse_config_dict(tree: dict) -> tuple:
         cfg["model"]["eps"] = 1.0
     if cfg["experiment"] == "epsilon-convergence" and m["eps_list"] is None:
         cfg["model"]["eps_list"] = [0.2, 0.1, 0.05, 0.025]
-    mode = cfg["scan"]["mode"]
-    if cfg["experiment"] in ("overdamping", "spectrum") and (
-            len(mode) != m["d"] or not all(isinstance(k, int) and not isinstance(k, bool) for k in mode)):
-        raise ConfigError(f"config.scan.mode: need d={m['d']} integers, got {mode!r}")
+    if cfg["experiment"] in ("overdamping", "spectrum"):
+        _mode("config.scan.mode", cfg["scan"]["mode"], m["d"])
+    if cfg["data"]["kind"] == "single_mode":
+        _mode("config.data.mode", cfg["data"]["mode"], m["d"])
     for i, t in enumerate(cfg["trackers"]):
         path = f"config.trackers[{i}]"
         if not isinstance(t, dict) or not {"field", "s", "p", "r"} <= set(t):
             raise ConfigError(f"{path}: need keys field, s, p, r (optional window)")
+        unknown = sorted(set(t) - _TRACKER_KEYS)
+        if unknown:
+            raise ConfigError(f"{path}.{unknown[0]}: unknown key (allowed: {sorted(_TRACKER_KEYS)})")
         if t["field"] not in ("u", "v", "z", "Z"):
             raise ConfigError(f"{path}.field: must be u, v, z or Z, got {t['field']!r}")
         for key in ("s", "p", "r"):

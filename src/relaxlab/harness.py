@@ -312,17 +312,20 @@ def functional_X0(state: JinXinState, eps: float, p, J: int) -> float:
     d = state.grid.d
     dp = d / p
     lo, hi = ("low", J), ("high", J)
-    u0 = state.u
-    vs = SpectralField.stack(state.v)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return float(
-            besov_norm(u0, dp - 1, p, 1, lo)
-            + besov_norm(u0, dp, p, 1, lo)
-            + eps**2 * (besov_norm(vs, dp, p, 1, lo) + besov_norm(vs, dp + 1, p, 1, lo))
-            + (1 + eps) * besov_norm(u0, d / 2, 2, 1, hi)
-            + eps * (1 + eps) * besov_norm(vs, d / 2, 2, 1, hi)
-        )
+    sch = scheme_for(state.grid)
+    tables = {}
+    for key, field in (("u", state.u), ("v", SpectralField.stack(state.v))):
+        for q in {p, 2}:
+            ns = tables[key, q] = NormSeries(sch.j_indices, q)
+            ns.append(0.0, block_lp_norms(field, q, sch))
+    up, vp, u2, v2 = tables["u", p], tables["v", p], tables["u", 2], tables["v", 2]
+    return float(
+        up.besov_at(0, dp - 1, 1, lo)
+        + up.besov_at(0, dp, 1, lo)
+        + eps**2 * (vp.besov_at(0, dp, 1, lo) + vp.besov_at(0, dp + 1, 1, lo))
+        + (1 + eps) * u2.besov_at(0, d / 2, 1, hi)
+        + eps * (1 + eps) * v2.besov_at(0, d / 2, 1, hi)
+    )
 
 
 def functional_X_at(traj_series: dict, eps: float, p, J: int, d: int, upto: int) -> float:

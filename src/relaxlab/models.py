@@ -20,7 +20,7 @@ from .spectral_core import (
     Grid,
     SpectralField,
     _dealiased_physical,
-    _rfft,
+    _rfft_dealiased,
     diffusion_symbol,
     spectral_derivative,
 )
@@ -285,13 +285,7 @@ def flux_coeffs(flux: Flux, grid: Grid, coeffs: np.ndarray) -> list:
     """
     if flux.is_zero:
         return [np.zeros((flux.n,) + grid.spectral_shape, dtype=complex) for _ in range(flux.d)]
-    mask = grid.dealias_mask()
-    out = []
-    for val in flux.evaluate(_dealiased_physical(coeffs, grid)):
-        c = _rfft(val, grid)
-        c *= mask
-        out.append(c)
-    return out
+    return [_rfft_dealiased(val, grid) for val in flux.evaluate(_dealiased_physical(coeffs, grid))]
 
 
 def flux_fields(flux: Flux, u: SpectralField) -> list:

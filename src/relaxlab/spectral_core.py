@@ -128,6 +128,13 @@ class Grid:
         """True where every |mode| <= N/3 (2/3-rule survivors)."""
         return _grid_tables(self.d, self.N, self.L)[2]
 
+    def dealias_band(self) -> np.ndarray:
+        """dealias_mask on the leading last-axis columns that hold every survivor.
+
+        In 1D every column of the band survives.
+        """
+        return _grid_tables(self.d, self.N, self.L)[5]
+
     def multiplicity(self) -> np.ndarray:
         """Full-lattice modes per stored mode: 1 on last-axis planes 0 and N/2, else 2."""
         return _grid_tables(self.d, self.N, self.L)[4]
@@ -170,7 +177,14 @@ def _grid_tables(d: int, N: int, L: float):
     kmax = mag[keep].max()
     weight = np.full(N // 2 + 1, 2.0)
     weight[[0, N // 2]] = 1.0
-    return kap, mag, keep, kmax, weight.reshape((1,) * (d - 1) + (-1,))
+    band = np.ascontiguousarray(keep[..., : _support_columns(keep)])
+    return kap, mag, keep, kmax, weight.reshape((1,) * (d - 1) + (-1,)), band
+
+
+def _support_columns(table: np.ndarray) -> int:
+    """Number of leading last-axis columns that hold every nonzero of table."""
+    nonzero = np.any(table.reshape(-1, table.shape[-1]) != 0, axis=0)
+    return int(np.flatnonzero(nonzero).max(initial=0)) + 1
 
 
 def diffusion_symbol(grid: Grid, a) -> np.ndarray:
@@ -180,30 +194,56 @@ def diffusion_symbol(grid: Grid, a) -> np.ndarray:
 
 # rfftn/irfftn over the grid axes, spelled out: rfftn is an rfft of the last
 # axis followed by an fft of the one before it (d=2), and irfftn the reverse.
+# Band-limited data is nonzero only in the leading last-axis columns, so the
+# axis -2 passes run on those alone; irfft zero-pads the rest to N/2+1.
 def _rfft(values: np.ndarray, grid: Grid) -> np.ndarray:
     """(..., n) + spectral_shape coefficients of (..., n) + grid.shape samples."""
     c = np.fft.rfft(values, axis=-1, norm="forward")
     return c if grid.d == 1 else np.fft.fft(c, axis=-2, norm="forward")
 
 
-def _irfft(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    """Grid samples (..., n) + grid.shape of (..., n) + spectral_shape coefficients."""
+def _rfft_dealiased(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """The 2/3-rule survivors of _rfft(values, grid); other columns are zero."""
+    band = grid.dealias_band()
+    m = band.shape[-1]
+    c = np.fft.rfft(values, axis=-1, norm="forward")
+    head = c[..., :m]
     if grid.d == 2:
-        coeffs = np.fft.ifft(coeffs, axis=-2, norm="forward")
-    return np.fft.irfft(coeffs, grid.N, axis=-1, norm="forward")
+        np.fft.fft(head, axis=-2, norm="forward", out=head)
+        head *= band
+    c[..., m:] = 0
+    return c
+
+
+def _irfft(coeffs: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
+    """Grid samples (..., n) + grid.shape of (..., n) + spectral_shape coefficients.
+
+    coeffs may stop short on the last axis: the missing columns count as
+    zero. With out, the axis -2 pass overwrites coeffs and the samples are
+    written to out.
+    """
+    if grid.d == 2:
+        coeffs = np.fft.ifft(coeffs, axis=-2, norm="forward", out=None if out is None else coeffs)
+    return np.fft.irfft(coeffs, grid.N, axis=-1, norm="forward", out=out)
 
 
 def _dealiased_physical(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     """Grid samples of the 2/3-rule survivors of coeffs."""
-    return _irfft(coeffs * grid.dealias_mask(), grid)
+    band = grid.dealias_band()
+    head = coeffs[..., : band.shape[-1]]
+    return _irfft(head * band if grid.d == 2 else head, grid)
 
 
 def _lp_physical(phys: np.ndarray, p, grid: Grid) -> float:
-    """Rectangle-rule L^p norm of (n,) + grid.shape samples, Euclidean over n."""
-    sq = np.sum(phys**2, axis=0)
+    """Rectangle-rule L^p norm of (n,) + grid.shape samples, Euclidean over n.
+
+    phys is overwritten with its squares.
+    """
+    sq = np.sum(np.square(phys, out=phys), axis=0)
     if np.isinf(p):
         return float(np.sqrt(np.max(sq)))
-    return float((np.sum(sq ** (p / 2)) * grid.dx**grid.d) ** (1.0 / p))
+    sq **= p / 2
+    return float((np.sum(sq) * grid.dx**grid.d) ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +275,7 @@ class SpectralField:
         values = np.asarray(values, dtype=float)
         if values.shape == grid.shape:
             values = values[None, ...]
-        c = _rfft(values, grid)
-        if dealias:
-            c *= grid.dealias_mask()
-        return cls(grid, c)
+        return cls(grid, _rfft_dealiased(values, grid) if dealias else _rfft(values, grid))
 
     # -- basics ------------------------------------------------------------
     @property
@@ -334,6 +371,8 @@ class DyadicScheme:
         self.multipliers = {
             jj: phi_profile(mag / 2.0**jj) for jj in range(self.j_min, self.j_max + 1)
         }
+        # leading last-axis columns that hold each block's support
+        self.columns = {jj: _support_columns(m) for jj, m in self.multipliers.items()}
         self.base_multiplier = chi_profile(mag / 2.0**self.j_min)
 
     @property
@@ -425,9 +464,7 @@ def nonlinear_product(a: SpectralField, b: SpectralField) -> SpectralField:
     """
     if a.grid != b.grid:
         raise GridMismatchError("fields live on different grids")
-    pa = a.dealias().to_physical()
-    pb = b.dealias().to_physical()
-    prod = pa * pb
+    prod = _dealiased_physical(a.coeffs, a.grid) * _dealiased_physical(b.coeffs, b.grid)
     return SpectralField.from_physical(a.grid, prod, dealias=True)
 
 
@@ -446,8 +483,10 @@ def lp_norm(field: SpectralField, p) -> float:
 def block_lp_norms(field: SpectralField, p, sch: DyadicScheme | None = None) -> np.ndarray:
     """||block_j field||_{L^p} for every j in the scheme's range.
 
-    p=2 is Parseval weighted by the multiplicity; other p take one real
-    inverse transform per block.
+    p=2 is Parseval weighted by the multiplicity. Other p invert each block
+    on the leading last-axis columns its multiplier reaches
+    (DyadicScheme.columns), through one coefficient and one sample buffer
+    that every block reuses.
     """
     sch = sch or scheme_for(field.grid)
     g = field.grid
@@ -457,8 +496,13 @@ def block_lp_norms(field: SpectralField, p, sch: DyadicScheme | None = None) -> 
         for i, j in enumerate(sch.j_indices):
             out[i] = np.sqrt(g.L**g.d * np.sum(sch.multipliers[j] ** 2 * e))
         return out
+    c = field.coeffs
+    cbuf = np.empty_like(c)
+    phys = np.empty((field.n,) + g.shape)
     for i, j in enumerate(sch.j_indices):
-        out[i] = _lp_physical(_irfft(field.coeffs * sch.multipliers[j], g), p, g)
+        m = sch.columns[j]
+        blk = np.multiply(c[..., :m], sch.multipliers[j][..., :m], out=cbuf[..., :m])
+        out[i] = _lp_physical(_irfft(blk, g, out=phys), p, g)
     return out
 
 

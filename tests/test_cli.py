@@ -126,6 +126,13 @@ class TestDispatch:
         ({"experiment": "decay", "fit": {"window": [5]}}, "config.fit.window"),
         ({"experiment": "decay", "fit": {"sigma_list": []}}, "config.fit.sigma_list"),
         ({"experiment": "decay", "fit": {"sigma_list": ["0"]}}, "config.fit.sigma_list"),
+        ({"experiment": "simulate", "p": 0}, "config.p"),
+        ({"experiment": "decay", "p": -2.5}, "config.p"),
+        ({"experiment": "simulate", "model": {"flux": "burgers2d", "n": 2, "d": 2, "a": [1, 1]},
+          "data": {"kind": "single_mode", "mode": [1]}}, "config.data.mode"),
+        ({"experiment": "simulate", "data": {"kind": "single_mode", "mode": ["x"]}}, "config.data.mode"),
+        ({"experiment": "simulate", "trackers": [{"field": "u", "s": 0.5, "p": 2, "r": 1, "wndow": "low"}]},
+         "config.trackers[0].wndow"),
     ])
     def test_main_malformed_config_lists(self, tmp_path, capsys, tree, path):
         p = tmp_path / "c.json"

@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from relaxlab import harness, spectral_core
 from relaxlab.harness import (
     InitialDataSpec,
     _decay_end,
@@ -160,6 +162,29 @@ class TestFunctionalX:
                   + 1.5 * besov_norm(u0, 0.5, 2, 1, ("high", J))
                   + 0.75 * besov_norm(vs, 0.5, 2, 1, ("high", J)))
         assert x0 == pytest.approx(manual, rel=1e-12)
+
+    @pytest.mark.parametrize("p,tables", [(4, 4), (2, 2)])
+    def test_x0_one_table_per_field_and_exponent(self, grid, monkeypatch, p, tables):
+        # the 2^{js} weights go on one stored table per (field, p), which
+        # changes no bit of the sum of besov_norm terms
+        model = JinXinModel(make_flux("burgers1d"), (1.0,), 0.5)
+        spec = InitialDataSpec(kind="gaussian_bump", amplitude=0.05, width=2.0)
+        jx, _ = make_initial_data(spec, grid, model)
+        eps, J, dp = 0.5, threshold_J(0.5), 1 / p
+        u0, vs = jx.u, SpectralField.stack(jx.v)
+        lo, hi = ("low", J), ("high", J)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            manual = (besov_norm(u0, dp - 1, p, 1, lo) + besov_norm(u0, dp, p, 1, lo)
+                      + eps**2 * (besov_norm(vs, dp, p, 1, lo) + besov_norm(vs, dp + 1, p, 1, lo))
+                      + (1 + eps) * besov_norm(u0, 0.5, 2, 1, hi)
+                      + eps * (1 + eps) * besov_norm(vs, 0.5, 2, 1, hi))
+        calls = []
+        real = spectral_core.block_lp_norms
+        for mod in (harness, spectral_core):
+            monkeypatch.setattr(mod, "block_lp_norms", lambda *a: calls.append(a[1]) or real(*a))
+        assert functional_X0(jx, eps, p, J) == manual
+        assert len(calls) == tables
 
 
 class TestFitRate:

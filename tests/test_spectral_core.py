@@ -26,6 +26,8 @@ from relaxlab.spectral_core import (
     scheme_for,
     spectral_derivative,
     spectral_laplacian,
+    _dealiased_physical,
+    _lp_physical,
 )
 
 
@@ -435,6 +437,38 @@ class TestRealTransforms:
             blk = dyadic_block(f, j)
             for ref in (lp_norm(blk, p), _c2c_lp(blk.coeffs, g, p)):
                 assert got[i] == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("d,N,L_over_pi", [(1, 256, 32), (2, 64, 16)])
+    @pytest.mark.parametrize("p", [1, 3, 4, np.inf])
+    def test_pruned_block_norms_equal_full_inverse(self, rng, d, N, L_over_pi, p):
+        # without dealiasing every block has mass in the last column of its
+        # support (the top ones reach N/2), so an inverse over too few
+        # last-axis columns shows, and over the right ones changes no bit
+        g = Grid(d, N, L_over_pi * np.pi)
+        f = SpectralField.from_physical(g, rng.standard_normal((2,) + g.shape), dealias=False)
+        sch = scheme_for(g)
+        axes = tuple(range(1, d + 1))
+        got = block_lp_norms(f, p, sch)
+        for i, j in enumerate(sch.j_indices):
+            full = np.fft.irfftn(f.coeffs * sch.multipliers[j], s=g.shape, axes=axes, norm="forward")
+            assert got[i] == _lp_physical(full, p, g)
+        for j, m in sch.columns.items():
+            assert sch.multipliers[j][..., m - 1].any() and not sch.multipliers[j][..., m:].any()
+        assert sch.columns[sch.j_min] < sch.columns[sch.j_max] == N // 2 + 1
+
+    @pytest.mark.parametrize("d,N", [(1, 512), (2, 64)])
+    def test_dealiased_transforms_equal_numpy_nd(self, rng, d, N):
+        g = Grid(d, N, 3.0)
+        axes = tuple(range(1, d + 1))
+        mask = g.dealias_mask()
+        m = g.dealias_band().shape[-1]
+        assert m == N // 3 + 1 and not mask[..., m:].any()
+        assert np.array_equal(g.dealias_band(), mask[..., :m])
+        x = rng.standard_normal((2,) + g.shape)
+        c = np.fft.rfftn(x, axes=axes, norm="forward")
+        assert np.array_equal(SpectralField.from_physical(g, x).coeffs, c * mask)
+        assert np.array_equal(_dealiased_physical(c, g),
+                              np.fft.irfftn(c * mask, s=g.shape, axes=axes, norm="forward"))
 
 
 class TestSerialization:
