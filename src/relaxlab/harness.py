@@ -50,7 +50,6 @@ from .spectral_core import (
     dyadic_block,
     base_block,
     nonlinear_product,
-    _trapz,
 )
 from .spectral_analysis import (
     classify_regime,
@@ -511,8 +510,8 @@ def _convergence_one(arg):
     Zs = traj.get("Z", p)
     sup_du = max(du.besov_curve(dp - 1, 1, "full"))
     tarr = np.asarray(du.times)
-    int_dv = float(_trapz(dv.besov_curve(dp, 1, "full"), tarr))
-    int_Z = float(_trapz(Zs.besov_curve(dp, 1, ("low", J)), tarr))
+    int_dv = float(np.trapezoid(dv.besov_curve(dp, 1, "full"), tarr))
+    int_Z = float(np.trapezoid(Zs.besov_curve(dp, 1, ("low", J)), tarr))
     return {"eps": eps, "sup_du": sup_du, "int_dv": int_dv, "int_Zlow": int_Z}
 
 

@@ -19,8 +19,6 @@ from functools import lru_cache
 
 import numpy as np
 
-_trapz = getattr(np, "trapezoid", None) or np.trapz
-
 __all__ = [
     "Grid",
     "SpectralField",
@@ -215,16 +213,14 @@ def _rfft_dealiased(values: np.ndarray, grid: Grid) -> np.ndarray:
     return c
 
 
-def _irfft(coeffs: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
+def _irfft(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     """Grid samples (..., n) + grid.shape of (..., n) + spectral_shape coefficients.
 
-    coeffs may stop short on the last axis: the missing columns count as
-    zero. With out, the axis -2 pass overwrites coeffs and the samples are
-    written to out.
+    coeffs may stop short on the last axis: the missing columns count as zero.
     """
     if grid.d == 2:
-        coeffs = np.fft.ifft(coeffs, axis=-2, norm="forward", out=None if out is None else coeffs)
-    return np.fft.irfft(coeffs, grid.N, axis=-1, norm="forward", out=out)
+        coeffs = np.fft.ifft(coeffs, axis=-2, norm="forward")
+    return np.fft.irfft(coeffs, grid.N, axis=-1, norm="forward")
 
 
 def _dealiased_physical(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
@@ -502,7 +498,10 @@ def block_lp_norms(field: SpectralField, p, sch: DyadicScheme | None = None) -> 
     for i, j in enumerate(sch.j_indices):
         m = sch.columns[j]
         blk = np.multiply(c[..., :m], sch.multipliers[j][..., :m], out=cbuf[..., :m])
-        out[i] = _lp_physical(_irfft(blk, g, out=phys), p, g)
+        if g.d == 2:
+            np.fft.ifft(blk, axis=-2, norm="forward", out=blk)
+        np.fft.irfft(blk, g.N, axis=-1, norm="forward", out=phys)
+        out[i] = _lp_physical(phys, p, g)
     return out
 
 
@@ -570,7 +569,7 @@ def _time_lebesgue(values: np.ndarray, times: np.ndarray, rho) -> float:
         return float(np.max(values)) if values.size else 0.0
     if values.size < 2:
         raise ValueError("need at least 2 time samples for rho < inf")
-    return float(_trapz(values**rho, times) ** (1.0 / rho))
+    return float(np.trapezoid(values**rho, times) ** (1.0 / rho))
 
 
 def chemin_lerner_norm(series: NormSeries, rho, s: float, r=1, window="full") -> float:
