@@ -9,7 +9,6 @@ from .spectral_core import (
     besov_norm,
     chemin_lerner_norm,
     dyadic_block,
-    lowfreq_cutoff,
     nonlinear_product,
     spectral_derivative,
 )
@@ -22,8 +21,6 @@ from .models import (
     darcy_velocity,
     effective_Z,
     effective_z,
-    jinxin_rhs,
-    limit_rhs,
     make_flux,
 )
 from .spectral_analysis import (

@@ -17,6 +17,7 @@ import sys
 
 from . import harness
 from .harness import InitialDataSpec, StepperConfig, write_results
+from .integrators import JINXIN_SCHEMES
 from .models import make_flux
 from .spectral_analysis import mode_symbol
 from .spectral_core import Grid
@@ -83,7 +84,9 @@ _DATA_SCHEMA = {
     "v_band_hi": ((int, float), 1.0, lambda p, v: _positive(p, v)),
 }
 _STEPPER_SCHEMA = {
-    "scheme": ((str,), "imex_ssp2", None),
+    # every experiment steps a relaxation system (a limit companion runs if_rk2)
+    "scheme": ((str,), "imex_ssp2",
+               lambda p, v: v in JINXIN_SCHEMES or _fail(p, f"must be one of {JINXIN_SCHEMES}, got {v!r}")),
     "cfl": ((int, float), 0.45, lambda p, v: (0 < v <= 1) or _fail(p, "cfl must lie in (0, 1]")),
     "dt_max": ((int, float), 0.05, lambda p, v: _positive(p, v)),
     "dt_min": ((int, float), 1e-12, lambda p, v: _positive(p, v)),

@@ -66,7 +66,6 @@ __all__ = [
     "RateFit",
     "FunctionalX",
     "make_initial_data",
-    "flat_profile_ratio",
     "functional_X",
     "functional_X0",
     "fit_rate",
@@ -227,30 +226,6 @@ def make_initial_data(spec: InitialDataSpec, grid: Grid, model: JinXinModel, k0:
         raise ValueError(f"unknown v preparation {spec.v_kind!r}")
 
     return JinXinState(u0, v0, 0.0), LimitState(u0.copy(), 0.0)
-
-
-def flat_profile_ratio(u: SpectralField, sigma1: float, J: int, p=2) -> float:
-    """max/min of 2^(j*sigma1)*||block_j u|| over fully-populated low blocks.
-
-    Boundary blocks whose annulus extends beyond the populated band are
-    excluded; they are underfilled by construction.
-    """
-    sch = scheme_for(u.grid)
-    mag = u.grid.kappa_mag()
-    pop = np.abs(u.coeffs[0]) > 0
-    for c in range(1, u.n):
-        pop |= np.abs(u.coeffs[c]) > 0
-    k_lo, k_hi = mag[pop].min(), mag[pop].max()
-    vals = []
-    norms = block_lp_norms(u, p, sch)
-    for i, j in enumerate(sch.j_indices):
-        if j > J:
-            continue
-        if 0.75 * 2.0**j >= k_lo and (8.0 / 3.0) * 2.0**j <= k_hi:
-            vals.append(2.0 ** (j * sigma1) * norms[i])
-    if len(vals) < 2:
-        raise ValueError("fewer than two fully-populated blocks in the low window")
-    return max(vals) / min(vals)
 
 
 def check_sigma1_admissible(sigma1: float, d: int, p: float):
@@ -859,7 +834,7 @@ def run_selftest(N: int = 256, seed: int = 0) -> dict:
     mean0 = st.u.mean()
     stepper = _JinXinStepper(model, gm)
     dt = 0.4 * jinxin_dt_bound(model, gm)
-    st = stepper.advance(st, dt, 10000, "imex_euler")
+    st = stepper.advance(st, dt, 10000, "imex_ssp2")
     record("mean_conservation", np.max(np.abs(st.u.mean() - mean0)), 1e-13)
 
     # frozen-u implicit update contracts the closure distance exactly

@@ -50,7 +50,7 @@ __all__ = [
     "limit_advective_speed",
 ]
 
-JINXIN_SCHEMES = ("imex_euler", "imex_ssp2", "exact_linear")
+JINXIN_SCHEMES = ("imex_ssp2", "exact_linear")
 LIMIT_SCHEMES = ("if_rk2",)
 
 # ARS(2,2,2) coefficients
@@ -152,8 +152,6 @@ class _JinXinStepper:
         """
         eps = self.model.eps
         e2 = eps**2
-        if scheme == "imex_euler":
-            return self.euler, (dt, e2, e2 + dt)
         if scheme == "imex_ssp2":
             g = dt * _GAMMA
             return self.ssp2, (dt, e2, g, e2 + g, dt * (1 - _GAMMA))
@@ -177,13 +175,6 @@ class _JinXinStepper:
 
     def _div_v(self, v):
         return sum(self.deriv[i] * v[i] for i in range(self.model.d))
-
-    def euler(self, u0, v0, coeffs):
-        dt, e2, e2dt = coeffs
-        u1 = u0 - dt * self._div_v(v0)
-        stiff = self._stiff(u1)
-        v1 = [(e2 * v0[i] + dt * stiff[i]) / e2dt for i in range(self.model.d)]
-        return u1, v1
 
     def ssp2(self, u0, v0, coeffs):
         dt, e2, g, e2g, dt_rest = coeffs
@@ -226,8 +217,13 @@ class _JinXinStepper:
         return self.advance(state, dt, 1, scheme)
 
 
-def step_jinxin(model: JinXinModel, state: JinXinState, dt: float, scheme: str = "imex_euler") -> JinXinState:
-    """Advance the relaxation system by one IMEX step."""
+def step_jinxin(model: JinXinModel, state: JinXinState, dt: float, scheme: str = "imex_ssp2") -> JinXinState:
+    """Advance the relaxation system by one step of `scheme`.
+
+    A one-shot helper for tests and the benchmark's kernel table: every call
+    builds a new stepper (wavenumber tables, CFL bound, step coefficients).
+    Loops should go through evolve, which builds one per run.
+    """
     return _JinXinStepper(model, state.grid).step(state, dt, scheme)
 
 
@@ -272,7 +268,12 @@ class _LimitStepper:
 
 
 def step_limit(flux: Flux, a, state: LimitState, dt: float, scheme: str = "if_rk2") -> LimitState:
-    """Advance the limit equation by one integrating-factor step."""
+    """Advance the limit equation by one integrating-factor step.
+
+    A one-shot helper like step_jinxin: every call builds a new stepper
+    (wavenumber tables, diffusion symbol, exp(-S dt)). Loops should go
+    through evolve.
+    """
     return _LimitStepper(LimitModel(flux, tuple(a)), state.grid).step(state, dt, scheme)
 
 

@@ -21,7 +21,6 @@ from .spectral_core import (
     SpectralField,
     _dealiased_physical,
     _rfft_dealiased,
-    diffusion_symbol,
     spectral_derivative,
 )
 
@@ -32,8 +31,6 @@ __all__ = [
     "LimitState",
     "DivergenceError",
     "FluxValidationError",
-    "jinxin_rhs",
-    "limit_rhs",
     "darcy_velocity",
     "effective_z",
     "effective_Z",
@@ -62,35 +59,16 @@ class Flux:
     """Nonlinear flux family u -> (f_1(u), ..., f_d(u)), each R^n -> R^n.
 
     evaluate acts on physical-space samples of shape (n, ...) and returns a
-    list of d arrays of the same shape. Built-in fluxes carry closed-form
-    Jacobians; user polynomials fall back to central differences.
+    list of d arrays of the same shape.
     """
 
     name: str
     n: int
     d: int
     evaluate: Callable = field(repr=False)
-    jacobian_fn: Callable | None = field(default=None, repr=False)
     is_zero: bool = False
     # constructor arguments, for rebuilding in worker processes
     spec: tuple = ()
-
-    def jacobian(self, u_point: np.ndarray) -> np.ndarray:
-        """df_i/du at one state point; shape (d, n, n)."""
-        u_point = np.asarray(u_point, dtype=float).reshape(self.n)
-        if self.jacobian_fn is not None:
-            return self.jacobian_fn(u_point)
-        h = 1e-5 * (1.0 + np.abs(u_point))
-        jac = np.zeros((self.d, self.n, self.n))
-        for k in range(self.n):
-            up, um = u_point.copy(), u_point.copy()
-            up[k] += h[k]
-            um[k] -= h[k]
-            fp = self.evaluate(up.reshape(self.n, 1))
-            fm = self.evaluate(um.reshape(self.n, 1))
-            for i in range(self.d):
-                jac[i, :, k] = (fp[i][:, 0] - fm[i][:, 0]) / (2 * h[k])
-        return jac
 
     def check_origin(self):
         """Numerically verify f(0)=0 and Df(0)=0: |f(delta e_k)| <= C delta^2."""
@@ -114,20 +92,14 @@ def _zero_flux(n: int, d: int) -> Flux:
     def ev(u):
         return [np.zeros_like(u) for _ in range(d)]
 
-    def jac(u):
-        return np.zeros((d, n, n))
-
-    return Flux("zero", n, d, ev, jac, is_zero=True)
+    return Flux("zero", n, d, ev, is_zero=True)
 
 
 def _burgers1d() -> Flux:
     def ev(u):
         return [0.5 * u * u]
 
-    def jac(u):
-        return u.reshape(1, 1, 1).copy()
-
-    return Flux("burgers1d", 1, 1, ev, jac)
+    return Flux("burgers1d", 1, 1, ev)
 
 
 def _burgers2d() -> Flux:
@@ -135,13 +107,7 @@ def _burgers2d() -> Flux:
     def ev(u):
         return [u[0:1] * u, u[1:2] * u]
 
-    def jac(u):
-        u1, u2 = u
-        j1 = np.array([[2 * u1, 0.0], [u2, u1]])
-        j2 = np.array([[u2, u1], [0.0, 2 * u2]])
-        return np.stack([j1, j2])
-
-    return Flux("burgers2d", 2, 2, ev, jac)
+    return Flux("burgers2d", 2, 2, ev)
 
 
 def polynomial_flux(n: int, d: int, terms: list, name: str = "polynomial") -> Flux:
@@ -175,7 +141,7 @@ def polynomial_flux(n: int, d: int, terms: list, name: str = "polynomial") -> Fl
             out[i][c] += mono
         return out
 
-    return Flux(name, n, d, ev, None)
+    return Flux(name, n, d, ev)
 
 
 def builtin_fluxes() -> dict:
@@ -293,46 +259,8 @@ def flux_fields(flux: Flux, u: SpectralField) -> list:
     return [SpectralField(u.grid, c) for c in flux_coeffs(flux, u.grid, u.coeffs)]
 
 
-def _check_finite(fields, t: float, what: str):
-    for f in fields:
-        if f.has_bad_values():
-            raise DivergenceError(t, what)
-
-
 # ---------------------------------------------------------------------------
-# right-hand sides and effective unknowns
-
-def jinxin_rhs(model: JinXinModel, state: JinXinState):
-    """(du/dt, [dv_i/dt]) of the relaxation system, dealiased."""
-    u, v = state.u, state.v
-    du = SpectralField(u.grid, -sum(spectral_derivative(v[i], i).coeffs for i in range(model.d)))
-    fvals = flux_fields(model.flux, u)
-    dv = []
-    for i in range(model.d):
-        rate = (
-            -model.a[i] * spectral_derivative(u, i).coeffs
-            - v[i].coeffs
-            + fvals[i].coeffs
-        ) / model.eps**2
-        dv.append(SpectralField(u.grid, rate).dealias())
-    du = du.dealias()
-    _check_finite([du] + dv, state.t, "jinxin rhs")
-    return du, dv
-
-
-def limit_rhs(flux: Flux, a, state: LimitState) -> SpectralField:
-    """du*/dt of the viscous conservation law, dealiased."""
-    u = state.u_star
-    g = u.grid
-    rate = u.coeffs * -diffusion_symbol(g, a)
-    if not flux.is_zero:
-        fvals = flux_fields(flux, u)
-        for i in range(flux.d):
-            rate = rate - spectral_derivative(fvals[i], i).coeffs
-    out = SpectralField(g, rate).dealias()
-    _check_finite([out], state.t, "limit rhs")
-    return out
-
+# closure velocities and effective unknowns
 
 def darcy_velocity(flux: Flux, a, u_star: SpectralField) -> list:
     """Closure velocities v*_i = -a_i d_i u* + f_i(u*)."""

@@ -51,7 +51,6 @@ class Regime(Enum):
 class RegimeLabel:
     regime: Regime
     discriminant: float
-    dyadic_index_le_threshold: bool
 
 
 @dataclass(frozen=True)
@@ -61,10 +60,6 @@ class ModeSpectrum:
     a: tuple
     eigenvalues: tuple  # d+1 complex values, damped ones first
     S: float
-
-    @property
-    def discriminant(self) -> float:
-        return 1.0 / self.eps**2 - 4.0 * self.S
 
 
 def mode_symbol(xi, a):
@@ -122,7 +117,7 @@ def threshold_J(eps: float, k0: int = 0) -> int:
     return -math.floor(math.log2(eps)) + k0
 
 
-def classify_regime(xi, eps: float, a, k0: int = 0) -> RegimeLabel:
+def classify_regime(xi, eps: float, a) -> RegimeLabel:
     """Low (real eigenvalues), high (complex pair) or transitional mode."""
     xi = np.atleast_1d(xi)
     a = np.atleast_1d(a)
@@ -135,12 +130,7 @@ def classify_regime(xi, eps: float, a, k0: int = 0) -> RegimeLabel:
         regime = Regime.LOW
     else:
         regime = Regime.HIGH
-    mag = float(np.sqrt(np.sum(xi**2)))
-    if mag > 0:
-        below = math.floor(math.log2(mag)) <= threshold_J(eps, k0)
-    else:
-        below = True
-    return RegimeLabel(regime, disc, below)
+    return RegimeLabel(regime, disc)
 
 
 def generator_matrix(xi, eps: float, a) -> np.ndarray:

@@ -27,18 +27,15 @@ __all__ = [
     "DyadicRangeError",
     "GridMismatchError",
     "dyadic_block",
-    "lowfreq_cutoff",
     "besov_norm",
     "chemin_lerner_norm",
     "spectral_derivative",
-    "spectral_laplacian",
     "diffusion_symbol",
     "nonlinear_product",
     "lp_norm",
     "block_lp_norms",
     "save_field",
     "load_field",
-    "export_block_norms_csv",
 ]
 
 
@@ -136,11 +133,6 @@ class Grid:
     def multiplicity(self) -> np.ndarray:
         """Full-lattice modes per stored mode: 1 on last-axis planes 0 and N/2, else 2."""
         return _grid_tables(self.d, self.N, self.L)[4]
-
-    @property
-    def kappa_dealias(self) -> float:
-        """Per-axis dealiasing cutoff in physical units."""
-        return self.kappa_min * np.floor(self.N / 3.0)
 
     @property
     def kappa_grid_max(self) -> float:
@@ -304,9 +296,6 @@ class SpectralField:
         """Mean value per component (the kappa=0 coefficient)."""
         return self.coeffs[(slice(None),) + (0,) * self.grid.d].real.copy()
 
-    def has_bad_values(self) -> bool:
-        return not np.all(np.isfinite(self.coeffs))
-
     # -- arithmetic (pure, new buffers) -------------------------------------
     def _check(self, other: "SpectralField"):
         if other.grid != self.grid:
@@ -423,33 +412,12 @@ def base_block(field: SpectralField) -> SpectralField:
     return SpectralField(field.grid, field.coeffs * sch.base_multiplier)
 
 
-def lowfreq_cutoff(field: SpectralField, J: int) -> SpectralField:
-    """Sum of the base cutoff and all blocks with j <= J-1."""
-    sch = scheme_for(field.grid)
-    if J < sch.j_min or J > sch.j_max + 1:
-        raise DyadicRangeError(
-            f"cutoff index {J} outside [{sch.j_min}, {sch.j_max + 1}]"
-        )
-    mult = sch.base_multiplier.copy()
-    for j in range(sch.j_min, J):
-        mult += sch.multipliers[j]
-    return SpectralField(field.grid, field.coeffs * mult)
-
-
 def spectral_derivative(field: SpectralField, axis: int) -> SpectralField:
     """Exact Fourier differentiation along one axis."""
     if axis >= field.grid.d:
         raise ValueError(f"axis {axis} >= d={field.grid.d}")
     kap = field.grid.kappa_axes()[axis]
     return SpectralField(field.grid, field.coeffs * (1j * kap))
-
-
-def spectral_laplacian(field: SpectralField, weights=None) -> SpectralField:
-    """Sum_i w_i d^2/dx_i^2; weights default to 1."""
-    g = field.grid
-    if weights is None:
-        weights = (1.0,) * g.d
-    return SpectralField(g, field.coeffs * -diffusion_symbol(g, weights))
 
 
 def nonlinear_product(a: SpectralField, b: SpectralField) -> SpectralField:
@@ -625,10 +593,3 @@ def load_field(path) -> SpectralField:
     coeffs = raw.reshape((header["n"],) + grid.spectral_shape).copy()
     return SpectralField(grid, coeffs)
 
-
-def export_block_norms_csv(path, sch: DyadicScheme, norms: np.ndarray):
-    """CSV of a per-block norm table: (j, two_pow_j_physical, norm)."""
-    with open(path, "w") as fh:
-        fh.write("j,two_pow_j_physical,norm\n")
-        for j, v in zip(sch.j_indices, norms):
-            fh.write(f"{j},{2.0**j!r},{float(v)!r}\n")

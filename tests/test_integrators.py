@@ -25,6 +25,8 @@ from relaxlab.models import (
 from relaxlab.spectral_core import Grid, SpectralField, block_lp_norms, lp_norm, scheme_for
 from relaxlab.spectral_analysis import exact_linear_propagator
 
+from oracles import jinxin_rhs, limit_rhs
+
 
 @pytest.fixture
 def grid():
@@ -56,10 +58,9 @@ class TestStepJinXin:
         u = SpectralField.from_physical(grid, np.full(grid.shape, c))
         v = SpectralField.from_physical(grid, np.full(grid.shape, 0.5 * c * c))
         st = JinXinState(u, [v])
-        for scheme in ("imex_euler", "imex_ssp2"):
-            out = step_jinxin(model, st, 1e-3, scheme)
-            assert np.max(np.abs(out.u.coeffs - u.coeffs)) <= 1e-14
-            assert np.max(np.abs(out.v[0].coeffs - v.coeffs)) <= 1e-14
+        out = step_jinxin(model, st, 1e-3, "imex_ssp2")
+        assert np.max(np.abs(out.u.coeffs - u.coeffs)) <= 1e-14
+        assert np.max(np.abs(out.v[0].coeffs - v.coeffs)) <= 1e-14
 
     @pytest.mark.parametrize("eps", [1.0, 0.1])
     def test_ssp2_second_order_linear(self, grid, eps):
@@ -77,24 +78,23 @@ class TestStepJinXin:
         assert slope >= 1.9
 
     def test_euler_consistency_richardson(self, grid):
-        # one imex_euler step agrees with forward Euler on the full rhs to O(dt^2)
-        from relaxlab.models import jinxin_rhs
-
+        # one imex_ssp2 step agrees with forward Euler on the full rhs to O(dt^2)
         rng = np.random.default_rng(0)
-        model = JinXinModel(make_flux("burgers1d"), (1.0,), 1.0)
         u = SpectralField.from_physical(grid, 0.01 * rng.standard_normal(grid.shape)).dealias()
         v = SpectralField.from_physical(grid, 0.01 * rng.standard_normal(grid.shape)).dealias()
         st = JinXinState(u, [v])
-        du, dv = jinxin_rhs(model, st)
-        gaps = []
         dts = [1e-2, 5e-3, 2.5e-3]
-        for dt in dts:
-            out = step_jinxin(model, st, dt, "imex_euler")
-            fe_u = st.u.coeffs + dt * du.coeffs
-            fe_v = st.v[0].coeffs + dt * dv[0].coeffs
-            gaps.append(np.max(np.abs(out.u.coeffs - fe_u)) + np.max(np.abs(out.v[0].coeffs - fe_v)))
-        slope = np.polyfit(np.log(dts), np.log(gaps), 1)[0]
-        assert slope >= 1.9
+        for eps in (1.0, 0.3):
+            model = JinXinModel(make_flux("burgers1d"), (1.0,), eps)
+            du, dv = jinxin_rhs(model, st)
+            gaps = []
+            for dt in dts:
+                out = step_jinxin(model, st, dt, "imex_ssp2")
+                fe_u = st.u.coeffs + dt * du.coeffs
+                fe_v = st.v[0].coeffs + dt * dv[0].coeffs
+                gaps.append(np.max(np.abs(out.u.coeffs - fe_u)) + np.max(np.abs(out.v[0].coeffs - fe_v)))
+            slope = np.polyfit(np.log(dts), np.log(gaps), 1)[0]
+            assert slope >= 1.9, (eps, slope)
 
     def test_linear_fidelity_uniform_in_eps(self, grid):
         # matched dt = eps/256: the error in the scaled variables (u, eps*v)
@@ -118,7 +118,7 @@ class TestStepJinXin:
         st = single_mode_state(grid, 0.01)
         bound = jinxin_dt_bound(model, grid)
         with pytest.raises(CFLError) as e:
-            step_jinxin(model, st, 10 * bound, "imex_euler")
+            step_jinxin(model, st, 10 * bound, "imex_ssp2")
         assert e.value.admissible == pytest.approx(bound)
 
     def test_mean_unchanged(self, grid):
@@ -194,6 +194,21 @@ class TestStepLimit:
         u = SpectralField.from_physical(grid, np.full(grid.shape, 0.4))
         out = step_limit(fl, (1.0,), LimitState(u), 0.2)
         assert np.max(np.abs(out.u_star.coeffs - u.coeffs)) <= 1e-14
+
+    def test_euler_consistency_richardson(self, grid):
+        # one if_rk2 step agrees with forward Euler on the full rhs to O(dt^2);
+        # low modes only, so that dt*S stays small on every mode
+        fl = make_flux("burgers1d")
+        x = grid.coords()[0]
+        st = LimitState(SpectralField.from_physical(grid, 0.2 * np.cos(x) + 0.1 * np.sin(2 * x)))
+        rate = limit_rhs(fl, (1.0,), st)
+        dts = [1e-2, 5e-3, 2.5e-3]
+        gaps = []
+        for dt in dts:
+            out = step_limit(fl, (1.0,), st, dt)
+            gaps.append(np.max(np.abs(out.u_star.coeffs - st.u_star.coeffs - dt * rate.coeffs)))
+        slope = np.polyfit(np.log(dts), np.log(gaps), 1)[0]
+        assert slope >= 1.9
 
     def test_self_convergence_order(self):
         g = Grid(1, 128, 2 * np.pi)
@@ -385,8 +400,7 @@ def _burgers_state(g, eps):
 class TestAdvance:
     """evolve advances each interval on raw arrays; step() is one sub-step of it."""
 
-    @pytest.mark.parametrize("scheme,d", [("imex_ssp2", 1), ("imex_euler", 1), ("imex_ssp2", 2),
-                                          ("exact_linear", 1)])
+    @pytest.mark.parametrize("scheme,d", [("imex_ssp2", 1), ("imex_ssp2", 2), ("exact_linear", 1)])
     def test_evolve_equals_step_loop(self, scheme, d):
         g = Grid(d, 32 if d == 1 else 16, 2 * np.pi)
         model, st0 = _burgers_state(g, 0.3)

@@ -125,10 +125,6 @@ class TestRegimes:
         xi = math.sqrt((1.0 + 1e-7) / (4.0 * eps**2))
         assert classify_regime([xi], eps, [1.0]).regime is Regime.HIGH
 
-    def test_threshold_report(self):
-        lab = classify_regime([0.1], 1.0, [1.0])
-        assert lab.dyadic_index_le_threshold
-
 
 class TestPropagator:
     def test_identity_at_zero(self):
