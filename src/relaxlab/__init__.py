@@ -30,7 +30,7 @@ from .spectral_analysis import (
     exact_linear_propagator,
     threshold_J,
 )
-from .integrators import StepperConfig, LimitModel, evolve, step_jinxin, step_limit
+from .integrators import StepperConfig, evolve, step_jinxin, step_limit
 from .harness import (
     InitialDataSpec,
     RateFit,

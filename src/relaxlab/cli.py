@@ -185,6 +185,11 @@ def parse_config_dict(tree: dict) -> tuple:
         cfg["model"]["eps"] = 1.0
     if cfg["experiment"] == "epsilon-convergence" and m["eps_list"] is None:
         cfg["model"]["eps_list"] = [0.2, 0.1, 0.05, 0.025]
+    if (cfg["experiment"] in ("simulate", "epsilon-convergence", "decay")
+            and cfg["stepper"]["scheme"] == "exact_linear" and m["flux"] != "zero"):
+        # the overdamping scan always steps the zero flux, whatever model.flux says
+        raise ConfigError(f"config.stepper.scheme: exact_linear applies to the linear system "
+                          f"(model.flux zero) only, got model.flux {m['flux']!r}")
     if cfg["experiment"] in ("overdamping", "spectrum"):
         _mode("config.scan.mode", cfg["scan"]["mode"], m["d"])
     if cfg["data"]["kind"] == "single_mode":

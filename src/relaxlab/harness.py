@@ -23,13 +23,11 @@ from .models import (
     Flux,
     JinXinModel,
     JinXinState,
-    LimitState,
     darcy_velocity,
     effective_Z,
     make_flux,
 )
 from .integrators import (
-    LimitModel,
     StepperConfig,
     evolve,
     jinxin_dt_bound,
@@ -176,8 +174,8 @@ def _add_ir_tail(grid: Grid, prof: np.ndarray, sigma1: float, sigma_fit: float, 
     return out
 
 
-def make_initial_data(spec: InitialDataSpec, grid: Grid, model: JinXinModel, k0: int = 0):
-    """Synthesize (JinXinState, LimitState) with matching u0."""
+def make_initial_data(spec: InitialDataSpec, grid: Grid, model: JinXinModel, k0: int = 0) -> JinXinState:
+    """Synthesize the relaxation system's initial state (u0, v0)."""
     n, d = model.n, model.d
     rng = np.random.default_rng(spec.seed)
     coords = grid.coords()
@@ -225,7 +223,7 @@ def make_initial_data(spec: InitialDataSpec, grid: Grid, model: JinXinModel, k0:
     else:
         raise ValueError(f"unknown v preparation {spec.v_kind!r}")
 
-    return JinXinState(u0, v0, 0.0), LimitState(u0.copy(), 0.0)
+    return JinXinState(u0, v0, 0.0)
 
 
 def check_sigma1_admissible(sigma1: float, d: int, p: float):
@@ -281,18 +279,15 @@ def functional_X(series: dict, eps: float, p, J: int, d: int) -> FunctionalX:
     return FunctionalX(terms, total)
 
 
-def functional_X0(state: JinXinState, eps: float, p, J: int) -> float:
-    """The initial-data functional paired with the uniform bound."""
-    d = state.grid.d
+def functional_X0(series: dict, eps: float, p, J: int, d: int) -> float:
+    """The initial-data functional paired with the uniform bound.
+
+    It reads the t = 0 column of the series functional_X takes, which a
+    trajectory that tracks _X_TRACKERS(p) samples from the initial state.
+    """
     dp = d / p
     lo, hi = ("low", J), ("high", J)
-    sch = scheme_for(state.grid)
-    tables = {}
-    for key, field in (("u", state.u), ("v", SpectralField.stack(state.v))):
-        for q in {p, 2}:
-            ns = tables[key, q] = NormSeries(sch.j_indices, q)
-            ns.append(0.0, block_lp_norms(field, q, sch))
-    up, vp, u2, v2 = tables["u", p], tables["v", p], tables["u", 2], tables["v", 2]
+    up, vp, u2, v2 = series["u", p], series["v", p], series["u", 2], series["v", 2]
     return float(
         up.besov_at(0, dp - 1, 1, lo)
         + up.besov_at(0, dp, 1, lo)
@@ -405,14 +400,14 @@ def _uniformity_one(arg):
 
     grid, flux_spec, a, eps, data, stepper, p, k0 = arg
     model = JinXinModel(rebuild_flux(flux_spec), tuple(a), eps)
-    jx0, _ = make_initial_data(data, grid, model, k0)
+    jx0 = make_initial_data(data, grid, model, k0)
     J = threshold_J(eps, k0)
     ts = np.unique(np.concatenate(
         [np.geomspace(min(0.01, stepper.t_end / 100), 1.0, 25),
          np.linspace(1.0, stepper.t_end, 140)]))
     traj = evolve(model, jx0, stepper, _X_TRACKERS(p), sample_times=ts)
-    x0 = functional_X0(jx0, eps, p, J)
     d = grid.d
+    x0 = functional_X0(traj.series, eps, p, J, d)
     t1 = _growth_onset(eps)
     i1 = int(np.searchsorted(traj.times, t1, side="right"))
     x_at_t1 = functional_X_at(traj.series, eps, p, J, d, i1)
@@ -468,18 +463,15 @@ def _convergence_one(arg):
     from .models import rebuild_flux
 
     grid, flux_spec, a, eps, data, stepper, p, k0, v_scale_mode = arg
-    flux = rebuild_flux(flux_spec)
-    model = JinXinModel(flux, tuple(a), eps)
-    limit = LimitModel(flux, tuple(a))
-    jx0, lim0 = make_initial_data(_scaled_v(data, eps, v_scale_mode), grid, model, k0)
+    model = JinXinModel(rebuild_flux(flux_spec), tuple(a), eps)
+    jx0 = make_initial_data(_scaled_v(data, eps, v_scale_mode), grid, model, k0)
     J = threshold_J(eps, k0)
     ts = np.unique(np.concatenate([
         np.geomspace(max(1e-4, eps**2 / 4), 1.0, 30),
         np.linspace(1.0, stepper.t_end, int(stepper.t_end / stepper.sample_every) + 1),
     ]))
     dp = grid.d / p
-    traj = evolve(model, jx0, stepper, [("Z", p), ("du", p), ("dv", p)], sample_times=ts,
-                  limit=(limit, lim0))
+    traj = evolve(model, jx0, stepper, [("Z", p), ("du", p), ("dv", p)], sample_times=ts)
     du = traj.get("du", p)
     dv = traj.get("dv", p)
     Zs = traj.get("Z", p)
@@ -509,8 +501,7 @@ def run_decay_study(grid: Grid, flux: Flux, a, eps: float, data: InitialDataSpec
             "enlarge L or shorten the window"
         )
     model = JinXinModel(flux, tuple(a), eps)
-    limit = LimitModel(flux, tuple(a))
-    jx0, lim0 = make_initial_data(_scaled_v(data, eps, v_scale_mode), grid, model, k0)
+    jx0 = make_initial_data(_scaled_v(data, eps, v_scale_mode), grid, model, k0)
     J = threshold_J(eps, k0)
     ts = np.geomspace(min(0.25, fit_window[0] / 4), fit_window[1], 48)
     if data.v_kind == "ill_prepared":
@@ -523,8 +514,7 @@ def run_decay_study(grid: Grid, flux: Flux, a, eps: float, data: InitialDataSpec
     dp = d / p
     fits = {"experiment": "decay", "eps": eps, "p": p, "sigma1": data.sigma1, "rows": []}
     diff = with_difference or compare_half_eps
-    traj = evolve(model, jx0, stepper, [("u", p)] + [("du", p)] * diff, sample_times=ts,
-                  limit=(limit, lim0) if diff else None)
+    traj = evolve(model, jx0, stepper, [("u", p)] + [("du", p)] * diff, sample_times=ts)
     u_series = traj.get("u", p)
     du_series = traj.get("du", p) if diff else None
 
@@ -534,9 +524,7 @@ def run_decay_study(grid: Grid, flux: Flux, a, eps: float, data: InitialDataSpec
         f = fit_rate(tarr, curve, fit_window, kind="time")
         fits["rows"].append({"quantity": "u", "sigma": sigma, **f.to_dict()})
     # high-frequency trace decays faster than the full norm
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        hi_curve = u_series.besov_curve(d / 2, 1, ("high", J))
+    hi_curve = u_series.besov_curve(d / 2, 1, ("high", J))
     j_max = scheme_for(grid).j_max
     if j_max < J - 1:
         fits["high_freq_fit_skipped"] = (f"the high window j >= J-1 = {J - 1} lies above "
@@ -559,8 +547,8 @@ def run_decay_study(grid: Grid, flux: Flux, a, eps: float, data: InitialDataSpec
         curves["du"] = dcurve.tolist()
     if compare_half_eps:
         model2 = JinXinModel(flux, tuple(a), eps / 2)
-        jx02, lim02 = make_initial_data(_scaled_v(data, eps / 2, v_scale_mode), grid, model2, k0)
-        traj2 = evolve(model2, jx02, stepper, [("du", p)], sample_times=ts, limit=(limit, lim02))
+        jx02 = make_initial_data(_scaled_v(data, eps / 2, v_scale_mode), grid, model2, k0)
+        traj2 = evolve(model2, jx02, stepper, [("du", p)], sample_times=ts)
         d2 = traj2.get("du", p).besov_curve(sigma_list[0], 1, "full")
         d1 = np.asarray(curves["du"])
         sel = (tarr >= fit_window[0]) & (tarr <= fit_window[1])
@@ -603,7 +591,7 @@ def run_overdamping_scan(grid: Grid, a, mode, eps_grid, scheme: str = "imex_ssp2
         # members share flux, a and grid, so any member's kernel steps them all
         kernel, coeffs = stepper.prepare(scheme, dt)
         members.append({"eps": eps, "om": om, "t0": t0, "dt": dt, "n": int(math.ceil(t1 / dt)),
-                        "coeffs": coeffs, "state": make_initial_data(spec, grid, model)[0]})
+                        "coeffs": coeffs, "state": make_initial_data(spec, grid, model)})
 
     u = np.stack([m["state"].u.coeffs for m in members])
     v = [np.stack([m["state"].v[i].coeffs for m in members]) for i in range(grid.d)]
@@ -673,7 +661,7 @@ def run_simulate(grid: Grid, flux: Flux, a, eps: float, data: InitialDataSpec,
                  dump_fields_to: str | None = None, config_hash: str = "") -> dict:
     """Single trajectory with named Besov trackers."""
     model = JinXinModel(flux, tuple(a), eps)
-    jx0, _ = make_initial_data(data, grid, model, k0)
+    jx0 = make_initial_data(data, grid, model, k0)
     base = sorted({(t["field"], t["p"]) for t in trackers} | set(_X_TRACKERS(p)))
     traj = evolve(model, jx0, stepper, base)
     J = threshold_J(eps, k0)
@@ -681,16 +669,15 @@ def run_simulate(grid: Grid, flux: Flux, a, eps: float, data: InitialDataSpec,
     for t in trackers:
         ser = traj.get(t["field"], t["p"])
         window = {"full": "full", "low": ("low", J), "high": ("high", J)}[t.get("window", "full")]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            curve = ser.besov_curve(t["s"], t["r"], window)
+        curve = ser.besov_curve(t["s"], t["r"], window)
         for ti, val in zip(ser.times, curve):
             rows.append((ti, t["field"], t["s"], t["p"], t["r"], t.get("window", "full"), val))
     X = functional_X(traj.series, eps, p, J, grid.d)
     fits = {
         "experiment": "simulate",
         "eps": eps,
-        "functional_X": {"terms": X.terms, "total": X.total, "x0": functional_X0(jx0, eps, p, J)},
+        "functional_X": {"terms": X.terms, "total": X.total,
+                         "x0": functional_X0(traj.series, eps, p, J, grid.d)},
         "steps": traj.steps,
         "mean_drift": traj.mean_drift,
         "max_abs_u": traj.max_abs_u,
@@ -830,7 +817,7 @@ def run_selftest(N: int = 256, seed: int = 0) -> dict:
     gm = Grid(1, 64, 2 * np.pi)
     model = JinXinModel(flux, (1.0,), 0.5)
     spec = InitialDataSpec(kind="gaussian_bump", amplitude=0.05, width=1.0)
-    st, _ = make_initial_data(spec, gm, model)
+    st = make_initial_data(spec, gm, model)
     mean0 = st.u.mean()
     stepper = _JinXinStepper(model, gm)
     dt = 0.4 * jinxin_dt_bound(model, gm)
@@ -839,9 +826,9 @@ def run_selftest(N: int = 256, seed: int = 0) -> dict:
 
     # frozen-u implicit update contracts the closure distance exactly
     eps, dt = 0.3, 0.05
-    st2, _ = make_initial_data(InitialDataSpec(kind="gaussian_bump", amplitude=0.1,
-                                               v_kind="ill_prepared", v_scale=0.5),
-                               gm, JinXinModel(flux, (1.0,), eps))
+    st2 = make_initial_data(InitialDataSpec(kind="gaussian_bump", amplitude=0.1,
+                                            v_kind="ill_prepared", v_scale=0.5),
+                            gm, JinXinModel(flux, (1.0,), eps))
     Z0 = SpectralField.stack(effective_Z(JinXinModel(flux, (1.0,), eps), st2))
     from .models import flux_fields
 

@@ -1,5 +1,5 @@
-"""Time integration: IMEX steppers for the stiff relaxation system and
-integrating-factor steppers for the limit equation.
+"""Time integration: IMEX steppers for the stiff relaxation system and an
+integrating-factor stepper for its viscous limit.
 
 The relaxation source is linear in v, so the implicit solve is exact and
 pointwise; the transport stays explicit and spectral. This removes the
@@ -40,7 +40,6 @@ from .spectral_analysis import exact_linear_propagator
 
 __all__ = [
     "StepperConfig",
-    "LimitModel",
     "CFLError",
     "step_jinxin",
     "step_limit",
@@ -51,7 +50,6 @@ __all__ = [
 ]
 
 JINXIN_SCHEMES = ("imex_ssp2", "exact_linear")
-LIMIT_SCHEMES = ("if_rk2",)
 
 # ARS(2,2,2) coefficients
 _GAMMA = 1.0 - 1.0 / math.sqrt(2.0)
@@ -62,17 +60,6 @@ class CFLError(ValueError):
     def __init__(self, dt: float, admissible: float):
         super().__init__(f"dt={dt:g} violates the CFL bound; use dt <= {admissible:g}")
         self.admissible = admissible
-
-
-@dataclass(frozen=True)
-class LimitModel:
-    """The viscous conservation law paired with its closure velocities."""
-
-    flux: Flux
-    a: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", checked_velocities(self.flux, self.a))
 
 
 @dataclass
@@ -89,7 +76,7 @@ class StepperConfig:
             raise ValueError("cfl must lie in (0, 1]")
         if not (0.0 < self.dt_min <= self.dt_max):
             raise ValueError("need 0 < dt_min <= dt_max")
-        if self.scheme not in JINXIN_SCHEMES + LIMIT_SCHEMES:
+        if self.scheme not in JINXIN_SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
@@ -231,19 +218,21 @@ def step_jinxin(model: JinXinModel, state: JinXinState, dt: float, scheme: str =
 # limit equation stepper
 
 class _LimitStepper:
-    def __init__(self, model: LimitModel, grid):
-        self.model = model
+    """The viscous conservation law u_t + div f(u) = sum_i a_i d_i^2 u."""
+
+    def __init__(self, flux: Flux, a, grid):
+        self.flux = flux
         self.grid = grid
         self.deriv = [1j * kap for kap in grid.kappa_axes()]
-        self.S = diffusion_symbol(grid, model.a)
+        self.S = diffusion_symbol(grid, a)
 
     def _nonlin(self, u):
-        fv = flux_coeffs(self.model.flux, self.grid, u)
-        return -sum(self.deriv[i] * fv[i] for i in range(self.model.flux.d))
+        fv = flux_coeffs(self.flux, self.grid, u)
+        return -sum(self.deriv[i] * fv[i] for i in range(self.flux.d))
 
     def if_rk2(self, u0, ef, dt: float):
         """One integrating-factor RK2 step of coefficients u0; ef = exp(-S dt)."""
-        if self.model.flux.is_zero:
+        if self.flux.is_zero:
             return ef * u0
         k1 = self._nonlin(u0)
         k2 = self._nonlin(ef * (u0 + dt * k1))
@@ -267,14 +256,14 @@ class _LimitStepper:
         return self.advance(state, dt, 1, scheme)
 
 
-def step_limit(flux: Flux, a, state: LimitState, dt: float, scheme: str = "if_rk2") -> LimitState:
-    """Advance the limit equation by one integrating-factor step.
+def step_limit(flux: Flux, a, state: LimitState, dt: float) -> LimitState:
+    """Advance the limit equation by one integrating-factor (if_rk2) step.
 
     A one-shot helper like step_jinxin: every call builds a new stepper
     (wavenumber tables, diffusion symbol, exp(-S dt)). Loops should go
     through evolve.
     """
-    return _LimitStepper(LimitModel(flux, tuple(a)), state.grid).step(state, dt, scheme)
+    return _LimitStepper(flux, checked_velocities(flux, a), state.grid).step(state, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -314,30 +303,23 @@ class Trajectory:
         return out
 
 
-def _tracked_field(system, state, name: str, limit=None) -> SpectralField:
-    """The named field of state; du/dv need limit = (LimitModel, LimitState)."""
-    if isinstance(system, JinXinModel):
-        if name == "u":
-            return state.u
-        if name == "v":
-            return SpectralField.stack(state.v)
-        if name == "z":
-            return SpectralField.stack(effective_z(system, state))
-        if name == "Z":
-            return SpectralField.stack(effective_Z(system, state))
-        if limit is not None:
-            limit_model, lim = limit
-            if name == "du":
-                return state.u - lim.u_star
-            if name == "dv":
-                vstar = darcy_velocity(limit_model.flux, limit_model.a, lim.u_star)
-                return SpectralField.stack([state.v[i] - vstar[i] for i in range(system.d)])
-    else:
-        if name == "u":
-            return state.u_star
-        if name == "v":
-            return SpectralField.stack(darcy_velocity(system.flux, system.a, state.u_star))
-    raise KeyError(f"unknown tracker field {name!r} for {type(system).__name__}")
+def _tracked_field(model: JinXinModel, state: JinXinState, name: str,
+                   lim: LimitState | None) -> SpectralField:
+    """The named field of state; du/dv compare it with the limit state lim."""
+    if name == "u":
+        return state.u
+    if name == "v":
+        return SpectralField.stack(state.v)
+    if name == "z":
+        return SpectralField.stack(effective_z(model, state))
+    if name == "Z":
+        return SpectralField.stack(effective_Z(model, state))
+    if name == "du":
+        return state.u - lim.u_star
+    if name == "dv":
+        vstar = darcy_velocity(model.flux, model.a, lim.u_star)
+        return SpectralField.stack([state.v[i] - vstar[i] for i in range(model.d)])
+    raise KeyError(f"unknown tracker field {name!r}")
 
 
 def sample_times_linear(t_end: float, every: float) -> np.ndarray:
@@ -345,8 +327,10 @@ def sample_times_linear(t_end: float, every: float) -> np.ndarray:
     return np.linspace(0.0, t_end, n + 1)
 
 
-def _stepper_for(system, initial, config: StepperConfig, scheme: str) -> tuple:
-    """(stepper, run): the dt policy of one run evolve advances.
+def _stepper_for(model: JinXinModel, initial: JinXinState, config: StepperConfig,
+                 companion: bool) -> list:
+    """[(stepper, run)] of the relaxation system, then of its limit companion
+    when asked for: the dt policy of each run evolve advances.
 
     run records the scheme, dt, the stability bound dt is taken against and
     the steps taken so far. The bound is the hyperbolic CFL bound of the
@@ -354,20 +338,19 @@ def _stepper_for(system, initial, config: StepperConfig, scheme: str) -> tuple:
     there is none (exact_linear, or the limit at zero speed).
     """
     grid = initial.grid
-    if isinstance(system, JinXinModel):
-        stepper = _JinXinStepper(system, grid)
-        bound = None if scheme == "exact_linear" else stepper.bound
+    relax = _JinXinStepper(model, grid)
+    plans = [(relax, config.scheme, None if config.scheme == "exact_linear" else relax.bound)]
+    if companion:
+        speed = limit_advective_speed(model.flux, initial.u)
+        plans.append((_LimitStepper(model.flux, model.a, grid), "if_rk2",
+                      grid.dx / speed if speed > 0 else None))
+    runs = []
+    for stepper, scheme, bound in plans:
         dt = config.dt_max if bound is None else min(config.dt_max, config.cfl * bound)
-    elif isinstance(system, LimitModel):
-        stepper = _LimitStepper(system, grid)
-        speed = limit_advective_speed(system.flux, initial.u_star)
-        bound = grid.dx / speed if speed > 0 else None
-        dt = config.dt_max if bound is None else min(config.dt_max, config.cfl * grid.dx / speed)
-    else:
-        raise TypeError(f"cannot evolve a {type(system).__name__}")
-    if dt < config.dt_min:
-        raise ValueError(f"required dt {dt:g} is below dt_min {config.dt_min:g}")
-    return stepper, {"scheme": scheme, "dt": dt, "bound": bound, "steps": 0}
+        if dt < config.dt_min:
+            raise ValueError(f"required dt {dt:g} is below dt_min {config.dt_min:g}")
+        runs.append((stepper, {"scheme": scheme, "dt": dt, "bound": bound, "steps": 0}))
+    return runs
 
 
 def _checked_sample_times(sample_times) -> np.ndarray:
@@ -385,48 +368,43 @@ def _checked_sample_times(sample_times) -> np.ndarray:
     return ts
 
 
-def evolve(system, initial, config: StepperConfig, trackers, sample_times=None,
-           limit=None) -> Trajectory:
+def evolve(model: JinXinModel, initial: JinXinState, config: StepperConfig, trackers,
+           sample_times=None) -> Trajectory:
     """March to t_end sampling per-block norms of the tracked quantities.
 
-    trackers is a list of (field, p) pairs; field is one of u/v/z/Z for the
-    relaxation system and u/v (closure velocity) for the limit. limit is an
-    optional (LimitModel, LimitState) pair stepped with if_rk2 in lockstep
-    with a relaxation system; it adds the fields du = u - u* and
-    dv = v - v*(u*). Deterministic for a fixed config; each run subdivides
-    every sampling interval uniformly so samples land exactly on the
-    requested instants, and advances over it on raw coefficient arrays.
-    sample_times must be finite and strictly increasing; 0 is prepended
-    when missing.
+    trackers is a list of (field, p) pairs; field is one of u/v/z/Z, or
+    du = u - u* and dv = v - v*(u*) against the viscous limit u* with the
+    model's flux and a and the initial u. A du or dv tracker starts that
+    limit as a companion run stepped with if_rk2 in lockstep.
+    Deterministic for a fixed config; each run subdivides every sampling
+    interval uniformly so samples land exactly on the requested instants,
+    and advances over it on raw coefficient arrays. sample_times must be
+    finite and strictly increasing; 0 is prepended when missing.
     """
     if sample_times is None:
         sample_times = sample_times_linear(config.t_end, config.sample_every)
     sample_times = _checked_sample_times(sample_times)
 
-    runs = [_stepper_for(system, initial, config, config.scheme)]
+    companion = any(name in ("du", "dv") for name, _ in trackers)
+    runs = _stepper_for(model, initial, config, companion)
     states = [initial]
-    if limit is not None:
-        if not isinstance(system, JinXinModel):
-            raise TypeError(f"a limit companion needs a JinXinModel, not a {type(system).__name__}")
-        runs.append(_stepper_for(limit[0], limit[1], config, "if_rk2"))
-        states.append(limit[1])
+    if companion:
+        states.append(LimitState(initial.u.copy(), initial.t))
 
     sch = scheme_for(initial.grid)
     series = {(name, p): NormSeries(sch.j_indices, p) for (name, p) in trackers}
     t_start = time.perf_counter()
-    mean0 = _tracked_field(system, initial, "u").mean()
+    mean0 = initial.u.mean()
     max_abs_u = 0.0
     mean_drift = 0.0
 
     def sample(t):
         nonlocal max_abs_u, mean_drift
-        st = states[0]
-        lim = (limit[0], states[1]) if limit is not None else None
-        uf = _tracked_field(system, st, "u")
-        max_abs_u = max(max_abs_u, lp_norm(uf, np.inf))
-        mean_drift = max(mean_drift, float(np.max(np.abs(uf.mean() - mean0))))
+        st, lim = states[0], (states[1] if companion else None)
+        max_abs_u = max(max_abs_u, lp_norm(st.u, np.inf))
+        mean_drift = max(mean_drift, float(np.max(np.abs(st.u.mean() - mean0))))
         for (name, p), ser in series.items():
-            ser.append(t, block_lp_norms(_tracked_field(system, st, name, lim), p, sch))
+            ser.append(t, block_lp_norms(_tracked_field(model, st, name, lim), p, sch))
 
     sample(0.0)
     for k in range(1, sample_times.size):

@@ -5,7 +5,6 @@ slow (pytest -m slow) and excluded from the default run.
 """
 
 import json
-import math
 import time
 
 import numpy as np

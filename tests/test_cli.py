@@ -1,5 +1,4 @@
 import json
-import math
 
 import pytest
 
@@ -136,6 +135,13 @@ class TestDispatch:
         # not relaxation schemes: an unknown name and the limit equation's scheme
         ({"experiment": "simulate", "stepper": {"scheme": "imex_euler"}}, "config.stepper.scheme"),
         ({"experiment": "simulate", "stepper": {"scheme": "if_rk2"}}, "config.stepper.scheme"),
+        # the exact propagator steps the linear system only
+        ({"experiment": "simulate", "model": {"flux": "burgers1d"}, "stepper": {"scheme": "exact_linear"}},
+         "config.stepper.scheme"),
+        ({"experiment": "epsilon-convergence", "model": {"flux": "burgers1d"},
+          "stepper": {"scheme": "exact_linear"}}, "config.stepper.scheme"),
+        ({"experiment": "decay", "model": {"flux": "burgers1d"}, "stepper": {"scheme": "exact_linear"}},
+         "config.stepper.scheme"),
     ])
     def test_main_malformed_config_lists(self, tmp_path, capsys, tree, path):
         p = tmp_path / "c.json"
@@ -145,6 +151,14 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and "Traceback" not in err
         assert not (tmp_path / "runs").exists()
+
+    def test_overdamping_exact_linear_with_any_model_flux(self, tmp_path):
+        # the scan steps the zero flux whatever model.flux names
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"experiment": "overdamping", "model": {"flux": "burgers1d"},
+                                 "grid": {"N": 16}, "scan": {"points": 3},
+                                 "stepper": {"scheme": "exact_linear"}}))
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "runs")]) == 0
 
     def test_spectrum_honours_scan_points_and_span(self, tmp_path):
         # default grid L = 32 pi and mode 1: S = 1/256, the peak 1/eps = 2 sqrt(S) = 0.125

@@ -9,7 +9,6 @@ from relaxlab import harness, spectral_core
 from relaxlab.harness import (
     InitialDataSpec,
     _decay_end,
-    FunctionalX,
     check_sigma1_admissible,
     fit_rate,
     functional_X,
@@ -70,15 +69,14 @@ class TestInitialData:
     def test_darcy_prepared_closure(self, grid):
         model = JinXinModel(make_flux("burgers1d"), (1.0,), 0.2)
         spec = InitialDataSpec(kind="gaussian_bump", amplitude=0.1, width=3.0, v_kind="darcy")
-        jx, lim = make_initial_data(spec, grid, model)
+        jx = make_initial_data(spec, grid, model)
         Z = effective_Z(model, jx)[0]
         assert lp_norm(Z, 2) <= 1e-10
-        assert np.array_equal(lim.u_star.coeffs, jx.u.coeffs)
 
     def test_single_mode_besov(self, grid):
         model = JinXinModel(make_flux("zero", 1, 1), (1.0,), 0.5)
         spec = InitialDataSpec(kind="single_mode", amplitude=0.3, mode=(16,), v_kind="zero")
-        jx, _ = make_initial_data(spec, grid, model)
+        jx = make_initial_data(spec, grid, model)
         # kappa = 16 * kmin = 1.0: the annuli at that radius carry the mode
         m = lp_norm(jx.u, 2)
         s = 0.8
@@ -93,7 +91,7 @@ class TestInitialData:
         model = JinXinModel(make_flux("zero", 1, 1), (1.0,), 0.1)
         spec = InitialDataSpec(kind="random_spectrum", amplitude=0.02, sigma1=-0.5,
                                seed=7, v_kind="zero")
-        jx, _ = make_initial_data(spec, g, model)
+        jx = make_initial_data(spec, g, model)
         J = threshold_J(0.1)
         assert flat_profile_ratio(jx.u, -0.5, J) <= 2.0
 
@@ -101,8 +99,8 @@ class TestInitialData:
         g = Grid(1, 512, 64.0)
         model = JinXinModel(make_flux("zero", 1, 1), (1.0,), 0.2)
         spec = InitialDataSpec(kind="random_spectrum", amplitude=0.02, sigma1=-0.5, seed=1)
-        a1, _ = make_initial_data(spec, g, model)
-        a2, _ = make_initial_data(dataclasses.replace(spec, seed=99), g, model)
+        a1 = make_initial_data(spec, g, model)
+        a2 = make_initial_data(dataclasses.replace(spec, seed=99), g, model)
         # phases differ, moduli identical
         assert not np.array_equal(a1.u.coeffs, a2.u.coeffs)
         assert np.allclose(np.abs(a1.u.coeffs), np.abs(a2.u.coeffs), atol=1e-15)
@@ -112,7 +110,7 @@ class TestInitialData:
         model = JinXinModel(make_flux("burgers1d"), (1.0,), 0.2)
         spec = InitialDataSpec(kind="gaussian_bump", amplitude=0.05,
                                v_kind="ill_prepared", v_scale=0.7, v_band_hi=1.0, seed=3)
-        jx, _ = make_initial_data(spec, grid, model)
+        jx = make_initial_data(spec, grid, model)
         total = math.sqrt(sum(lp_norm(v, 2) ** 2 for v in jx.v))
         assert total == pytest.approx(0.7, rel=1e-12)
 
@@ -125,6 +123,11 @@ class TestInitialData:
         check_sigma1_admissible(-0.5, 2, 4)
         with pytest.raises(ValueError, match=r"needs p <= 2d"):
             check_sigma1_admissible(-0.5, 1, 4)
+
+
+def _initial_series(model, jx, p):
+    """The series functional_X takes, from a one-step trajectory starting at jx."""
+    return evolve(model, jx, StepperConfig(), harness._X_TRACKERS(p), sample_times=[1e-3]).series
 
 
 class TestFunctionalX:
@@ -177,9 +180,9 @@ class TestFunctionalX:
     def test_x0_weights(self, grid):
         model = JinXinModel(make_flux("burgers1d"), (1.0,), 0.5)
         spec = InitialDataSpec(kind="gaussian_bump", amplitude=0.05, width=2.0)
-        jx, _ = make_initial_data(spec, grid, model)
+        jx = make_initial_data(spec, grid, model)
         J = threshold_J(0.5)
-        x0 = functional_X0(jx, 0.5, 2, J)
+        x0 = functional_X0(_initial_series(model, jx, 2), 0.5, 2, J, 1)
         u0, vs = jx.u, SpectralField.stack(jx.v)
         manual = (besov_norm(u0, -0.5, 2, 1, ("low", J)) + besov_norm(u0, 0.5, 2, 1, ("low", J))
                   + 0.25 * (besov_norm(vs, 0.5, 2, 1, ("low", J)) + besov_norm(vs, 1.5, 2, 1, ("low", J)))
@@ -189,11 +192,14 @@ class TestFunctionalX:
 
     @pytest.mark.parametrize("p,tables", [(4, 4), (2, 2)])
     def test_x0_one_table_per_field_and_exponent(self, grid, monkeypatch, p, tables):
-        # the 2^{js} weights go on one stored table per (field, p), which
-        # changes no bit of the sum of besov_norm terms
+        # the 2^{js} weights go on the t = 0 column of the trajectory's one
+        # table per (field, p), which changes no bit of the sum of besov_norm
+        # terms, and X0 computes no block norms of its own
         model = JinXinModel(make_flux("burgers1d"), (1.0,), 0.5)
         spec = InitialDataSpec(kind="gaussian_bump", amplitude=0.05, width=2.0)
-        jx, _ = make_initial_data(spec, grid, model)
+        jx = make_initial_data(spec, grid, model)
+        series = _initial_series(model, jx, p)
+        assert len(series) == tables
         eps, J, dp = 0.5, threshold_J(0.5), 1 / p
         u0, vs = jx.u, SpectralField.stack(jx.v)
         lo, hi = ("low", J), ("high", J)
@@ -207,8 +213,8 @@ class TestFunctionalX:
         real = spectral_core.block_lp_norms
         for mod in (harness, spectral_core):
             monkeypatch.setattr(mod, "block_lp_norms", lambda *a: calls.append(a[1]) or real(*a))
-        assert functional_X0(jx, eps, p, J) == manual
-        assert len(calls) == tables
+        assert functional_X0(series, eps, p, J, 1) == manual
+        assert calls == []
 
 
 class TestFitRate:
@@ -285,7 +291,7 @@ class TestExperiments:
         assert row["growth_after_t1"] <= 1.05
         # the same trajectory measured from t=1 grows past the bound
         model = JinXinModel(flux, (1.0,), 1.0)
-        jx0, _ = make_initial_data(data, g, model)
+        jx0 = make_initial_data(data, g, model)
         trackers = [("u", 2), ("v", 2)]
         traj = evolve(model, jx0, stepper, trackers, sample_times=np.linspace(0.0, 20.0, 401))
         J = threshold_J(1.0)

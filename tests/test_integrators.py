@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -7,7 +6,6 @@ import pytest
 
 from relaxlab.integrators import (
     CFLError,
-    LimitModel,
     StepperConfig,
     evolve,
     jinxin_dt_bound,
@@ -22,7 +20,7 @@ from relaxlab.models import (
     darcy_velocity,
     make_flux,
 )
-from relaxlab.spectral_core import Grid, SpectralField, block_lp_norms, lp_norm, scheme_for
+from relaxlab.spectral_core import Grid, SpectralField, besov_norm, block_lp_norms, lp_norm, scheme_for
 from relaxlab.spectral_analysis import exact_linear_propagator
 
 from oracles import jinxin_rhs, limit_rhs
@@ -256,10 +254,12 @@ class TestEvolve:
     def test_heat_l2_monotone(self, grid):
         fl = make_flux("zero", 1, 1)
         x = grid.coords()[0]
-        u0 = SpectralField.from_physical(grid, np.cos(x) + 0.3 * np.cos(3 * x))
-        traj = evolve(LimitModel(fl, (1.0,)), LimitState(u0),
-                      StepperConfig(scheme="if_rk2", t_end=2.0, sample_every=0.1), [("u", 2)])
-        curve = traj.get("u", 2).besov_curve(0.0, 2)
+        st = LimitState(SpectralField.from_physical(grid, np.cos(x) + 0.3 * np.cos(3 * x)))
+        times = np.linspace(0.0, 2.0, 21)
+        curve = [besov_norm(st.u_star, 0.0, 2, 2)]
+        for span in zip(times[:-1], times[1:]):
+            st = _hand_loop(lambda s, h: step_limit(fl, (1.0,), s, h), st, span, 0.05)
+            curve.append(besov_norm(st.u_star, 0.0, 2, 2))
         assert np.all(np.diff(curve) <= 1e-14)
 
     def test_divergence_reported_with_time(self, grid):
@@ -310,17 +310,15 @@ class TestCoEvolve:
         for eps in (0.2, 0.05):
             model = JinXinModel(fl, (1.0,), eps)
             jx0 = JinXinState(u0.copy(), darcy_velocity(fl, (1.0,), u0))
-            lim0 = LimitState(u0.copy())
             cfg = StepperConfig(scheme="imex_ssp2", cfl=0.4, dt_max=0.02, t_end=2.0)
             ts = np.linspace(0.1, 2.0, 20)
-            du = evolve(model, jx0, cfg, [("du", 2)], sample_times=ts,
-                        limit=(LimitModel(fl, (1.0,)), lim0)).get("du", 2)
+            du = evolve(model, jx0, cfg, [("du", 2)], sample_times=ts).get("du", 2)
             sups.append(max(du.besov_curve(0.0, 1)))
         assert sups[1] < sups[0] / 2
 
 
 class TestLimitCompanion:
-    """evolve with limit=(LimitModel, LimitState) co-runs the limit equation."""
+    """A du or dv tracker makes evolve co-run the limit equation."""
 
     def setup_runs(self, scheme="imex_ssp2"):
         g = Grid(1, 32, 2 * np.pi)
@@ -329,14 +327,13 @@ class TestLimitCompanion:
         u0 = SpectralField.from_physical(g, 0.2 * np.cos(x) + 0.1 * np.sin(2 * x))
         model = JinXinModel(fl, (1.0,), 0.3)
         jx0 = JinXinState(u0.copy(), darcy_velocity(fl, (1.0,), u0))
-        lim = (LimitModel(fl, (1.0,)), LimitState(u0.copy()))
         cfg = StepperConfig(scheme=scheme, cfl=0.4, dt_max=0.02, t_end=0.6, sample_every=0.2)
-        return model, jx0, lim, cfg
+        return model, jx0, cfg
 
     def test_relaxation_run_unchanged_by_companion(self):
-        model, jx0, lim, cfg = self.setup_runs()
+        model, jx0, cfg = self.setup_runs()
         alone = evolve(model, jx0, cfg, [("u", 4)])
-        co = evolve(model, jx0, cfg, [("u", 4), ("du", 4)], limit=lim)
+        co = evolve(model, jx0, cfg, [("u", 4), ("du", 4)])
         assert np.array_equal(co.get("u", 4).table, alone.get("u", 4).table)
         assert np.array_equal(co.final_state.u.coeffs, alone.final_state.u.coeffs)
         assert np.array_equal(co.final_state.v[0].coeffs, alone.final_state.v[0].coeffs)
@@ -344,22 +341,20 @@ class TestLimitCompanion:
         assert co.mean_drift == alone.mean_drift
 
     def test_difference_equals_lone_runs(self):
-        model, jx0, lim, cfg = self.setup_runs()
-        co = evolve(model, jx0, cfg, [("du", 4), ("dv", 2)], limit=lim)
+        model, jx0, cfg = self.setup_runs()
+        co = evolve(model, jx0, cfg, [("du", 4), ("dv", 2)])
         alone = evolve(model, jx0, cfg, [("u", 2)])
-        lone_lim = evolve(*lim, dataclasses.replace(cfg, scheme="if_rk2"), [("u", 2)])
-        u, u_star = alone.final_state.u, lone_lim.final_state.u_star
+        # the companion starts from the relaxation system's own u0, flux and a
+        lim_steps = []
+        lone_lim = _hand_loop(lambda s, h: lim_steps.append(h) or step_limit(model.flux, model.a, s, h),
+                              LimitState(jx0.u.copy()), co.times, co.runs[1]["dt"])
+        u, u_star = alone.final_state.u, lone_lim.u_star
         sch = scheme_for(u.grid)
         assert np.array_equal(co.get("du", 4).table[:, -1], block_lp_norms(u - u_star, 4, sch))
-        vstar = darcy_velocity(lim[0].flux, lim[0].a, u_star)
+        vstar = darcy_velocity(model.flux, model.a, u_star)
         dv = SpectralField.stack([alone.final_state.v[0] - vstar[0]])
         assert np.array_equal(co.get("dv", 2).table[:, -1], block_lp_norms(dv, 2, sch))
-        assert co.steps == alone.steps + lone_lim.steps
-
-    def test_difference_needs_limit(self):
-        model, jx0, _, cfg = self.setup_runs()
-        with pytest.raises(KeyError, match="du"):
-            evolve(model, jx0, cfg, [("du", 2)])
+        assert co.steps == alone.steps + len(lim_steps)
 
     def test_limit_dt_below_dt_min_rejected(self):
         # |u| = 10 makes the limit's advective dt 0.45*dx/10 ~ 0.018, below
@@ -372,19 +367,20 @@ class TestLimitCompanion:
         cfg = StepperConfig(dt_min=0.03, dt_max=0.05, t_end=0.05, sample_every=0.05)
         assert evolve(model, jx0, cfg, [("u", 2)]).steps == 1
         with pytest.raises(ValueError, match="dt_min"):
-            evolve(model, jx0, cfg, [("du", 2)], limit=(LimitModel(fl, (1.0,)), LimitState(u0)))
+            evolve(model, jx0, cfg, [("du", 2)])
 
     def test_limit_velocities_must_match_dimension(self):
+        st = LimitState(SpectralField.zero(Grid(2, 8, 2 * np.pi)))
         with pytest.raises(ValueError, match="need 2 diffusion coefficients"):
-            LimitModel(make_flux("zero", 1, 2), (1.0,))
+            step_limit(make_flux("zero", 1, 2), (1.0,), st, 0.1)
 
 
-def _hand_loop(step, state, times, dt, scheme):
-    """One step() call per sub-step of evolve's subdivision of times."""
+def _hand_loop(step, state, times, dt):
+    """One step(state, h) call per sub-step of evolve's subdivision of times."""
     for span in np.diff(times):
         n_sub = max(1, int(math.ceil(span / dt - 1e-12)))
         for _ in range(n_sub):
-            state = step(state, span / n_sub, scheme)
+            state = step(state, span / n_sub)
     return state
 
 
@@ -409,8 +405,8 @@ class TestAdvance:
             st0 = single_mode_state(g, 0.3)
         cfg = StepperConfig(scheme=scheme, cfl=0.4, dt_max=0.02)
         traj = evolve(model, st0, cfg, [("u", 2)], sample_times=[0.1, 0.25, 0.3])
-        st = _hand_loop(lambda s, h, sc: step_jinxin(model, s, h, sc), st0, traj.times,
-                        traj.runs[0]["dt"], scheme)
+        st = _hand_loop(lambda s, h: step_jinxin(model, s, h, scheme), st0, traj.times,
+                        traj.runs[0]["dt"])
         assert traj.steps > len(traj.times)
         assert np.array_equal(traj.final_state.u.coeffs, st.u.coeffs)
         for vi, wi in zip(traj.final_state.v, st.v):
@@ -420,20 +416,23 @@ class TestAdvance:
     def test_limit_companion_equals_step_loop(self):
         g = Grid(1, 32, 2 * np.pi)
         model, jx0 = _burgers_state(g, 0.3)
-        lim = (LimitModel(model.flux, model.a), LimitState(jx0.u.copy()))
         cfg = StepperConfig(scheme="imex_ssp2", cfl=0.4, dt_max=0.02)
-        ts = [0.1, 0.25, 0.3]
-        co = evolve(model, jx0, cfg, [("du", 2)], sample_times=ts, limit=lim)
-        jx = _hand_loop(lambda s, h, sc: step_jinxin(model, s, h, sc), jx0, co.times,
-                        co.runs[0]["dt"], "imex_ssp2")
-        ls = _hand_loop(lambda s, h, sc: step_limit(model.flux, model.a, s, h, sc), lim[1],
-                        co.times, co.runs[1]["dt"], "if_rk2")
+        co = evolve(model, jx0, cfg, [("du", 2), ("dv", 2)], sample_times=[0.1, 0.25, 0.3])
+        jx, ls = jx0, LimitState(jx0.u.copy())
+        sch = scheme_for(g)
+        # every sample of the companion, not only the last, is its step loop's
+        for k, span in enumerate(zip(co.times[:-1], co.times[1:]), start=1):
+            jx = _hand_loop(lambda s, h: step_jinxin(model, s, h, "imex_ssp2"), jx, span,
+                            co.runs[0]["dt"])
+            ls = _hand_loop(lambda s, h: step_limit(model.flux, model.a, s, h), ls, span,
+                            co.runs[1]["dt"])
+            assert np.array_equal(co.get("du", 2).table[:, k],
+                                  block_lp_norms(jx.u - ls.u_star, 2, sch))
+            vstar = darcy_velocity(model.flux, model.a, ls.u_star)
+            assert np.array_equal(co.get("dv", 2).table[:, k],
+                                  block_lp_norms(SpectralField.stack([jx.v[0] - vstar[0]]), 2, sch))
         assert np.array_equal(co.final_state.u.coeffs, jx.u.coeffs)
-        assert np.array_equal(co.get("du", 2).table[:, -1],
-                              block_lp_norms(jx.u - ls.u_star, 2, scheme_for(g)))
-        lone = evolve(*lim, dataclasses.replace(cfg, scheme="if_rk2"), [("u", 2)], sample_times=ts)
-        assert np.array_equal(lone.final_state.u_star.coeffs, ls.u_star.coeffs)
-        assert lone.final_state.t == ls.t
+        assert co.final_state.t == jx.t
 
     def test_divergence_time_is_first_bad_step(self, grid):
         # u ~ 1e20 overflows the Burgers flux on the third step of size 0.05,
@@ -450,14 +449,13 @@ class TestAdvance:
     def test_runs_record_dt_bound_and_steps(self):
         g = Grid(1, 32, 2 * np.pi)
         model, jx0 = _burgers_state(g, 0.3)
-        lim = (LimitModel(model.flux, model.a), LimitState(jx0.u.copy()))
         cfg = StepperConfig(scheme="imex_ssp2", cfl=0.4, dt_max=0.05, t_end=0.3, sample_every=0.1)
-        co = evolve(model, jx0, cfg, [("du", 2)], limit=lim)
+        co = evolve(model, jx0, cfg, [("du", 2)])
         relax, limit = co.runs
         assert relax["scheme"] == "imex_ssp2" and limit["scheme"] == "if_rk2"
         assert relax["bound"] == jinxin_dt_bound(model, g)
         assert relax["dt"] == 0.4 * relax["bound"] < cfg.dt_max
-        assert limit["bound"] == g.dx / limit_advective_speed(model.flux, lim[1].u_star)
+        assert limit["bound"] == g.dx / limit_advective_speed(model.flux, jx0.u)
         assert limit["dt"] == cfg.dt_max
         assert relax["steps"] == 3 * math.ceil(0.1 / relax["dt"]) and limit["steps"] == 6
         assert relax["steps"] + limit["steps"] == co.steps

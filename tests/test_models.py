@@ -13,7 +13,6 @@ from relaxlab.models import (
     flux_coeffs,
     flux_fields,
     make_flux,
-    polynomial_flux,
     rebuild_flux,
 )
 from relaxlab.spectral_core import Grid, SpectralField, lp_norm, spectral_derivative

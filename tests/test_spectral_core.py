@@ -1,7 +1,6 @@
 import json
 import math
 import struct
-import warnings
 
 import numpy as np
 import pytest
