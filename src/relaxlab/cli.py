@@ -13,12 +13,13 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 
 from . import harness
 from .harness import InitialDataSpec, StepperConfig, write_results
 from .integrators import JINXIN_SCHEMES
-from .models import make_flux
+from .models import DivergenceError, make_flux
 from .spectral_analysis import mode_symbol
 from .spectral_core import Grid
 from .svgplot import render_csv
@@ -44,6 +45,18 @@ def _is_number(v) -> bool:
 def _increasing_pair(path, v):
     if not (len(v) == 2 and all(_is_number(x) and math.isfinite(x) for x in v) and 0 < v[0] < v[1]):
         _fail(path, f"need two increasing positive numbers, got {v!r}")
+
+
+def _finite_numbers(path, v):
+    """No NaN anywhere, and +-inf only in the exponents that may be infinite
+    (L^inf and l^inf): top-level p and tracker p and r."""
+    if isinstance(v, dict):
+        for key, x in v.items():
+            _finite_numbers(f"{path}.{key}", x)
+    for i, x in enumerate(v if isinstance(v, list) else ()):
+        _finite_numbers(f"{path}[{i}]", x)
+    if isinstance(v, float) and (math.isnan(v) or math.isinf(v) and not _MAY_BE_INFINITE.fullmatch(path)):
+        _fail(path, f"must be a finite number (p and tracker p, r may be inf), got {v!r}")
 
 
 def _numbers(path, v):
@@ -122,6 +135,7 @@ _TOP_SCHEMA = {
 
 
 _TRACKER_KEYS = {"field", "s", "p", "r", "window"}
+_MAY_BE_INFINITE = re.compile(r"config\.p|config\.trackers\[\d+\]\.[pr]")
 
 
 def _fail(path, msg):
@@ -156,6 +170,7 @@ def _validate_section(tree: dict, schema: dict, path: str) -> dict:
 
 def parse_config_dict(tree: dict) -> tuple:
     """Validate a config tree, fill defaults, return (config, hash)."""
+    _finite_numbers("config", tree)
     cfg = _validate_section(tree, _TOP_SCHEMA, "config")
     if cfg["experiment"] is None:
         raise ConfigError("config.experiment: required")
@@ -168,7 +183,7 @@ def parse_config_dict(tree: dict) -> tuple:
 
     m = cfg["model"]
     for i, ai in enumerate(m["a"]):
-        if not (isinstance(ai, (int, float)) and ai > 0):
+        if not (_is_number(ai) and ai > 0):
             raise ConfigError(f"config.model.a[{i}]: a_i > 0 is required by the relaxation model, got {ai}")
     if len(m["a"]) != m["d"]:
         raise ConfigError(f"config.model.a: need d={m['d']} entries, got {len(m['a'])}")
@@ -179,8 +194,8 @@ def parse_config_dict(tree: dict) -> tuple:
             raise ConfigError(
                 f"config.model.eps_list: {cfg['experiment']} is a single-eps experiment; use model.eps")
         for i, e in enumerate(m["eps_list"]):
-            if not (isinstance(e, (int, float)) and e > 0):
-                raise ConfigError(f"config.model.eps_list[{i}]: must be positive")
+            if not (_is_number(e) and e > 0):
+                raise ConfigError(f"config.model.eps_list[{i}]: must be a positive number, got {e!r}")
     if cfg["experiment"] in ("simulate", "decay") and m["eps"] is None and m["eps_list"] is None:
         cfg["model"]["eps"] = 1.0
     if cfg["experiment"] == "epsilon-convergence" and m["eps_list"] is None:
@@ -477,7 +492,7 @@ def main(argv=None) -> int:
             tree["seed"] = args.seed
         cfg, cfg_hash = parse_config_dict(tree)
         return dispatch(cfg, cfg_hash, out_dir=args.out, jobs=jobs)
-    except (ConfigError, ValueError) as e:
+    except (ConfigError, ValueError, DivergenceError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -289,23 +289,18 @@ def functional_X0(series: dict, eps: float, p, J: int, d: int) -> float:
     lo, hi = ("low", J), ("high", J)
     up, vp, u2, v2 = series["u", p], series["v", p], series["u", 2], series["v", 2]
     return float(
-        up.besov_at(0, dp - 1, 1, lo)
-        + up.besov_at(0, dp, 1, lo)
-        + eps**2 * (vp.besov_at(0, dp, 1, lo) + vp.besov_at(0, dp + 1, 1, lo))
-        + (1 + eps) * u2.besov_at(0, d / 2, 1, hi)
-        + eps * (1 + eps) * v2.besov_at(0, d / 2, 1, hi)
+        up.besov_curve(dp - 1, 1, lo)[0]
+        + up.besov_curve(dp, 1, lo)[0]
+        + eps**2 * (vp.besov_curve(dp, 1, lo)[0] + vp.besov_curve(dp + 1, 1, lo)[0])
+        + (1 + eps) * u2.besov_curve(d / 2, 1, hi)[0]
+        + eps * (1 + eps) * v2.besov_curve(d / 2, 1, hi)[0]
     )
 
 
 def functional_X_at(traj_series: dict, eps: float, p, J: int, d: int, upto: int) -> float:
     """X assembled from the first `upto` samples of each series."""
-    cut = {}
-    for key, s in traj_series.items():
-        ns = NormSeries(s.j_indices, s.p)
-        tab = s.table
-        for i in range(upto):
-            ns.append(s.times[i], tab[:, i])
-        cut[key] = ns
+    cut = {key: NormSeries(s.j_indices, s.p, s.times[:upto], s.table[:, :upto])
+           for key, s in traj_series.items()}
     return functional_X(cut, eps, p, J, d).total
 
 
@@ -381,7 +376,7 @@ def run_uniformity_study(grid: Grid, flux: Flux, a, eps_list, data: InitialDataS
                 f"t_end={stepper.t_end:g}, so the no-growth check would see no samples; "
                 "raise stepper.t_end")
     rows = []
-    args = [(grid, flux.spec, a, eps, data, stepper, p, k0) for eps in eps_list]
+    args = [(grid, flux, a, eps, data, stepper, p, k0) for eps in eps_list]
     for out in _pmap(_uniformity_one, args, jobs):
         rows.append(out)
     ratios = [r["ratio_end"] for r in rows]
@@ -396,10 +391,8 @@ def run_uniformity_study(grid: Grid, flux: Flux, a, eps_list, data: InitialDataS
 
 
 def _uniformity_one(arg):
-    from .models import rebuild_flux
-
-    grid, flux_spec, a, eps, data, stepper, p, k0 = arg
-    model = JinXinModel(rebuild_flux(flux_spec), tuple(a), eps)
+    grid, flux, a, eps, data, stepper, p, k0 = arg
+    model = JinXinModel(flux, tuple(a), eps)
     jx0 = make_initial_data(data, grid, model, k0)
     J = threshold_J(eps, k0)
     ts = np.unique(np.concatenate(
@@ -448,7 +441,7 @@ def run_epsilon_convergence(grid: Grid, flux: Flux, a, eps_list, data: InitialDa
                             stepper: StepperConfig, p=2, k0: int = 0, jobs: int = 1,
                             v_scale_mode: str = "inv_eps") -> dict:
     """Co-run the relaxation system and its limit; fit error norms in eps."""
-    args = [(grid, flux.spec, a, eps, data, stepper, p, k0, v_scale_mode)
+    args = [(grid, flux, a, eps, data, stepper, p, k0, v_scale_mode)
             for eps in sorted(eps_list, reverse=True)]
     rows = list(_pmap(_convergence_one, args, jobs))
     eps_arr = [r["eps"] for r in rows]
@@ -460,10 +453,8 @@ def run_epsilon_convergence(grid: Grid, flux: Flux, a, eps_list, data: InitialDa
 
 
 def _convergence_one(arg):
-    from .models import rebuild_flux
-
-    grid, flux_spec, a, eps, data, stepper, p, k0, v_scale_mode = arg
-    model = JinXinModel(rebuild_flux(flux_spec), tuple(a), eps)
+    grid, flux, a, eps, data, stepper, p, k0, v_scale_mode = arg
+    model = JinXinModel(flux, tuple(a), eps)
     jx0 = make_initial_data(_scaled_v(data, eps, v_scale_mode), grid, model, k0)
     J = threshold_J(eps, k0)
     ts = np.unique(np.concatenate([
@@ -476,7 +467,7 @@ def _convergence_one(arg):
     dv = traj.get("dv", p)
     Zs = traj.get("Z", p)
     sup_du = max(du.besov_curve(dp - 1, 1, "full"))
-    tarr = np.asarray(du.times)
+    tarr = du.times
     int_dv = float(np.trapezoid(dv.besov_curve(dp, 1, "full"), tarr))
     int_Z = float(np.trapezoid(Zs.besov_curve(dp, 1, ("low", J)), tarr))
     return {"eps": eps, "sup_du": sup_du, "int_dv": int_dv, "int_Zlow": int_Z}
@@ -518,7 +509,7 @@ def run_decay_study(grid: Grid, flux: Flux, a, eps: float, data: InitialDataSpec
     u_series = traj.get("u", p)
     du_series = traj.get("du", p) if diff else None
 
-    tarr = np.asarray(u_series.times)
+    tarr = u_series.times
     for sigma in sigma_list:
         curve = u_series.besov_curve(sigma, 1, "full")
         f = fit_rate(tarr, curve, fit_window, kind="time")
@@ -871,10 +862,8 @@ def _pmap(fn, args, jobs: int):
 
 
 def _norm_rows(series: NormSeries, name: str):
-    rows = []
-    for i, t in enumerate(series.times):
-        rows.append((t, name, 0.0, series.p, 1, "full", series.besov_at(i, 0.0, 1)))
-    return rows
+    return [(t, name, 0.0, series.p, 1, "full", b)
+            for t, b in zip(series.times, series.besov_curve(0.0, 1))]
 
 
 def _json_default(o):

@@ -298,7 +298,7 @@ class Trajectory:
         for (name, p), ser in sorted(self.series.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))):
             out["tracked"][f"{name}@p={p}"] = {
                 "j_indices": [int(j) for j in ser.j_indices],
-                "table": [[float(x) for x in row] for row in ser.table],
+                "table": ser.table.tolist(),
             }
         return out
 
@@ -392,21 +392,22 @@ def evolve(model: JinXinModel, initial: JinXinState, config: StepperConfig, trac
         states.append(LimitState(initial.u.copy(), initial.t))
 
     sch = scheme_for(initial.grid)
-    series = {(name, p): NormSeries(sch.j_indices, p) for (name, p) in trackers}
+    # one row of block norms per sample; each series reads the transpose
+    rows = {key: np.empty((sample_times.size, sch.j_indices.size)) for key in trackers}
     t_start = time.perf_counter()
     mean0 = initial.u.mean()
     max_abs_u = 0.0
     mean_drift = 0.0
 
-    def sample(t):
+    def sample(k):
         nonlocal max_abs_u, mean_drift
         st, lim = states[0], (states[1] if companion else None)
         max_abs_u = max(max_abs_u, lp_norm(st.u, np.inf))
         mean_drift = max(mean_drift, float(np.max(np.abs(st.u.mean() - mean0))))
-        for (name, p), ser in series.items():
-            ser.append(t, block_lp_norms(_tracked_field(model, st, name, lim), p, sch))
+        for (name, p), tab in rows.items():
+            tab[k] = block_lp_norms(_tracked_field(model, st, name, lim), p, sch)
 
-    sample(0.0)
+    sample(0)
     for k in range(1, sample_times.size):
         span = sample_times[k] - sample_times[k - 1]
         for i, (stepper, run) in enumerate(runs):
@@ -415,11 +416,12 @@ def evolve(model: JinXinModel, initial: JinXinState, config: StepperConfig, trac
             # so its arrays are freed as soon as advance has unpacked them
             states.insert(i, stepper.advance(states.pop(i), span / n_sub, n_sub, run["scheme"]))
             run["steps"] += n_sub
-        sample(sample_times[k])
+        sample(k)
 
     return Trajectory(
         times=sample_times,
-        series=series,
+        series={(name, p): NormSeries(sch.j_indices, p, sample_times, tab.T)
+                for (name, p), tab in rows.items()},
         final_state=states[0],
         steps=sum(run["steps"] for _, run in runs),
         wall_time=time.perf_counter() - t_start,

@@ -11,7 +11,8 @@ with closure v*_i = -a_i d_i u* + f_i(u*).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -67,8 +68,6 @@ class Flux:
     d: int
     evaluate: Callable = field(repr=False)
     is_zero: bool = False
-    # constructor arguments, for rebuilding in worker processes
-    spec: tuple = ()
 
     def check_origin(self):
         """Numerically verify f(0)=0 and Df(0)=0: |f(delta e_k)| <= C delta^2."""
@@ -88,26 +87,35 @@ class Flux:
                     )
 
 
+# The evaluators are module-level functions, or partials of them, so that a
+# Flux pickles into worker processes.
+
+def _zero_eval(d: int, u):
+    return [np.zeros_like(u) for _ in range(d)]
+
+
 def _zero_flux(n: int, d: int) -> Flux:
-    def ev(u):
-        return [np.zeros_like(u) for _ in range(d)]
-
-    return Flux("zero", n, d, ev, is_zero=True)
+    return Flux("zero", n, d, partial(_zero_eval, d), is_zero=True)
 
 
-def _burgers1d() -> Flux:
-    def ev(u):
-        return [0.5 * u * u]
-
-    return Flux("burgers1d", 1, 1, ev)
+def _burgers1d_eval(u):
+    return [0.5 * u * u]
 
 
-def _burgers2d() -> Flux:
+def _burgers2d_eval(u):
     # f_1(u) = u_1 * u, f_2(u) = u_2 * u for u = (u_1, u_2)
-    def ev(u):
-        return [u[0:1] * u, u[1:2] * u]
+    return [u[0:1] * u, u[1:2] * u]
 
-    return Flux("burgers2d", 2, 2, ev)
+
+def _polynomial_eval(d: int, parsed: tuple, u):
+    out = [np.zeros_like(u) for _ in range(d)]
+    for i, c, expo, coef in parsed:
+        mono = coef * np.ones_like(u[0])
+        for k, e in enumerate(expo):
+            if e:
+                mono = mono * u[k] ** e
+        out[i][c] += mono
+    return out
 
 
 def polynomial_flux(n: int, d: int, terms: list, name: str = "polynomial") -> Flux:
@@ -130,25 +138,14 @@ def polynomial_flux(n: int, d: int, terms: list, name: str = "polynomial") -> Fl
                 "the flux must satisfy f(0)=Df(0)=0"
             )
         parsed.append((i, c, expo, coef))
-
-    def ev(u):
-        out = [np.zeros_like(u) for _ in range(d)]
-        for i, c, expo, coef in parsed:
-            mono = coef * np.ones_like(u[0])
-            for k, e in enumerate(expo):
-                if e:
-                    mono = mono * u[k] ** e
-            out[i][c] += mono
-        return out
-
-    return Flux(name, n, d, ev)
+    return Flux(name, n, d, partial(_polynomial_eval, d, tuple(parsed)))
 
 
 def builtin_fluxes() -> dict:
     """Catalog of named flux constructors addressable from config files."""
     return {
-        "burgers1d": _burgers1d,
-        "burgers2d": _burgers2d,
+        "burgers1d": partial(Flux, "burgers1d", 1, 1, _burgers1d_eval),
+        "burgers2d": partial(Flux, "burgers2d", 2, 2, _burgers2d_eval),
         "zero": _zero_flux,
     }
 
@@ -164,13 +161,7 @@ def make_flux(flux_id: str, n: int | None = None, d: int | None = None, terms=No
     else:
         raise FluxValidationError(f"unknown flux id {flux_id!r}")
     fl.check_origin()
-    return replace(fl, spec=(flux_id, n, d, tuple(tuple(t.items()) for t in terms) if terms else None))
-
-
-def rebuild_flux(spec: tuple) -> Flux:
-    """Inverse of the spec tuple attached by make_flux (worker processes)."""
-    flux_id, n, d, terms = spec
-    return make_flux(flux_id, n, d, [dict(t) for t in terms] if terms else None)
+    return fl
 
 
 # ---------------------------------------------------------------------------

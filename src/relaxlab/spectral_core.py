@@ -371,19 +371,19 @@ class DyadicScheme:
             )
 
 
-def _window_mask(j_indices: np.ndarray, window) -> np.ndarray:
-    """True at the dyadic indices selected by 'full', ('low', J) or ('high', J).
+def _window(j_indices: np.ndarray, window) -> slice:
+    """The run of the ascending j_indices that 'full', ('low', J) or ('high', J) selects.
 
     Low means j <= J and high means j >= J-1; the two windows share the
     boundary blocks by construction.
     """
     if window is None or window == "full":
-        return np.ones(j_indices.size, dtype=bool)
+        return slice(None)
     kind, J = window
     if kind == "low":
-        return j_indices <= J
+        return slice(0, int(np.searchsorted(j_indices, J, side="right")))
     if kind == "high":
-        return j_indices >= J - 1
+        return slice(int(np.searchsorted(j_indices, J - 1)), None)
     raise ValueError(f"unknown window {window!r}")
 
 
@@ -473,12 +473,22 @@ def block_lp_norms(field: SpectralField, p, sch: DyadicScheme | None = None) -> 
     return out
 
 
-def _ell_r(values: np.ndarray, r) -> float:
-    if values.size == 0:
-        return 0.0
+def _root(x, r):
+    """x ** (1/r) value by value, as a lone sum takes its root: numpy's array
+    power may round differently in the last bit from its scalar power."""
+    return np.reshape([v ** (1.0 / r) for v in np.ravel(x)], np.shape(x))
+
+
+def _besov_sum(js: np.ndarray, values: np.ndarray, s: float, r) -> np.ndarray:
+    """(sum_j (2^{js} values_j)^r)^{1/r} over the last axis, the max for r = inf.
+
+    The weighted values are reduced as a C-contiguous array, so each sum is
+    the pairwise sum numpy takes of the same values alone; an empty window is 0.
+    """
+    weighted = np.multiply(2.0 ** (js * s), values, order="C")
     if np.isinf(r):
-        return float(np.max(values))
-    return float(np.sum(values**r) ** (1.0 / r))
+        return np.max(weighted, axis=-1, initial=0.0)
+    return _root(np.sum(weighted**r, axis=-1), r)
 
 
 def besov_norm(field: SpectralField, s: float, p, r=1, window="full") -> float:
@@ -488,56 +498,43 @@ def besov_norm(field: SpectralField, s: float, p, r=1, window="full") -> float:
     An empty window returns 0 and emits a warning.
     """
     sch = scheme_for(field.grid)
-    sel = _window_mask(sch.j_indices, window)
-    js = sch.j_indices[sel]
+    w = _window(sch.j_indices, window)
+    js = sch.j_indices[w]
     if js.size == 0:
         warnings.warn(f"besov_norm: empty dyadic window {window!r}", stacklevel=2)
         return 0.0
-    vals = 2.0 ** (js * s) * block_lp_norms(field, p, sch)[sel]
-    return _ell_r(vals, r)
+    return float(_besov_sum(js, block_lp_norms(field, p, sch)[w], s, r))
 
 
 # ---------------------------------------------------------------------------
 # time series of per-block norms
 
+@dataclass(eq=False)
 class NormSeries:
-    """Per-block L^p norms of one tracked field along a trajectory."""
+    """Per-block L^p norms of one tracked field along a trajectory.
 
-    def __init__(self, j_indices: np.ndarray, p):
-        self.j_indices = np.asarray(j_indices, dtype=int)
-        self.p = p
-        self.times: list = []
-        self._rows: list = []
+    table[k, i] is the norm of block j_indices[k] at times[i].
+    """
 
-    def append(self, t: float, block_norms: np.ndarray):
-        if self.times and t <= self.times[-1]:
-            raise ValueError(f"times must be strictly increasing, got {t} after {self.times[-1]}")
-        if np.any(block_norms < 0):
+    j_indices: np.ndarray
+    p: object
+    times: np.ndarray
+    table: np.ndarray
+
+    def __post_init__(self):
+        self.times = np.asarray(self.times, dtype=float)
+        self.table = np.asarray(self.table, dtype=float)
+        if self.table.shape != (self.j_indices.size, self.times.size):
+            raise ValueError(f"table shape {self.table.shape} is not (blocks, times)")
+        if np.any(self.times[1:] <= self.times[:-1]):
+            raise ValueError("times must be strictly increasing")
+        if np.any(self.table < 0):
             raise ValueError("block norms must be nonnegative")
-        self.times.append(float(t))
-        self._rows.append(np.asarray(block_norms, dtype=float))
-
-    @property
-    def table(self) -> np.ndarray:
-        """Shape (n_blocks, n_times)."""
-        return np.array(self._rows).T if self._rows else np.empty((self.j_indices.size, 0))
-
-    def besov_at(self, i: int, s: float, r=1, window="full") -> float:
-        """Instantaneous Besov norm assembled from the stored blocks."""
-        sel = _window_mask(self.j_indices, window)
-        vals = 2.0 ** (self.j_indices[sel] * s) * self.table[sel, i]
-        return _ell_r(vals, r)
 
     def besov_curve(self, s: float, r=1, window="full") -> np.ndarray:
-        return np.array([self.besov_at(i, s, r, window) for i in range(len(self.times))])
-
-
-def _time_lebesgue(values: np.ndarray, times: np.ndarray, rho) -> float:
-    if np.isinf(rho):
-        return float(np.max(values)) if values.size else 0.0
-    if values.size < 2:
-        raise ValueError("need at least 2 time samples for rho < inf")
-    return float(np.trapezoid(values**rho, times) ** (1.0 / rho))
+        """Instantaneous Besov norm at every stored time."""
+        w = _window(self.j_indices, window)
+        return _besov_sum(self.j_indices[w], self.table[w].T, s, r)
 
 
 def chemin_lerner_norm(series: NormSeries, rho, s: float, r=1, window="full") -> float:
@@ -545,15 +542,19 @@ def chemin_lerner_norm(series: NormSeries, rho, s: float, r=1, window="full") ->
 
     Time integrals use the trapezoid rule on the stored instants.
     """
-    sel = _window_mask(series.j_indices, window)
-    js = series.j_indices[sel]
+    w = _window(series.j_indices, window)
+    js = series.j_indices[w]
     if js.size == 0:
         warnings.warn(f"chemin_lerner_norm: empty dyadic window {window!r}", stacklevel=2)
         return 0.0
-    times = np.asarray(series.times)
-    tab = series.table[sel]
-    per_j = np.array([_time_lebesgue(tab[i], times, rho) for i in range(js.size)])
-    return _ell_r(2.0 ** (js * s) * per_j, r)
+    tab = np.ascontiguousarray(series.table[w])
+    if np.isinf(rho):
+        per_j = np.max(tab, axis=-1, initial=0.0)
+    elif series.times.size < 2:
+        raise ValueError("need at least 2 time samples for rho < inf")
+    else:
+        per_j = _root(np.trapezoid(tab**rho, series.times, axis=-1), rho)
+    return float(_besov_sum(js, per_j, s, r))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
 from relaxlab import harness
@@ -40,6 +42,12 @@ class TestParseConfig:
     def test_bad_type_named(self):
         with pytest.raises(ConfigError, match="config.stepper.cfl"):
             parse_config_dict({"experiment": "spectrum", "stepper": {"cfl": "fast"}})
+
+    def test_infinite_exponents_accepted(self):
+        # L^inf and l^inf: the one place a config number may be infinite
+        cfg, _ = parse_config_dict({"experiment": "simulate", "p": math.inf, "trackers": [
+            {"field": "u", "s": 0.0, "p": math.inf, "r": math.inf}]})
+        assert cfg["p"] == cfg["trackers"][0]["p"] == cfg["trackers"][0]["r"] == math.inf
 
     def test_roundtrip(self, tmp_path):
         cfg, h = parse_config_dict(PRESETS["thm2-epsilon"])
@@ -142,6 +150,21 @@ class TestDispatch:
           "stepper": {"scheme": "exact_linear"}}, "config.stepper.scheme"),
         ({"experiment": "decay", "model": {"flux": "burgers1d"}, "stepper": {"scheme": "exact_linear"}},
          "config.stepper.scheme"),
+        # JSON's NaN and Infinity: infinite only where L^inf / l^inf is meant
+        ({"experiment": "simulate", "stepper": {"t_end": math.inf}}, "config.stepper.t_end"),
+        ({"experiment": "simulate", "grid": {"L": math.inf}}, "config.grid.L"),
+        ({"experiment": "simulate", "model": {"eps": math.inf}}, "config.model.eps"),
+        ({"experiment": "simulate", "data": {"v_scale": math.nan}}, "config.data.v_scale"),
+        ({"experiment": "decay", "fit": {"sigma_list": [-math.inf]}}, "config.fit.sigma_list[0]"),
+        ({"experiment": "simulate", "p": math.nan}, "config.p"),
+        ({"experiment": "simulate", "trackers": [{"field": "u", "s": 0.5, "p": 2, "r": math.nan}]},
+         "config.trackers[0].r"),
+        ({"experiment": "simulate", "trackers": [{"field": "u", "s": math.inf, "p": 2, "r": 1}]},
+         "config.trackers[0].s"),
+        # booleans are JSON numbers to Python, not to the model
+        ({"experiment": "simulate", "model": {"a": [True]}}, "config.model.a[0]"),
+        ({"experiment": "epsilon-convergence", "model": {"eps_list": [True, 0.5, 0.25]}},
+         "config.model.eps_list[0]"),
     ])
     def test_main_malformed_config_lists(self, tmp_path, capsys, tree, path):
         p = tmp_path / "c.json"
@@ -151,6 +174,17 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and "Traceback" not in err
         assert not (tmp_path / "runs").exists()
+
+    def test_main_divergence_is_an_error(self, tmp_path, capsys):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"experiment": "simulate", "model": {"flux": "burgers1d"},
+                                 "grid": {"N": 64}, "data": {"amplitude": 1e6},
+                                 "stepper": {"t_end": 1}}))
+        with np.errstate(all="ignore"):
+            rc = main(["run", "--config", str(p), "--out", str(tmp_path / "runs")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite values in state at t=") and "Traceback" not in err
 
     def test_overdamping_exact_linear_with_any_model_flux(self, tmp_path):
         # the scan steps the zero flux whatever model.flux names

@@ -132,11 +132,8 @@ def _initial_series(model, jx, p):
 
 class TestFunctionalX:
     def _zero_series(self, grid, p):
-        sch = scheme_for(grid)
-        s = NormSeries(sch.j_indices, p)
-        for t in (0.0, 0.5, 1.0):
-            s.append(t, np.zeros(sch.j_indices.size))
-        return s
+        js = scheme_for(grid).j_indices
+        return NormSeries(js, p, [0.0, 0.5, 1.0], np.zeros((js.size, 3)))
 
     def test_zero_trajectory(self, grid):
         series = {(n, 2): self._zero_series(grid, 2) for n in ("u", "v")}
@@ -157,14 +154,9 @@ class TestFunctionalX:
         j0 = J - 2
         i0 = list(sch.j_indices).index(j0)
         times = np.linspace(0.0, 8.0, 2001)
-        series = {}
-        for name in ("u", "v"):
-            s = NormSeries(sch.j_indices, 2)
-            for t in times:
-                row = np.zeros(sch.j_indices.size)
-                row[i0] = math.exp(-t)
-                s.append(t, row)
-            series[(name, 2)] = s
+        table = np.zeros((sch.j_indices.size, times.size))
+        table[i0] = np.exp(-times)
+        series = {(name, 2): NormSeries(sch.j_indices, 2, times, table) for name in ("u", "v")}
         X = functional_X(series, eps, p, J, d)
         w = lambda s: 2.0 ** (j0 * s)
         integral = 1.0 - math.exp(-8.0)
@@ -265,6 +257,18 @@ class TestDecayEnd:
 
 
 class TestExperiments:
+    def test_sweeps_in_worker_processes_match_serial(self):
+        # two workers get each flux by pickle and hand back rows in eps order
+        g = Grid(1, 32, 8 * np.pi)
+        flux = make_flux("burgers1d")
+        data = InitialDataSpec(kind="gaussian_bump", amplitude=0.05, width=2.0,
+                               v_kind="ill_prepared", v_scale=0.1)
+        stepper = StepperConfig(dt_max=0.05, t_end=1.5, sample_every=0.25)
+        eps_list = [0.3, 0.2, 0.1]
+        for run in (run_uniformity_study, run_epsilon_convergence):
+            serial = run(g, flux, (1.0,), eps_list, data, stepper, jobs=1)["fits"]
+            assert run(g, flux, (1.0,), eps_list, data, stepper, jobs=2)["fits"] == serial
+
     def test_epsilon_convergence_linear_oracle(self):
         # zero flux + exact per-mode propagator: difference closed-form, slope 1
         g = Grid(1, 32, 2 * np.pi)

@@ -220,12 +220,9 @@ class TestBesovNorm:
 class TestCheminLerner:
     def _series(self, grid, j0, values, times):
         sch = scheme_for(grid)
-        s = NormSeries(sch.j_indices, 2)
-        for t, v in zip(times, values):
-            row = np.zeros(sch.j_indices.size)
-            row[list(sch.j_indices).index(j0)] = v
-            s.append(t, row)
-        return s
+        table = np.zeros((sch.j_indices.size, len(times)))
+        table[list(sch.j_indices).index(j0)] = values
+        return NormSeries(sch.j_indices, 2, times, table)
 
     def test_constant_single_block_sup(self, grid1d):
         s = self._series(grid1d, 1, [0.8, 0.8, 0.8], [0.0, 0.5, 1.0])
@@ -244,12 +241,10 @@ class TestCheminLerner:
         # tilde norm dominates for r >= rho on random tables
         sch = scheme_for(grid1d)
         times = np.linspace(0.0, 1.0, 5)
-        s = NormSeries(sch.j_indices, 2)
-        table = rng.uniform(0.1, 1.0, size=(5, sch.j_indices.size))
-        for t, row in zip(times, table):
-            s.append(t, row)
+        table = rng.uniform(0.1, 1.0, size=(sch.j_indices.size, 5))
+        s = NormSeries(sch.j_indices, 2, times, table)
         tilde = chemin_lerner_norm(s, 1, 0.3, 1)
-        plain = np.trapezoid([s.besov_at(i, 0.3, 1) for i in range(5)], times)
+        plain = np.trapezoid(s.besov_curve(0.3, 1), times)
         assert tilde >= plain - 1e-12
 
     def test_too_few_samples(self, grid1d):
@@ -258,13 +253,42 @@ class TestCheminLerner:
             chemin_lerner_norm(s, 1, 0.0, 1)
 
     def test_series_invariants(self, grid1d):
-        sch = scheme_for(grid1d)
-        s = NormSeries(sch.j_indices, 2)
-        s.append(0.0, np.zeros(sch.j_indices.size))
+        js = scheme_for(grid1d).j_indices
+        NormSeries(js, 2, [0.0, 1.0], np.zeros((js.size, 2)))
         with pytest.raises(ValueError, match="strictly increasing"):
-            s.append(0.0, np.zeros(sch.j_indices.size))
+            NormSeries(js, 2, [0.0, 0.0], np.zeros((js.size, 2)))
         with pytest.raises(ValueError, match="nonnegative"):
-            s.append(1.0, -np.ones(sch.j_indices.size))
+            NormSeries(js, 2, [0.0, 1.0], -np.ones((js.size, 2)))
+        with pytest.raises(ValueError, match="not \\(blocks, times\\)"):
+            NormSeries(js, 2, [0.0, 1.0], np.zeros((2, js.size)))
+
+    @pytest.mark.parametrize("window,j_lo,j_hi", [("full", -4, 13), (("low", 6), -4, 6),
+                                                  (("high", 6), 5, 13)])
+    @pytest.mark.parametrize("rho", [1, 3, np.inf])
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_reductions_bitwise(self, rng, window, j_lo, j_hi, rho, r):
+        # each curve value and each per-block time norm is the sum a lone
+        # column or row gets: the windows hold 18, 11 and 9 blocks, past the
+        # 8 where numpy's pairwise sum starts to depend on memory order, and
+        # the roots are taken as for a lone sum, which numpy's array power
+        # misses in the last bit for a few percent of the values at r = 3
+        js = np.arange(-4, 14)
+        times = np.cumsum(rng.uniform(0.01, 0.1, 400))
+        table = rng.uniform(0.0, 1.0, (js.size, times.size))
+        s, sig = NormSeries(js, 2, times, table), 0.3
+        sel = (js >= j_lo) & (js <= j_hi)
+        w, tab = 2.0 ** (js[sel] * sig), table[sel]
+
+        def ell(values):
+            return np.sum(values**r) ** (1.0 / r)
+
+        curve = [ell(w * tab[:, i]) for i in range(times.size)]
+        assert np.array_equal(s.besov_curve(sig, r, window), curve)
+        if np.isinf(rho):
+            per_j = [np.max(row) for row in tab]
+        else:
+            per_j = [np.trapezoid(row**rho, times) ** (1.0 / rho) for row in tab]
+        assert chemin_lerner_norm(s, rho, sig, r, window) == ell(w * np.array(per_j))
 
 
 class TestDerivatives:
