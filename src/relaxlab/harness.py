@@ -14,7 +14,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .integrators import (
     StepperConfig,
     evolve,
     jinxin_dt_bound,
+    _cfl_bound,
     _JinXinStepper,
 )
 from .spectral_core import (
@@ -101,6 +102,7 @@ class InitialDataSpec:
     ir_t_hi: float = 100.0               # largest fitted time (sets the frozen range)
     v_kind: str = "darcy"                # darcy | ill_prepared | zero
     v_scale: float = 0.0                 # L2 norm of the stacked v0 when ill_prepared
+    v_scale_mode: str = "fixed"          # fixed | inv_eps | inv_eps2: ill_prepared v0 at v_scale/eps^(0|1|2)
     v_band_hi: float = 1.0               # ill_prepared spectral cap
 
 
@@ -215,7 +217,8 @@ def make_initial_data(spec: InitialDataSpec, grid: Grid, model: JinXinModel, k0:
         total = math.sqrt(grid.L**grid.d * np.sum(grid.multiplicity() * prof**2) * n * d)
         if total == 0:
             raise ValueError("ill_prepared: empty band below v_band_hi")
-        prof *= spec.v_scale / total
+        power = {"fixed": 0, "inv_eps": 1, "inv_eps2": 2}[spec.v_scale_mode]
+        prof *= spec.v_scale / model.eps**power / total
         v0 = [
             SpectralField(grid, np.stack([_hermitian_randomize(grid, prof, rng) for _ in range(n)]))
             for _ in range(d)
@@ -428,20 +431,10 @@ def _growth_onset(eps: float) -> float:
     return max(1.0, 5.0 / (0.5 / eps**2))
 
 
-def _scaled_v(spec: InitialDataSpec, eps: float, v_scale_mode: str) -> InitialDataSpec:
-    """spec with ill-prepared velocity data scaled to v_scale/eps^k, where
-    v_scale_mode fixed, inv_eps or inv_eps2 sets k = 0, 1 or 2."""
-    if spec.v_kind != "ill_prepared":
-        return spec
-    power = {"fixed": 0, "inv_eps": 1, "inv_eps2": 2}[v_scale_mode]
-    return replace(spec, v_scale=spec.v_scale / eps**power)
-
-
 def run_epsilon_convergence(grid: Grid, flux: Flux, a, eps_list, data: InitialDataSpec,
-                            stepper: StepperConfig, p=2, k0: int = 0, jobs: int = 1,
-                            v_scale_mode: str = "inv_eps") -> dict:
+                            stepper: StepperConfig, p=2, k0: int = 0, jobs: int = 1) -> dict:
     """Co-run the relaxation system and its limit; fit error norms in eps."""
-    args = [(grid, flux, a, eps, data, stepper, p, k0, v_scale_mode)
+    args = [(grid, flux, a, eps, data, stepper, p, k0)
             for eps in sorted(eps_list, reverse=True)]
     rows = list(_pmap(_convergence_one, args, jobs))
     eps_arr = [r["eps"] for r in rows]
@@ -453,9 +446,9 @@ def run_epsilon_convergence(grid: Grid, flux: Flux, a, eps_list, data: InitialDa
 
 
 def _convergence_one(arg):
-    grid, flux, a, eps, data, stepper, p, k0, v_scale_mode = arg
+    grid, flux, a, eps, data, stepper, p, k0 = arg
     model = JinXinModel(flux, tuple(a), eps)
-    jx0 = make_initial_data(_scaled_v(data, eps, v_scale_mode), grid, model, k0)
+    jx0 = make_initial_data(data, grid, model, k0)
     J = threshold_J(eps, k0)
     ts = np.unique(np.concatenate([
         np.geomspace(max(1e-4, eps**2 / 4), 1.0, 30),
@@ -476,12 +469,11 @@ def _convergence_one(arg):
 def run_decay_study(grid: Grid, flux: Flux, a, eps: float, data: InitialDataSpec,
                     stepper: StepperConfig, p=2, k0: int = 0,
                     fit_window=(5.0, 500.0), sigma_list=(0.0,),
-                    with_difference: bool = False, compare_half_eps: bool = False,
-                    v_scale_mode: str = "inv_eps") -> dict:
+                    with_difference: bool = False, compare_half_eps: bool = False) -> dict:
     """Long-time decay exponents of Besov norms, with optional difference.
 
-    Ill-prepared velocity data scales as v_scale/eps by default so that
-    eps*|v0| stays fixed across the half-eps comparison.
+    The half-eps comparison builds its data at eps/2, so ill-prepared
+    velocity data with v_scale_mode inv_eps keeps eps*|v0| fixed across it.
     """
     d = grid.d
     check_sigma1_admissible(data.sigma1, d, p)
@@ -492,7 +484,7 @@ def run_decay_study(grid: Grid, flux: Flux, a, eps: float, data: InitialDataSpec
             "enlarge L or shorten the window"
         )
     model = JinXinModel(flux, tuple(a), eps)
-    jx0 = make_initial_data(_scaled_v(data, eps, v_scale_mode), grid, model, k0)
+    jx0 = make_initial_data(data, grid, model, k0)
     J = threshold_J(eps, k0)
     ts = np.geomspace(min(0.25, fit_window[0] / 4), fit_window[1], 48)
     if data.v_kind == "ill_prepared":
@@ -538,7 +530,7 @@ def run_decay_study(grid: Grid, flux: Flux, a, eps: float, data: InitialDataSpec
         curves["du"] = dcurve.tolist()
     if compare_half_eps:
         model2 = JinXinModel(flux, tuple(a), eps / 2)
-        jx02 = make_initial_data(_scaled_v(data, eps / 2, v_scale_mode), grid, model2, k0)
+        jx02 = make_initial_data(data, grid, model2, k0)
         traj2 = evolve(model2, jx02, stepper, [("du", p)], sample_times=ts)
         d2 = traj2.get("du", p).besov_curve(sigma_list[0], 1, "full")
         d1 = np.asarray(curves["du"])
@@ -564,31 +556,31 @@ def run_overdamping_scan(grid: Grid, a, mode, eps_grid, scheme: str = "imex_ssp2
     (members, n, N...) and each of the d components of v the same. Member m
     steps n_m times with its own dt_m and fits the energy decay of the
     initialized wavevector pair over t >= t0 = 100/omega; the batch runs
-    max n_m steps and member m reads only its first n_m.
+    max n_m steps and member m reads only its first n_m. The mode must lie
+    inside the 2/3-rule cut |k_i| <= N/3, or the grid holds no data to fit.
     """
+    cut = grid.N // 3
+    if not any(mode) or any(abs(k) > cut for k in mode):
+        raise ValueError(f"the scan mode must be a nonzero wavevector inside the 2/3-rule cut "
+                         f"|k_i| <= N/3 = {cut} of N = {grid.N}, got {list(mode)}")
     kap = tuple(2 * np.pi * m / grid.L for m in mode)
     S = mode_symbol(kap, a)
     a = tuple(a)
     flux = make_flux("zero", 1, grid.d)
-    spec = InitialDataSpec(kind="single_mode", amplitude=1.0, mode=tuple(mode), v_kind="zero")
-    members = []
-    for eps in map(float, eps_grid):
-        model = JinXinModel(flux, a, eps)
-        om = decay_rate_omega(kap, eps, a)
-        t0, t1 = 100.0 / om, 300.0 / om
-        stepper = _JinXinStepper(model, grid)
-        dt = min(cfl * stepper.bound, 0.02 / om, (t1 - t0) / 4000.0)
-        stepper.check_dt(dt, scheme)
-        # members share flux, a and grid, so any member's kernel steps them all
-        kernel, coeffs = stepper.prepare(scheme, dt)
-        members.append({"eps": eps, "om": om, "t0": t0, "dt": dt, "n": int(math.ceil(t1 / dt)),
-                        "coeffs": coeffs, "state": make_initial_data(spec, grid, model)})
+    eps = [float(e) for e in eps_grid]
+    om = np.array([decay_rate_omega(kap, e, a) for e in eps])
+    t0, t1 = 100.0 / om, 300.0 / om
+    dt = np.minimum.reduce([cfl * _cfl_bound(np.array(eps), a, grid), 0.02 / om, (t1 - t0) / 4000.0])
+    n = np.ceil(t1 / dt).astype(int)
 
-    u = np.stack([m["state"].u.coeffs for m in members])
-    v = [np.stack([m["state"].v[i].coeffs for m in members]) for i in range(grid.d)]
-    coeffs = [_stack_members([m["coeffs"][j] for m in members], u.ndim)
-              for j in range(len(members[0]["coeffs"]))]
-    eps_col = np.array([m["eps"] for m in members]).reshape(-1, 1)
+    # single-mode data with v = 0 does not involve eps: one state serves every member
+    spec = InitialDataSpec(kind="single_mode", amplitude=1.0, mode=tuple(mode), v_kind="zero")
+    state = make_initial_data(spec, grid, JinXinModel(flux, a, eps[0]))
+    u = np.repeat(state.u.coeffs[None], len(eps), axis=0)
+    v = [np.repeat(vi.coeffs[None], len(eps), axis=0) for vi in state.v]
+    column = (-1,) + (1,) * (u.ndim - 1)
+    kernel, coeffs = _JinXinStepper(flux, a, grid).prepare(scheme, dt.reshape(column),
+                                                           np.reshape(eps, column))
     # energy of the initialized wavevector pair only, read at its stored mode
     # and weighted; the conserved mean and roundoff injected elsewhere must
     # not floor the measurement
@@ -596,30 +588,32 @@ def run_overdamping_scan(grid: Grid, a, mode, eps_grid, scheme: str = "imex_ssp2
     sel = tuple(m % grid.N for m in stored)
     weight = grid.multiplicity()[(0,) * (grid.d - 1) + sel[-1:]]
     idx = (slice(None), slice(None)) + sel
-    n_max = max(m["n"] for m in members)
-    energy = np.empty((n_max, len(members)))
-    for k in range(n_max):
-        u, v = kernel(u, v, coeffs)
-        if not (np.isfinite(u).all() and all(np.isfinite(vi).all() for vi in v)):
-            bad = next(m for i, m in enumerate(members)
-                       if not (np.isfinite(u[i]).all() and all(np.isfinite(vi[i]).all() for vi in v)))
-            raise DivergenceError((k + 1) * bad["dt"], f"friction 1/eps={1.0 / bad['eps']:g}")
-        energy[k] = weight * (np.sum(np.abs(u[idx]) ** 2, axis=1)
-                              + sum(np.sum(np.abs(eps_col * vi[idx]) ** 2, axis=1) for vi in v))
+    eps_pair = np.reshape(eps, (-1, 1))
+    energy = np.empty((n.max(), len(eps)))
+    # a diverging member overflows on its way to the check below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(n.max()):
+            u, v = kernel(u, v, coeffs)
+            if not (np.isfinite(u).all() and all(np.isfinite(vi).all() for vi in v)):
+                bad = next(i for i in range(len(eps))
+                           if not (np.isfinite(u[i]).all() and all(np.isfinite(vi[i]).all() for vi in v)))
+                raise DivergenceError((k + 1) * float(dt[bad]), f"friction 1/eps={1.0 / eps[bad]:g}")
+            energy[k] = weight * (np.sum(np.abs(u[idx]) ** 2, axis=1)
+                                  + sum(np.sum(np.abs(eps_pair * vi[idx]) ** 2, axis=1) for vi in v))
 
     rows = []
-    for i, m in enumerate(members):
+    for i, e in enumerate(eps):
         # a sequential sum: the same instants as stepping t += dt
-        times = np.add.accumulate(np.full(m["n"], m["dt"]))
-        keep = times >= m["t0"]
-        slope = np.polyfit(times[keep], np.log(energy[:m["n"], i][keep]), 1)[0]
+        times = np.add.accumulate(np.full(n[i], dt[i]))
+        keep = times >= t0[i]
+        slope = np.polyfit(times[keep], np.log(energy[:n[i], i][keep]), 1)[0]
         om_meas = -0.5 * float(slope)
         rows.append({
-            "inv_eps": 1.0 / m["eps"],
+            "inv_eps": 1.0 / e,
             "omega_measured": om_meas,
-            "omega_analytic": m["om"],
-            "rel_err": abs(om_meas - m["om"]) / m["om"],
-            "regime": classify_regime(kap, m["eps"], a).regime.value,
+            "omega_analytic": om[i],
+            "rel_err": abs(om_meas - om[i]) / om[i],
+            "regime": classify_regime(kap, e, a).regime.value,
         })
     rows.sort(key=lambda r: r["inv_eps"])
     worst = max(r["rel_err"] for r in rows)
@@ -638,13 +632,6 @@ def run_overdamping_scan(grid: Grid, a, mode, eps_grid, scheme: str = "imex_ssp2
         "omega_analytic": [r["omega_analytic"] for r in rows],
     }
     return {"fits": fits, "norm_rows": [], "csv_curves": curves}
-
-
-def _stack_members(values, ndim: int) -> np.ndarray:
-    """Per-member scalars or grid arrays on a leading member axis that
-    broadcasts against arrays of ndim dimensions, such as (members, n, N...)."""
-    arr = np.stack([np.asarray(x) for x in values])
-    return arr.reshape(arr.shape[:1] + (1,) * (ndim - arr.ndim) + arr.shape[1:])
 
 
 def run_simulate(grid: Grid, flux: Flux, a, eps: float, data: InitialDataSpec,
@@ -810,9 +797,9 @@ def run_selftest(N: int = 256, seed: int = 0) -> dict:
     spec = InitialDataSpec(kind="gaussian_bump", amplitude=0.05, width=1.0)
     st = make_initial_data(spec, gm, model)
     mean0 = st.u.mean()
-    stepper = _JinXinStepper(model, gm)
     dt = 0.4 * jinxin_dt_bound(model, gm)
-    st = stepper.advance(st, dt, 10000, "imex_ssp2")
+    stepper = _JinXinStepper(flux, model.a, gm)
+    st = stepper.advance(st, dt, 10000, stepper.prepare("imex_ssp2", dt, model.eps))
     record("mean_conservation", np.max(np.abs(st.u.mean() - mean0)), 1e-13)
 
     # frozen-u implicit update contracts the closure distance exactly

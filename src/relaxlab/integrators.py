@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -82,7 +83,12 @@ class StepperConfig:
 
 def jinxin_dt_bound(model: JinXinModel, grid) -> float:
     """Hard CFL limit eps*dx/max_i sqrt(a_i) for the relaxation system."""
-    return model.eps * grid.dx / max(math.sqrt(ai) for ai in model.a)
+    return _cfl_bound(model.eps, model.a, grid)
+
+
+def _cfl_bound(eps, a, grid):
+    """jinxin_dt_bound at friction 1/eps, a float or a member column."""
+    return eps * grid.dx / max(math.sqrt(ai) for ai in a)
 
 
 def limit_advective_speed(flux: Flux, u: SpectralField) -> float:
@@ -106,66 +112,60 @@ def limit_advective_speed(flux: Flux, u: SpectralField) -> float:
 # relaxation system steppers
 
 class _JinXinStepper:
-    """Precomputed multipliers for one (model, grid) pair.
+    """Precomputed multipliers for one (flux, a, grid).
 
     The scheme kernels work on raw coefficient arrays: u of shape
     (..., n, N...) and v a list of d arrays shaped like u. eps and dt enter
-    only through the coefficient tuple from prepare(), as scalars or as
-    arrays that broadcast against u, so one kernel advances a leading member
-    axis of systems that share flux, a and grid but not eps or dt. All
-    arithmetic is elementwise, so each member gets the numbers it would get
-    stepped alone.
+    only through prepare(), as floats or as member columns that broadcast
+    against u, so one kernel advances a leading member axis of systems that
+    share flux, a and grid but not eps or dt. All arithmetic is elementwise,
+    so each member gets the numbers it would get stepped alone.
     """
 
-    def __init__(self, model: JinXinModel, grid):
-        self.model = model
+    def __init__(self, flux: Flux, a, grid):
+        self.flux = flux
+        self.a = a
         self.grid = grid
         self.kap = grid.kappa_axes()
         self.deriv = [1j * kap for kap in self.kap]
-        self.neg_a_deriv = [-model.a[i] * self.deriv[i] for i in range(model.d)]
-        self.bound = jinxin_dt_bound(model, grid)
+        self.neg_a_deriv = [-a[i] * self.deriv[i] for i in range(flux.d)]
 
-    def check_dt(self, dt: float, scheme: str):
-        """The hyperbolic CFL limit; the exact propagator has none."""
-        if scheme != "exact_linear" and dt > self.bound * (1.0 + 1e-12):
-            raise CFLError(dt, self.bound)
+    def prepare(self, scheme: str, dt, eps) -> tuple:
+        """(kernel, coefficients) of one step of `scheme` with size dt at friction 1/eps.
 
-    def prepare(self, scheme: str, dt: float) -> tuple:
-        """(kernel, coefficients) of one step of `scheme` with size dt.
-
-        exact_linear's coefficients are the entries P[i, j] of the per-mode
-        propagator on the stored lattice, row by row, then eps; one entry
-        per tuple slot lets a batch stack each entry along its member axis.
+        imex_ssp2 checks every member against its hyperbolic CFL bound; the
+        exact propagator has none. Its coefficients are the per-mode
+        propagator P on the stored lattice and eps.
         """
-        eps = self.model.eps
-        e2 = eps**2
         if scheme == "imex_ssp2":
+            dts, bounds = np.broadcast_arrays(dt, _cfl_bound(eps, self.a, self.grid))
+            over = np.flatnonzero(dts > bounds * (1.0 + 1e-12))
+            if over.size:
+                raise CFLError(float(dts.flat[over[0]]), float(bounds.flat[over[0]]))
+            e2 = eps**2
             g = dt * _GAMMA
             return self.ssp2, (dt, e2, g, e2 + g, dt * (1 - _GAMMA))
         if scheme == "exact_linear":
-            if not self.model.flux.is_zero:
+            if not self.flux.is_zero:
                 raise ValueError("exact_linear applies to the linear system (zero flux) only")
             xi = np.stack(np.broadcast_arrays(*self.kap), -1)
-            P = exact_linear_propagator(xi, eps, self.model.a, dt)
-            n = self.model.d + 1
-            entries = tuple(np.ascontiguousarray(P[..., i, j]) for i in range(n) for j in range(n))
-            return self.exact_linear, entries + (eps,)
+            return self.exact_linear, (exact_linear_propagator(xi, eps, self.a, dt), eps)
         raise ValueError(f"unknown relaxation scheme {scheme!r}")
 
     def _stiff(self, u):
         """[-a_i d_i u + f_i(u)], the relaxed targets of v."""
         s = [nad * u for nad in self.neg_a_deriv]
-        if not self.model.flux.is_zero:
-            for si, fi in zip(s, flux_coeffs(self.model.flux, self.grid, u)):
+        if not self.flux.is_zero:
+            for si, fi in zip(s, flux_coeffs(self.flux, self.grid, u)):
                 si += fi
         return s
 
     def _div_v(self, v):
-        return sum(self.deriv[i] * v[i] for i in range(self.model.d))
+        return sum(self.deriv[i] * v[i] for i in range(len(v)))
 
     def ssp2(self, u0, v0, coeffs):
         dt, e2, g, e2g, dt_rest = coeffs
-        d = self.model.d
+        d = len(v0)
         # first implicit stage
         stiff2 = self._stiff(u0 - g * self._div_v(v0))
         v2 = [(e2 * v0[i] + g * stiff2[i]) / e2g for i in range(d)]
@@ -181,27 +181,27 @@ class _JinXinStepper:
 
     def exact_linear(self, u0, v0, coeffs):
         """w1 = P w0 mode by mode, w = (u_hat, eps*v_hat_1, ..., eps*v_hat_d)."""
-        *P, eps = coeffs
-        n = self.model.d + 1
+        P, eps = coeffs
         w0 = [u0] + [eps * vi for vi in v0]
-        w1 = [sum(P[i * n + j] * w0[j] for j in range(n)) for i in range(n)]
+        w1 = [sum(P[..., i, j] * wj for j, wj in enumerate(w0)) for i in range(len(w0))]
         return w1[0], [wi / eps for wi in w1[1:]]
 
-    def advance(self, state: JinXinState, h: float, n_sub: int, scheme: str) -> JinXinState:
-        """n_sub steps of size h on raw coefficient arrays; one state at the end."""
-        self.check_dt(h, scheme)
-        kernel, coeffs = self.prepare(scheme, h)
+    def advance(self, state: JinXinState, h: float, n_sub: int, prepared: tuple) -> JinXinState:
+        """n_sub steps of size h, prepare()d, on raw coefficient arrays; one state at the end."""
+        kernel, coeffs = prepared
         u, v, t = state.u.coeffs, [vi.coeffs for vi in state.v], state.t
         del state  # u and v hold its arrays now; the first step lets them go
-        for _ in range(n_sub):
-            u, v = kernel(u, v, coeffs)
-            t += h
-            if not (np.isfinite(u).all() and all(np.isfinite(vi).all() for vi in v)):
-                raise DivergenceError(t)
+        # a diverging state overflows on its way to the check below
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for _ in range(n_sub):
+                u, v = kernel(u, v, coeffs)
+                t += h
+                if not (np.isfinite(u).all() and all(np.isfinite(vi).all() for vi in v)):
+                    raise DivergenceError(t)
         return JinXinState(SpectralField(self.grid, u), [SpectralField(self.grid, vi) for vi in v], t)
 
-    def step(self, state: JinXinState, dt: float, scheme: str) -> JinXinState:
-        return self.advance(state, dt, 1, scheme)
+    def step(self, state: JinXinState, dt: float, scheme: str, eps: float) -> JinXinState:
+        return self.advance(state, dt, 1, self.prepare(scheme, dt, eps))
 
 
 def step_jinxin(model: JinXinModel, state: JinXinState, dt: float, scheme: str = "imex_ssp2") -> JinXinState:
@@ -211,7 +211,7 @@ def step_jinxin(model: JinXinModel, state: JinXinState, dt: float, scheme: str =
     builds a new stepper (wavenumber tables, CFL bound, step coefficients).
     Loops should go through evolve, which builds one per run.
     """
-    return _JinXinStepper(model, state.grid).step(state, dt, scheme)
+    return _JinXinStepper(model.flux, model.a, state.grid).step(state, dt, scheme, model.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -238,22 +238,26 @@ class _LimitStepper:
         k2 = self._nonlin(ef * (u0 + dt * k1))
         return ef * u0 + 0.5 * dt * (ef * k1 + k2)
 
-    def advance(self, state: LimitState, h: float, n_sub: int, scheme: str = "if_rk2") -> LimitState:
-        """n_sub steps of size h on raw coefficient arrays; one state at the end."""
+    def prepare(self, scheme: str, h: float) -> np.ndarray:
+        """exp(-S h), the integrating factor of one step of `scheme` with size h."""
         if scheme != "if_rk2":
             raise ValueError(f"unknown limit scheme {scheme!r}")
-        ef = np.exp(-self.S * h)
+        return np.exp(-self.S * h)
+
+    def advance(self, state: LimitState, h: float, n_sub: int, ef: np.ndarray) -> LimitState:
+        """n_sub steps of size h on raw coefficient arrays; one state at the end."""
         u, t = state.u_star.coeffs, state.t
         del state  # u holds its array now; the first step lets it go
-        for _ in range(n_sub):
-            u = self.if_rk2(u, ef, h)
-            t += h
-            if not np.isfinite(u).all():
-                raise DivergenceError(t)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for _ in range(n_sub):
+                u = self.if_rk2(u, ef, h)
+                t += h
+                if not np.isfinite(u).all():
+                    raise DivergenceError(t)
         return LimitState(SpectralField(self.grid, u), t)
 
     def step(self, state: LimitState, dt: float, scheme: str = "if_rk2") -> LimitState:
-        return self.advance(state, dt, 1, scheme)
+        return self.advance(state, dt, 1, self.prepare(scheme, dt))
 
 
 def step_limit(flux: Flux, a, state: LimitState, dt: float) -> LimitState:
@@ -329,8 +333,9 @@ def sample_times_linear(t_end: float, every: float) -> np.ndarray:
 
 def _stepper_for(model: JinXinModel, initial: JinXinState, config: StepperConfig,
                  companion: bool) -> list:
-    """[(stepper, run)] of the relaxation system, then of its limit companion
-    when asked for: the dt policy of each run evolve advances.
+    """[(stepper, prepare, run)] of the relaxation system, then of its limit
+    companion when asked for: the dt policy of each run evolve advances, and
+    prepare(h), the stepper's prepare with the run's scheme (and eps) bound.
 
     run records the scheme, dt, the stability bound dt is taken against and
     the steps taken so far. The bound is the hyperbolic CFL bound of the
@@ -338,18 +343,20 @@ def _stepper_for(model: JinXinModel, initial: JinXinState, config: StepperConfig
     there is none (exact_linear, or the limit at zero speed).
     """
     grid = initial.grid
-    relax = _JinXinStepper(model, grid)
-    plans = [(relax, config.scheme, None if config.scheme == "exact_linear" else relax.bound)]
+    relax = _JinXinStepper(model.flux, model.a, grid)
+    plans = [(relax, partial(relax.prepare, config.scheme, eps=model.eps), config.scheme,
+              None if config.scheme == "exact_linear" else jinxin_dt_bound(model, grid))]
     if companion:
         speed = limit_advective_speed(model.flux, initial.u)
-        plans.append((_LimitStepper(model.flux, model.a, grid), "if_rk2",
+        limit = _LimitStepper(model.flux, model.a, grid)
+        plans.append((limit, partial(limit.prepare, "if_rk2"), "if_rk2",
                       grid.dx / speed if speed > 0 else None))
     runs = []
-    for stepper, scheme, bound in plans:
+    for stepper, prepare, scheme, bound in plans:
         dt = config.dt_max if bound is None else min(config.dt_max, config.cfl * bound)
         if dt < config.dt_min:
             raise ValueError(f"required dt {dt:g} is below dt_min {config.dt_min:g}")
-        runs.append((stepper, {"scheme": scheme, "dt": dt, "bound": bound, "steps": 0}))
+        runs.append((stepper, prepare, {"scheme": scheme, "dt": dt, "bound": bound, "steps": 0}))
     return runs
 
 
@@ -410,11 +417,12 @@ def evolve(model: JinXinModel, initial: JinXinState, config: StepperConfig, trac
     sample(0)
     for k in range(1, sample_times.size):
         span = sample_times[k] - sample_times[k - 1]
-        for i, (stepper, run) in enumerate(runs):
+        for i, (stepper, prepare, run) in enumerate(runs):
             n_sub = max(1, int(math.ceil(span / run["dt"] - 1e-12)))
-            # popped, not indexed: no reference to the old state stays here,
-            # so its arrays are freed as soon as advance has unpacked them
-            states.insert(i, stepper.advance(states.pop(i), span / n_sub, n_sub, run["scheme"]))
+            h = span / n_sub
+            # popped, not indexed, into a Python call: no reference to the old
+            # state stays here, so advance frees its arrays once unpacked
+            states.insert(i, stepper.advance(states.pop(i), h, n_sub, prepare(h)))
             run["steps"] += n_sub
         sample(k)
 
@@ -423,9 +431,9 @@ def evolve(model: JinXinModel, initial: JinXinState, config: StepperConfig, trac
         series={(name, p): NormSeries(sch.j_indices, p, sample_times, tab.T)
                 for (name, p), tab in rows.items()},
         final_state=states[0],
-        steps=sum(run["steps"] for _, run in runs),
+        steps=sum(run["steps"] for *_, run in runs),
         wall_time=time.perf_counter() - t_start,
         mean_drift=mean_drift,
         max_abs_u=max_abs_u,
-        runs=[run for _, run in runs],
+        runs=[run for *_, run in runs],
     )

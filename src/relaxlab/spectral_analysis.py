@@ -69,8 +69,8 @@ def mode_symbol(xi, a):
     return float(S) if xi.ndim == 1 else S
 
 
-def _slow_pair(S, eps: float):
-    """The slow eigenvalues (lam_+, lam_-); S may be an array."""
+def _slow_pair(S, eps):
+    """The slow eigenvalues (lam_+, lam_-); S and eps may be arrays."""
     disc = 1.0 / eps**2 - 4.0 * np.asarray(S, dtype=float)
     root = np.sqrt(disc.astype(complex))
     lam_p = -0.5 / eps**2 + 0.5 / eps * root
@@ -145,13 +145,14 @@ def generator_matrix(xi, eps: float, a) -> np.ndarray:
     return A
 
 
-def exp_slow_block(S, eps: float, t: float) -> tuple:
+def exp_slow_block(S, eps, t) -> tuple:
     """Entries (E00, E01, E10, E11) of exp(t*B), B = [[0, -i S/eps], [-i/eps, -1/eps^2]].
 
-    S may be an array; every entry is computed elementwise over it. Within a
-    relative 1e-8 of the defective point 1/eps^2 = 4S, measured on the
-    1/eps^2 scale, the spectral formula loses accuracy to cancellation and is
-    replaced by the Jordan limit exp(lam t)(I + t(B - lam I)), lam = -1/(2 eps^2).
+    S, eps and t may be arrays; every entry is computed elementwise over
+    their broadcast. Within a relative 1e-8 of the defective point
+    1/eps^2 = 4S, measured on the 1/eps^2 scale, the spectral formula loses
+    accuracy to cancellation and is replaced by the Jordan limit
+    exp(lam t)(I + t(B - lam I)), lam = -1/(2 eps^2).
     """
     S = np.asarray(S, dtype=float)
     lam_p, lam_m = _slow_pair(S, eps)
@@ -170,17 +171,19 @@ def exp_slow_block(S, eps: float, t: float) -> tuple:
     return E00, cross * (-1j * S / eps), cross * (-1j / eps), E11
 
 
-def exact_linear_propagator(xi, eps: float, a, t: float) -> np.ndarray:
+def exact_linear_propagator(xi, eps, a, t) -> np.ndarray:
     """exp(t*A(xi)) on (u_hat, eps*v_hat_1, ..., eps*v_hat_d).
 
     xi is one wavevector or an array of them along its last axis, giving P
     of shape xi.shape[:-1] + (d+1, d+1); one wavevector runs as a batch of
-    one, so a batch and the calls for its members agree bit for bit. The
-    v-space splits into the driven direction c = (a_i xi_i) and a complement
-    that decays as exp(-t/eps^2); the (u, c)-plane carries the 2x2 slow
-    block, solved in closed form including the defective case.
+    one, so a batch and the calls for its members agree bit for bit. For an
+    array xi, eps and t may be arrays that broadcast against xi.shape[:-1],
+    and P takes the broadcast shape. The v-space splits into the driven
+    direction c = (a_i xi_i) and a complement that decays as exp(-t/eps^2);
+    the (u, c)-plane carries the 2x2 slow block, solved in closed form
+    including the defective case.
     """
-    if t < 0:
+    if np.any(np.asarray(t) < 0):
         raise ValueError("t must be nonnegative")
     xi = np.asarray(xi, dtype=float)
     single = xi.ndim <= 1
@@ -191,9 +194,10 @@ def exact_linear_propagator(xi, eps: float, a, t: float) -> np.ndarray:
     E00, E01, E10, E11 = exp_slow_block(S, eps, t)
     damp = np.exp(-t / eps**2)
     d = xi.shape[-1]
-    P = np.empty(S.shape + (d + 1, d + 1), dtype=complex)
+    P = np.empty(E00.shape + (d + 1, d + 1), dtype=complex)
     P[..., 0, 0] = np.where(S == 0.0, 1.0, E00)  # the conserved mean stays exact
     P[..., 1:, 0] = E10[..., None] * c
     P[..., 0, 1:] = E01[..., None] * beta0
-    P[..., 1:, 1:] = damp * np.eye(d) + c[..., :, None] * beta0[..., None, :] * (E11 - damp)[..., None, None]
+    P[..., 1:, 1:] = (np.multiply.outer(damp, np.eye(d))
+                      + c[..., :, None] * beta0[..., None, :] * (E11 - damp)[..., None, None])
     return P[0] if single else P

@@ -92,6 +92,9 @@ class Grid:
             raise ValueError(f"N must be a power of two >= 8, got {self.N}")
         if not self.L > 0:
             raise ValueError(f"L must be positive, got {self.L}")
+        k_lo, k_hi = 2.0 * np.pi / self.L, np.pi * self.N / self.L
+        if not (k_lo * k_lo > 0.0 and k_hi * k_hi < np.inf and self.L * self.L < np.inf):
+            raise ValueError(f"L={self.L:g} is out of range: (2 pi/L)^2, (pi N/L)^2 or L^2 leaves the float range")
 
     @property
     def dx(self) -> float:

@@ -38,7 +38,7 @@ def _ticks(lo: float, hi: float, log: bool):
     return out or [lo, hi]
 
 
-def render_curves(curves: dict, loglog: bool = False, xlabel: str = "", ylabel: str = "") -> str:
+def render_curves(curves: dict, loglog: bool = False) -> str:
     """Render {x_key: [...], y1: [...], y2: [...]} to an SVG document.
 
     The first key is the abscissa; every other key becomes one polyline.
@@ -101,11 +101,6 @@ def render_curves(curves: dict, loglog: bool = False, xlabel: str = "", ylabel: 
         out.append(
             f'<text x="{_ML-8}" y="{py+4:.2f}" font-size="11" text-anchor="end" '
             f'font-family="monospace">{_fmt(tick)}</text>'
-        )
-    if xlabel:
-        out.append(
-            f'<text x="{(_ML+_W-_MR)/2:.1f}" y="{_H-12}" font-size="12" '
-            f'text-anchor="middle" font-family="monospace">{xlabel or xk}</text>'
         )
     for i, k in enumerate(yks):
         color = _COLORS[i % len(_COLORS)]

@@ -1,7 +1,7 @@
 import json
 import math
+import warnings
 
-import numpy as np
 import pytest
 
 from relaxlab import harness
@@ -13,7 +13,6 @@ from relaxlab.cli import (
     parse_config,
     parse_config_dict,
     plot_emit,
-    serialize_config,
 )
 
 
@@ -52,7 +51,7 @@ class TestParseConfig:
     def test_roundtrip(self, tmp_path):
         cfg, h = parse_config_dict(PRESETS["thm2-epsilon"])
         path = tmp_path / "cfg.json"
-        path.write_text(serialize_config(cfg))
+        path.write_text(json.dumps(cfg, sort_keys=True, indent=2))
         cfg2, h2 = parse_config(path)
         assert cfg2 == cfg and h2 == h
 
@@ -165,6 +164,14 @@ class TestDispatch:
         ({"experiment": "simulate", "model": {"a": [True]}}, "config.model.a[0]"),
         ({"experiment": "epsilon-convergence", "model": {"eps_list": [True, 0.5, 0.25]}},
          "config.model.eps_list[0]"),
+        # squared wavenumbers that underflow to 0 or overflow
+        ({"experiment": "simulate", "grid": {"L": 1e300}}, "config.grid.L"),
+        ({"experiment": "simulate", "grid": {"L": 1e-300}}, "config.grid.L"),
+        ({"experiment": "overdamping", "grid": {"L": 1e300}}, "config.grid.L"),
+        ({"experiment": "overdamping", "grid": {"L": 1e-300}}, "config.grid.L"),
+        # N = 16 keeps |k| <= 5 under the 2/3 rule: the scan would start from zero data
+        ({"experiment": "overdamping", "grid": {"N": 16}, "scan": {"mode": [7]}}, "config.scan.mode"),
+        ({"experiment": "overdamping", "grid": {"N": 16}, "scan": {"mode": [-16]}}, "config.scan.mode"),
     ])
     def test_main_malformed_config_lists(self, tmp_path, capsys, tree, path):
         p = tmp_path / "c.json"
@@ -180,11 +187,14 @@ class TestDispatch:
         p.write_text(json.dumps({"experiment": "simulate", "model": {"flux": "burgers1d"},
                                  "grid": {"N": 64}, "data": {"amplitude": 1e6},
                                  "stepper": {"t_end": 1}}))
-        with np.errstate(all="ignore"):
+        # the overflow on the way to the finiteness check must not warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             rc = main(["run", "--config", str(p), "--out", str(tmp_path / "runs")])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: non-finite values in state at t=") and "Traceback" not in err
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_overdamping_exact_linear_with_any_model_flux(self, tmp_path):
         # the scan steps the zero flux whatever model.flux names
@@ -224,8 +234,8 @@ class TestDispatch:
     def test_decay_honours_v_scale_mode(self, tmp_path, monkeypatch):
         seen = {}
 
-        def record(*args, **kwargs):
-            seen.update(kwargs)
+        def record(grid, flux, a, eps, data, *args, **kwargs):
+            seen["data"] = data
             raise RuntimeError("recorded")
 
         monkeypatch.setattr(harness, "run_decay_study", record)
@@ -234,7 +244,58 @@ class TestDispatch:
                 "v_kind": "ill_prepared", "v_scale": 0.1, "v_scale_mode": mode}})
             with pytest.raises(RuntimeError, match="recorded"):
                 dispatch(cfg, h, out_dir=str(tmp_path))
-            assert seen["v_scale_mode"] == mode
+            assert seen["data"].v_scale_mode == mode
+
+    @staticmethod
+    def _ill_prepared(mode, **model):
+        return {"experiment": "simulate", "model": {"flux": "burgers1d", **model},
+                "grid": {"N": 32, "L": 8 * math.pi},
+                "data": {"v_kind": "ill_prepared", "v_scale": 0.1, "v_scale_mode": mode},
+                "stepper": {"t_end": 3.0, "sample_every": 0.5},
+                "trackers": [{"field": "v", "s": 0.0, "p": 2, "r": 1}]}
+
+    def test_simulate_honours_v_scale_mode(self, tmp_path):
+        # at eps = 0.5, inv_eps starts v at twice the fixed scale
+        v0 = {}
+        for mode in ("fixed", "inv_eps"):
+            cfg, h = parse_config_dict(self._ill_prepared(mode, eps=0.5))
+            assert dispatch(cfg, h, out_dir=str(tmp_path)) == 0
+            rows = (tmp_path / h / "norms.csv").read_text().splitlines()[1:]
+            v0[mode] = float(next(r for r in rows if r.startswith("0.0,v,")).split(",")[-1])
+        assert v0["inv_eps"] == pytest.approx(2.0 * v0["fixed"], rel=1e-12)
+
+    def test_uniformity_sweep_honours_v_scale_mode(self, tmp_path):
+        # v_scale 0.1 at inv_eps is v_scale 0.1/eps at fixed, eps by eps
+        def sweep_rows(mode, v_scale, eps_list):
+            tree = self._ill_prepared(mode, eps_list=eps_list)
+            tree["data"]["v_scale"] = v_scale
+            cfg, h = parse_config_dict(tree)
+            assert dispatch(cfg, h, out_dir=str(tmp_path)) == 0
+            fits = json.loads((tmp_path / h / "fits.json").read_text())
+            return fits["variants"]["ill_prepared"]["rows"]
+
+        scaled = sweep_rows("inv_eps", 0.1, [0.5, 0.25])
+        assert scaled[0] == sweep_rows("fixed", 0.2, [0.5])[0]
+        assert scaled[1] == sweep_rows("fixed", 0.4, [0.25])[0]
+        assert scaled != sweep_rows("fixed", 0.1, [0.5, 0.25])
+
+    def test_spectrum_accepts_mode_beyond_cut(self, tmp_path):
+        cfg, h = parse_config_dict({"experiment": "spectrum", "grid": {"N": 16, "L": 2 * math.pi},
+                                    "scan": {"mode": [7], "points": 3}})
+        assert dispatch(cfg, h, out_dir=str(tmp_path)) == 0
+
+    def test_overdamping_nan_rate_fails(self, tmp_path, monkeypatch):
+        nan = float("nan")
+
+        def nan_scan(*args, **kwargs):
+            fits = {"rows": [{}], "worst_rel_err": nan, "S": 1.0,
+                    "peak": {"omega_measured": nan, "target": 2.0}}
+            return {"fits": fits, "norm_rows": [], "csv_curves": None}
+
+        monkeypatch.setattr(harness, "run_overdamping_scan", nan_scan)
+        cfg, h = parse_config_dict({"experiment": "overdamping", "grid": {"N": 16, "L": 2 * math.pi},
+                                    "scan": {"points": 3}})
+        assert dispatch(cfg, h, out_dir=str(tmp_path)) == 1
 
     def test_main_jobs_flag_overrides_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RELAXLAB_JOBS", "abc")

@@ -274,7 +274,8 @@ class TestExperiments:
         g = Grid(1, 32, 2 * np.pi)
         flux = make_flux("zero", 1, 1)
         data = InitialDataSpec(kind="single_mode", amplitude=0.1, mode=(1,),
-                               v_kind="ill_prepared", v_scale=0.2, v_band_hi=1.5, seed=0)
+                               v_kind="ill_prepared", v_scale=0.2, v_scale_mode="inv_eps",
+                               v_band_hi=1.5, seed=0)
         stepper = StepperConfig(scheme="exact_linear", dt_max=0.05, t_end=10.0, sample_every=0.2)
         out = run_epsilon_convergence(g, flux, (1.0,), [0.1, 0.05, 0.025, 0.0125],
                                       data, stepper, p=2)
@@ -366,6 +367,13 @@ class TestExperiments:
         alone = [run_overdamping_scan(g, (1.0,), (1,), eps_grid=[e], scheme=scheme)["fits"]["rows"][0]
                  for e in grid_eps]
         assert rows == sorted(alone, key=lambda r: r["inv_eps"])
+
+    @pytest.mark.parametrize("mode", [(6,), (-7,), (0,)])
+    def test_overdamping_rejects_mode_the_grid_cannot_hold(self, mode):
+        # N = 16 keeps |k| <= 5 under the 2/3 rule, and mode 0 has nothing to decay
+        g = Grid(1, 16, 2 * np.pi)
+        with pytest.raises(ValueError, match=r"2/3-rule cut \|k_i\| <= N/3 = 5"):
+            run_overdamping_scan(g, (1.0,), mode, eps_grid=[1.0, 0.5])
 
     def test_overdamping_rejects_limit_scheme(self):
         g = Grid(1, 16, 2 * np.pi)

@@ -12,6 +12,7 @@ from relaxlab.integrators import (
     limit_advective_speed,
     step_jinxin,
     step_limit,
+    _JinXinStepper,
 )
 from relaxlab.models import (
     JinXinModel,
@@ -503,3 +504,37 @@ class TestExactLinearMean:
         assert traj.steps == 1000
         assert np.array_equal(traj.final_state.u.coeffs[:, 0], st0.u.coeffs[:, 0])
         assert traj.mean_drift == 0.0
+
+
+def _fig1_frictions():
+    # the 21 frictions 1/eps of the fig1-overdamping preset (mode 1 on L = 2 pi: S = 1)
+    from relaxlab.harness import friction_grid
+
+    return 1.0 / friction_grid(1.0, (0.5, 4.0), 20)
+
+
+class TestMemberColumns:
+    @pytest.mark.parametrize("scheme", ["imex_ssp2", "exact_linear"])
+    def test_column_prepare_equals_float_prepare(self, grid, scheme):
+        eps = [float(e) for e in _fig1_frictions()]
+        assert len(eps) == 21
+        stepper = _JinXinStepper(make_flux("zero", 1, 1), (1.0,), grid)
+        dt = [0.3 * e * grid.dx for e in eps]
+        column = (-1, 1, 1)  # against (members, n, N/2+1)
+        kernel, coeffs = stepper.prepare(scheme, np.reshape(dt, column), np.reshape(eps, column))
+        for m, (e, h) in enumerate(zip(eps, dt)):
+            kernel_m, coeffs_m = stepper.prepare(scheme, h, e)
+            assert kernel == kernel_m and len(coeffs) == len(coeffs_m)
+            for entry, entry_m in zip(coeffs, coeffs_m):
+                assert np.array_equal(entry[m].reshape(np.shape(entry_m)), entry_m)
+
+    def test_member_over_cfl_bound_named(self, grid):
+        stepper = _JinXinStepper(make_flux("zero", 1, 1), (1.0,), grid)
+        eps = np.array([0.5, 0.25, 0.1]).reshape(-1, 1, 1)
+        bound = eps * grid.dx
+        dt = 0.3 * bound
+        dt[1] = 2.0 * bound[1]
+        with pytest.raises(CFLError) as e:
+            stepper.prepare("imex_ssp2", dt, eps)
+        assert e.value.admissible == bound[1].item()
+        assert f"dt={dt[1].item():g} " in str(e.value)

@@ -66,6 +66,17 @@ class TestGrid:
         with pytest.raises(ValueError, match="d must be 1 or 2"):
             Grid(3, 16, 1.0)
 
+    @pytest.mark.parametrize("L", [1e300, 1e160, 1e-300])
+    def test_box_length_out_of_float_range_rejected(self, L):
+        # (2 pi/L)^2 underflows to 0 for huge L, (pi N/L)^2 overflows for tiny L
+        with pytest.raises(ValueError, match="out of range"):
+            Grid(2, 16, L)
+
+    @pytest.mark.parametrize("L", [1e150, 1e-150])
+    def test_box_length_in_float_range_accepted(self, L):
+        g = Grid(2, 16, L)
+        assert np.all(np.isfinite(g.kappa_mag())) and g.kappa_min**2 > 0
+
     def test_wavenumber_range(self, grid1d):
         # the last axis stores the rfftn modes 0..N/2
         kap = grid1d.kappa_axes()[0].ravel()
