@@ -16,7 +16,6 @@ from .models import (
     Flux,
     JinXinModel,
     JinXinState,
-    LimitState,
     builtin_fluxes,
     darcy_velocity,
     effective_Z,

@@ -198,6 +198,13 @@ def parse_config_dict(tree: dict) -> tuple:
                 raise ConfigError(f"config.model.eps_list[{i}]: must be a positive number, got {e!r}")
     if cfg["experiment"] in ("simulate", "decay") and m["eps"] is None and m["eps_list"] is None:
         cfg["model"]["eps"] = 1.0
+    st = cfg["stepper"]
+    if st["dt_min"] > st["dt_max"]:
+        _fail("config.stepper.dt_min", f"need dt_min <= dt_max, got {st['dt_min']!r} > {st['dt_max']!r}")
+    if cfg["experiment"] == "simulate" and m["eps_list"] is None and not st["t_end"] / st["sample_every"] > 0.5:
+        # a single-eps simulate run samples t_end in round(t_end / sample_every) intervals
+        _fail("config.stepper.sample_every", f"t_end / sample_every = {st['t_end']!r} / "
+              f"{st['sample_every']!r} rounds to no sampling interval; need at least 2 time samples")
     if cfg["experiment"] == "epsilon-convergence" and m["eps_list"] is None:
         cfg["model"]["eps_list"] = [0.2, 0.1, 0.05, 0.025]
     if (cfg["experiment"] in ("simulate", "epsilon-convergence", "decay")
@@ -344,6 +351,8 @@ def dispatch(cfg: dict, cfg_hash: str, out_dir: str = "runs", jobs: int | None =
     exp = cfg["experiment"]
     m = cfg["model"]
     failures = []
+    if exp != "selftest":
+        grid, flux, a, data, stepper = _build_common(cfg)
 
     if exp == "selftest":
         result = harness.run_selftest(seed=cfg["seed"])
@@ -352,19 +361,20 @@ def dispatch(cfg: dict, cfg_hash: str, out_dir: str = "runs", jobs: int | None =
         summary = (f"selftest: {result['fits']['passed']}/{result['fits']['total']} checks passed"
                    + (f" (FAILED: {', '.join(failures)})" if failures else ""))
     elif exp == "spectrum":
-        grid, flux, a, data, stepper = _build_common(cfg)
         scan = cfg["scan"]
         result = harness.run_spectrum(a, mode_kappa=tuple(2 * math.pi * k / grid.L for k in scan["mode"]),
                                       points=scan["points"], span=scan["span"])
         summary = f"spectrum: {len(result['fits']['rows'])} curve points (S={result['fits']['S']:.4g})"
     elif exp == "overdamping":
-        grid, flux, a, data, stepper = _build_common(cfg)
         scan = cfg["scan"]
         S = mode_symbol(tuple(2 * math.pi * k / grid.L for k in scan["mode"]), a)
         inv = harness.friction_grid(S, scan["span"], scan["points"])
-        result = harness.run_overdamping_scan(grid, a, tuple(scan["mode"]),
-                                              eps_grid=1.0 / inv, scheme=stepper.scheme,
-                                              cfl=min(stepper.cfl, 0.3))
+        try:
+            result = harness.run_overdamping_scan(grid, a, tuple(scan["mode"]),
+                                                  eps_grid=1.0 / inv, scheme=stepper.scheme,
+                                                  cfl=min(stepper.cfl, 0.3))
+        except harness.ScanRangeError as e:
+            raise ConfigError(f"config.grid.L: {e}") from None
         worst = result["fits"]["worst_rel_err"]
         pk = result["fits"]["peak"]
         # written so that a NaN rate fails
@@ -374,7 +384,6 @@ def dispatch(cfg: dict, cfg_hash: str, out_dir: str = "runs", jobs: int | None =
             failures.append("peak rate off by more than 2%")
         summary = f"overdamping: worst rate error {worst:.3%} over {len(result['fits']['rows'])} frictions"
     elif exp == "epsilon-convergence":
-        grid, flux, a, data, stepper = _build_common(cfg)
         result = harness.run_epsilon_convergence(
             grid, flux, a, m["eps_list"], data, stepper, p=cfg["p"], k0=cfg["k0"], jobs=jobs)
         f = result["fits"]
@@ -383,7 +392,6 @@ def dispatch(cfg: dict, cfg_hash: str, out_dir: str = "runs", jobs: int | None =
                    f"int|v-v*|: {f['fit_int_dv']['exponent']:.3f}, "
                    f"int|Z^l|: {f['fit_int_Zlow']['exponent']:.3f}")
     elif exp == "decay":
-        grid, flux, a, data, stepper = _build_common(cfg)
         fitc = cfg["fit"]
         result = harness.run_decay_study(
             grid, flux, a, float(m["eps"]), data, stepper, p=cfg["p"], k0=cfg["k0"],
@@ -398,7 +406,6 @@ def dispatch(cfg: dict, cfg_hash: str, out_dir: str = "runs", jobs: int | None =
         if "difference_fit" in result["fits"]:
             summary += f"; difference: {result['fits']['difference_fit']['exponent']:.3f}"
     elif exp == "simulate":
-        grid, flux, a, data, stepper = _build_common(cfg)
         if m["eps_list"]:
             variants = cfg["data_variants"] or [data.v_kind]
             rows_all, fits_all = [], {}

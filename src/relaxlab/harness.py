@@ -14,25 +14,27 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .models import (
-    DivergenceError,
     Flux,
     JinXinModel,
     JinXinState,
     darcy_velocity,
     effective_Z,
+    flux_fields,
     make_flux,
 )
 from .integrators import (
     StepperConfig,
     evolve,
     jinxin_dt_bound,
+    _arrays,
     _cfl_bound,
     _JinXinStepper,
+    advance,
 )
 from .spectral_core import (
     Grid,
@@ -217,7 +219,9 @@ def make_initial_data(spec: InitialDataSpec, grid: Grid, model: JinXinModel, k0:
         total = math.sqrt(grid.L**grid.d * np.sum(grid.multiplicity() * prof**2) * n * d)
         if total == 0:
             raise ValueError("ill_prepared: empty band below v_band_hi")
-        power = {"fixed": 0, "inv_eps": 1, "inv_eps2": 2}[spec.v_scale_mode]
+        power = {"fixed": 0, "inv_eps": 1, "inv_eps2": 2}.get(spec.v_scale_mode)
+        if power is None:
+            raise ValueError(f"unknown v_scale_mode {spec.v_scale_mode!r}")
         prof *= spec.v_scale / model.eps**power / total
         v0 = [
             SpectralField(grid, np.stack([_hermitian_randomize(grid, prof, rng) for _ in range(n)]))
@@ -321,15 +325,7 @@ class RateFit:
     low_r2: bool
 
     def to_dict(self) -> dict:
-        return {
-            "exponent": self.exponent,
-            "intercept": self.intercept,
-            "window": list(self.window),
-            "r_squared": self.r_squared,
-            "stderr": self.stderr,
-            "n_points": self.n_points,
-            "low_r2": self.low_r2,
-        }
+        return {**asdict(self), "window": list(self.window)}
 
 
 def fit_rate(x, y, window=None, kind: str = "time", r2_flag: float = 0.98,
@@ -378,10 +374,8 @@ def run_uniformity_study(grid: Grid, flux: Flux, a, eps_list, data: InitialDataS
                 f"eps={eps:g}: the growth onset t1=max(1, 10 eps^2)={t1:g} is not before "
                 f"t_end={stepper.t_end:g}, so the no-growth check would see no samples; "
                 "raise stepper.t_end")
-    rows = []
     args = [(grid, flux, a, eps, data, stepper, p, k0) for eps in eps_list]
-    for out in _pmap(_uniformity_one, args, jobs):
-        rows.append(out)
+    rows = list(_pmap(_uniformity_one, args, jobs))
     ratios = [r["ratio_end"] for r in rows]
     fits = {
         "experiment": "uniformity",
@@ -548,6 +542,14 @@ def _decay_end(t: np.ndarray, y: np.ndarray) -> float:
     return t[max(k - 1, 1)]
 
 
+class ScanRangeError(ValueError):
+    """A decay rate so small that the scan's times leave the float range."""
+
+    def __init__(self, om):
+        super().__init__(f"the scan's slowest decay rate omega={np.min(om):g} puts 300/omega or its "
+                         "step count out of range; use a smaller box or a narrower scan.span")
+
+
 def run_overdamping_scan(grid: Grid, a, mode, eps_grid, scheme: str = "imex_ssp2",
                          cfl: float = 0.3) -> dict:
     """Measured vs analytic decay rate of one linear mode across friction.
@@ -557,7 +559,8 @@ def run_overdamping_scan(grid: Grid, a, mode, eps_grid, scheme: str = "imex_ssp2
     steps n_m times with its own dt_m and fits the energy decay of the
     initialized wavevector pair over t >= t0 = 100/omega; the batch runs
     max n_m steps and member m reads only its first n_m. The mode must lie
-    inside the 2/3-rule cut |k_i| <= N/3, or the grid holds no data to fit.
+    inside the 2/3-rule cut |k_i| <= N/3, or the grid holds no data to fit;
+    a rate omega too small for 300/omega and the step counts is a ScanRangeError.
     """
     cut = grid.N // 3
     if not any(mode) or any(abs(k) > cut for k in mode):
@@ -569,16 +572,21 @@ def run_overdamping_scan(grid: Grid, a, mode, eps_grid, scheme: str = "imex_ssp2
     flux = make_flux("zero", 1, grid.d)
     eps = [float(e) for e in eps_grid]
     om = np.array([decay_rate_omega(kap, e, a) for e in eps])
+    # 300/omega and the step counts must fit a float and an int64; each test
+    # comes before its division, so none of them overflows
+    if not np.all(om > 300.0 / np.finfo(float).max):
+        raise ScanRangeError(om)
     t0, t1 = 100.0 / om, 300.0 / om
     dt = np.minimum.reduce([cfl * _cfl_bound(np.array(eps), a, grid), 0.02 / om, (t1 - t0) / 4000.0])
+    if not np.all(t1 / 2.0**62 < dt):
+        raise ScanRangeError(om)
     n = np.ceil(t1 / dt).astype(int)
 
     # single-mode data with v = 0 does not involve eps: one state serves every member
     spec = InitialDataSpec(kind="single_mode", amplitude=1.0, mode=tuple(mode), v_kind="zero")
     state = make_initial_data(spec, grid, JinXinModel(flux, a, eps[0]))
-    u = np.repeat(state.u.coeffs[None], len(eps), axis=0)
-    v = [np.repeat(vi.coeffs[None], len(eps), axis=0) for vi in state.v]
-    column = (-1,) + (1,) * (u.ndim - 1)
+    w = [np.repeat(c[None], len(eps), axis=0) for c in _arrays(state)]
+    column = (-1,) + (1,) * (w[0].ndim - 1)
     kernel, coeffs = _JinXinStepper(flux, a, grid).prepare(scheme, dt.reshape(column),
                                                            np.reshape(eps, column))
     # energy of the initialized wavevector pair only, read at its stored mode
@@ -590,16 +598,11 @@ def run_overdamping_scan(grid: Grid, a, mode, eps_grid, scheme: str = "imex_ssp2
     idx = (slice(None), slice(None)) + sel
     eps_pair = np.reshape(eps, (-1, 1))
     energy = np.empty((n.max(), len(eps)))
-    # a diverging member overflows on its way to the check below
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k in range(n.max()):
-            u, v = kernel(u, v, coeffs)
-            if not (np.isfinite(u).all() and all(np.isfinite(vi).all() for vi in v)):
-                bad = next(i for i in range(len(eps))
-                           if not (np.isfinite(u[i]).all() and all(np.isfinite(vi[i]).all() for vi in v)))
-                raise DivergenceError((k + 1) * float(dt[bad]), f"friction 1/eps={1.0 / eps[bad]:g}")
-            energy[k] = weight * (np.sum(np.abs(u[idx]) ** 2, axis=1)
-                                  + sum(np.sum(np.abs(eps_pair * vi[idx]) ** 2, axis=1) for vi in v))
+    t = 0.0
+    for k in range(n.max()):
+        w, t = advance(kernel, coeffs, w, 1, t, dt)
+        energy[k] = weight * (np.sum(np.abs(w[0][idx]) ** 2, axis=1)
+                              + sum(np.sum(np.abs(eps_pair * vi[idx]) ** 2, axis=1) for vi in w[1:]))
 
     rows = []
     for i, e in enumerate(eps):
@@ -798,9 +801,9 @@ def run_selftest(N: int = 256, seed: int = 0) -> dict:
     st = make_initial_data(spec, gm, model)
     mean0 = st.u.mean()
     dt = 0.4 * jinxin_dt_bound(model, gm)
-    stepper = _JinXinStepper(flux, model.a, gm)
-    st = stepper.advance(st, dt, 10000, stepper.prepare("imex_ssp2", dt, model.eps))
-    record("mean_conservation", np.max(np.abs(st.u.mean() - mean0)), 1e-13)
+    kernel, coeffs = _JinXinStepper(flux, model.a, gm).prepare("imex_ssp2", dt, model.eps)
+    (u, _), _ = advance(kernel, coeffs, _arrays(st), 10000, st.t, dt)
+    record("mean_conservation", np.max(np.abs(SpectralField(gm, u).mean() - mean0)), 1e-13)
 
     # frozen-u implicit update contracts the closure distance exactly
     eps, dt = 0.3, 0.05
@@ -808,8 +811,6 @@ def run_selftest(N: int = 256, seed: int = 0) -> dict:
                                             v_kind="ill_prepared", v_scale=0.5),
                             gm, JinXinModel(flux, (1.0,), eps))
     Z0 = SpectralField.stack(effective_Z(JinXinModel(flux, (1.0,), eps), st2))
-    from .models import flux_fields
-
     fv = flux_fields(flux, st2.u)
     v_new = [
         SpectralField(gm, (eps**2 * st2.v[i].coeffs

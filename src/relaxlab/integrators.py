@@ -1,5 +1,5 @@
 """Time integration: IMEX steppers for the stiff relaxation system and an
-integrating-factor stepper for its viscous limit.
+integrating-factor stepper for its viscous limit, all marched by one loop.
 
 The relaxation source is linear in v, so the implicit solve is exact and
 pointwise; the transport stays explicit and spectral. This removes the
@@ -21,7 +21,6 @@ from .models import (
     Flux,
     JinXinModel,
     JinXinState,
-    LimitState,
     checked_velocities,
     darcy_velocity,
     effective_Z,
@@ -42,6 +41,7 @@ from .spectral_analysis import exact_linear_propagator
 __all__ = [
     "StepperConfig",
     "CFLError",
+    "advance",
     "step_jinxin",
     "step_limit",
     "evolve",
@@ -109,17 +109,37 @@ def limit_advective_speed(flux: Flux, u: SpectralField) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the stepping loop
+
+def advance(kernel, coeffs, w: list, n_sub: int, t, h):
+    """n_sub steps w <- kernel(w, coeffs) of size h from t; returns (w, t).
+
+    w lists raw coefficient arrays, [u, v_1, ..., v_d] or [u*]; t and h are
+    floats or member columns. A non-finite step raises DivergenceError at its
+    (largest) t. A caller that hands w over frees each step's input in turn.
+    """
+    # a diverging state overflows on its way to the check below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(n_sub):
+            w = kernel(w, coeffs)
+            t += h
+            if not all(np.isfinite(wi).all() for wi in w):
+                raise DivergenceError(float(np.max(t)))
+    return w, t
+
+
+# ---------------------------------------------------------------------------
 # relaxation system steppers
 
 class _JinXinStepper:
     """Precomputed multipliers for one (flux, a, grid).
 
-    The scheme kernels work on raw coefficient arrays: u of shape
-    (..., n, N...) and v a list of d arrays shaped like u. eps and dt enter
-    only through prepare(), as floats or as member columns that broadcast
-    against u, so one kernel advances a leading member axis of systems that
-    share flux, a and grid but not eps or dt. All arithmetic is elementwise,
-    so each member gets the numbers it would get stepped alone.
+    The scheme kernels map [u, v_1, ..., v_d], raw coefficient arrays of
+    shape (..., n, N...), one step on (see advance). eps and dt enter only
+    through prepare(), as floats or as member columns that broadcast against
+    u, so one kernel advances a leading member axis of systems that share
+    flux, a and grid but not eps or dt. All arithmetic is elementwise, so
+    each member gets the numbers it would get stepped alone.
     """
 
     def __init__(self, flux: Flux, a, grid):
@@ -163,8 +183,9 @@ class _JinXinStepper:
     def _div_v(self, v):
         return sum(self.deriv[i] * v[i] for i in range(len(v)))
 
-    def ssp2(self, u0, v0, coeffs):
+    def ssp2(self, w, coeffs):
         dt, e2, g, e2g, dt_rest = coeffs
+        u0, *v0 = w
         d = len(v0)
         # first implicit stage
         stiff2 = self._stiff(u0 - g * self._div_v(v0))
@@ -176,32 +197,25 @@ class _JinXinStepper:
         u3 = u0 - dt * self._div_v([_DELTA * v0[i] + (1 - _DELTA) * v2[i] for i in range(d)])
         del v2
         stiff3 = self._stiff(u3)
-        v3 = [(e2 * (v0[i] + dt_rest * s2[i]) + g * stiff3[i]) / e2g for i in range(d)]
-        return u3, v3
+        return [u3] + [(e2 * (v0[i] + dt_rest * s2[i]) + g * stiff3[i]) / e2g for i in range(d)]
 
-    def exact_linear(self, u0, v0, coeffs):
+    def exact_linear(self, w, coeffs):
         """w1 = P w0 mode by mode, w = (u_hat, eps*v_hat_1, ..., eps*v_hat_d)."""
         P, eps = coeffs
+        u0, *v0 = w
         w0 = [u0] + [eps * vi for vi in v0]
         w1 = [sum(P[..., i, j] * wj for j, wj in enumerate(w0)) for i in range(len(w0))]
-        return w1[0], [wi / eps for wi in w1[1:]]
+        return [w1[0]] + [wi / eps for wi in w1[1:]]
 
-    def advance(self, state: JinXinState, h: float, n_sub: int, prepared: tuple) -> JinXinState:
-        """n_sub steps of size h, prepare()d, on raw coefficient arrays; one state at the end."""
-        kernel, coeffs = prepared
-        u, v, t = state.u.coeffs, [vi.coeffs for vi in state.v], state.t
-        del state  # u and v hold its arrays now; the first step lets them go
-        # a diverging state overflows on its way to the check below
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for _ in range(n_sub):
-                u, v = kernel(u, v, coeffs)
-                t += h
-                if not (np.isfinite(u).all() and all(np.isfinite(vi).all() for vi in v)):
-                    raise DivergenceError(t)
-        return JinXinState(SpectralField(self.grid, u), [SpectralField(self.grid, vi) for vi in v], t)
 
-    def step(self, state: JinXinState, dt: float, scheme: str, eps: float) -> JinXinState:
-        return self.advance(state, dt, 1, self.prepare(scheme, dt, eps))
+def _arrays(state: JinXinState) -> list:
+    """[u, v_1, ..., v_d], the raw coefficient arrays of state."""
+    return [state.u.coeffs] + [vi.coeffs for vi in state.v]
+
+
+def _state(grid, w: list, t: float) -> JinXinState:
+    """The relaxation state of raw coefficient arrays [u, v_1, ..., v_d] at time t."""
+    return JinXinState(SpectralField(grid, w[0]), [SpectralField(grid, wi) for wi in w[1:]], t)
 
 
 def step_jinxin(model: JinXinModel, state: JinXinState, dt: float, scheme: str = "imex_ssp2") -> JinXinState:
@@ -211,7 +225,8 @@ def step_jinxin(model: JinXinModel, state: JinXinState, dt: float, scheme: str =
     builds a new stepper (wavenumber tables, CFL bound, step coefficients).
     Loops should go through evolve, which builds one per run.
     """
-    return _JinXinStepper(model.flux, model.a, state.grid).step(state, dt, scheme, model.eps)
+    kernel, coeffs = _JinXinStepper(model.flux, model.a, state.grid).prepare(scheme, dt, model.eps)
+    return _state(state.grid, *advance(kernel, coeffs, _arrays(state), 1, state.t, dt))
 
 
 # ---------------------------------------------------------------------------
@@ -230,44 +245,32 @@ class _LimitStepper:
         fv = flux_coeffs(self.flux, self.grid, u)
         return -sum(self.deriv[i] * fv[i] for i in range(self.flux.d))
 
-    def if_rk2(self, u0, ef, dt: float):
-        """One integrating-factor RK2 step of coefficients u0; ef = exp(-S dt)."""
+    def if_rk2(self, w, coeffs):
+        """One integrating-factor RK2 step of [u0]; ef = exp(-S dt)."""
+        ef, dt = coeffs
+        u0, = w
         if self.flux.is_zero:
-            return ef * u0
+            return [ef * u0]
         k1 = self._nonlin(u0)
         k2 = self._nonlin(ef * (u0 + dt * k1))
-        return ef * u0 + 0.5 * dt * (ef * k1 + k2)
+        return [ef * u0 + 0.5 * dt * (ef * k1 + k2)]
 
-    def prepare(self, scheme: str, h: float) -> np.ndarray:
-        """exp(-S h), the integrating factor of one step of `scheme` with size h."""
+    def prepare(self, scheme: str, h: float) -> tuple:
+        """(kernel, coefficients) of one step of `scheme` with size h: exp(-S h) and h."""
         if scheme != "if_rk2":
             raise ValueError(f"unknown limit scheme {scheme!r}")
-        return np.exp(-self.S * h)
-
-    def advance(self, state: LimitState, h: float, n_sub: int, ef: np.ndarray) -> LimitState:
-        """n_sub steps of size h on raw coefficient arrays; one state at the end."""
-        u, t = state.u_star.coeffs, state.t
-        del state  # u holds its array now; the first step lets it go
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for _ in range(n_sub):
-                u = self.if_rk2(u, ef, h)
-                t += h
-                if not np.isfinite(u).all():
-                    raise DivergenceError(t)
-        return LimitState(SpectralField(self.grid, u), t)
-
-    def step(self, state: LimitState, dt: float, scheme: str = "if_rk2") -> LimitState:
-        return self.advance(state, dt, 1, self.prepare(scheme, dt))
+        return self.if_rk2, (np.exp(-self.S * h), h)
 
 
-def step_limit(flux: Flux, a, state: LimitState, dt: float) -> LimitState:
+def step_limit(flux: Flux, a, u_star: SpectralField, dt: float) -> SpectralField:
     """Advance the limit equation by one integrating-factor (if_rk2) step.
 
     A one-shot helper like step_jinxin: every call builds a new stepper
     (wavenumber tables, diffusion symbol, exp(-S dt)). Loops should go
     through evolve.
     """
-    return _LimitStepper(flux, checked_velocities(flux, a), state.grid).step(state, dt)
+    kernel, coeffs = _LimitStepper(flux, checked_velocities(flux, a), u_star.grid).prepare("if_rk2", dt)
+    return SpectralField(u_star.grid, advance(kernel, coeffs, [u_star.coeffs], 1, 0.0, dt)[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +311,8 @@ class Trajectory:
 
 
 def _tracked_field(model: JinXinModel, state: JinXinState, name: str,
-                   lim: LimitState | None) -> SpectralField:
-    """The named field of state; du/dv compare it with the limit state lim."""
+                   u_star: SpectralField | None) -> SpectralField:
+    """The named field of state; du/dv compare it with the limit u_star."""
     if name == "u":
         return state.u
     if name == "v":
@@ -319,9 +322,9 @@ def _tracked_field(model: JinXinModel, state: JinXinState, name: str,
     if name == "Z":
         return SpectralField.stack(effective_Z(model, state))
     if name == "du":
-        return state.u - lim.u_star
+        return state.u - u_star
     if name == "dv":
-        vstar = darcy_velocity(model.flux, model.a, lim.u_star)
+        vstar = darcy_velocity(model.flux, model.a, u_star)
         return SpectralField.stack([state.v[i] - vstar[i] for i in range(model.d)])
     raise KeyError(f"unknown tracker field {name!r}")
 
@@ -333,30 +336,27 @@ def sample_times_linear(t_end: float, every: float) -> np.ndarray:
 
 def _stepper_for(model: JinXinModel, initial: JinXinState, config: StepperConfig,
                  companion: bool) -> list:
-    """[(stepper, prepare, run)] of the relaxation system, then of its limit
-    companion when asked for: the dt policy of each run evolve advances, and
-    prepare(h), the stepper's prepare with the run's scheme (and eps) bound.
-
-    run records the scheme, dt, the stability bound dt is taken against and
-    the steps taken so far. The bound is the hyperbolic CFL bound of the
-    relaxation system or dx/speed for the limit equation; it is None where
-    there is none (exact_linear, or the limit at zero speed).
+    """[(prepare, run)] of the relaxation system, then of its limit companion
+    when asked for. prepare(h) gives (kernel, coefficients) of one step of
+    size h; run records the scheme, dt, the stability bound dt is taken
+    against (the relaxation system's hyperbolic CFL bound, dx/speed for the
+    limit, None for exact_linear or a limit at zero speed) and the steps.
     """
     grid = initial.grid
     relax = _JinXinStepper(model.flux, model.a, grid)
-    plans = [(relax, partial(relax.prepare, config.scheme, eps=model.eps), config.scheme,
+    plans = [(partial(relax.prepare, config.scheme, eps=model.eps), config.scheme,
               None if config.scheme == "exact_linear" else jinxin_dt_bound(model, grid))]
     if companion:
         speed = limit_advective_speed(model.flux, initial.u)
         limit = _LimitStepper(model.flux, model.a, grid)
-        plans.append((limit, partial(limit.prepare, "if_rk2"), "if_rk2",
+        plans.append((partial(limit.prepare, "if_rk2"), "if_rk2",
                       grid.dx / speed if speed > 0 else None))
     runs = []
-    for stepper, prepare, scheme, bound in plans:
+    for prepare, scheme, bound in plans:
         dt = config.dt_max if bound is None else min(config.dt_max, config.cfl * bound)
         if dt < config.dt_min:
             raise ValueError(f"required dt {dt:g} is below dt_min {config.dt_min:g}")
-        runs.append((stepper, prepare, {"scheme": scheme, "dt": dt, "bound": bound, "steps": 0}))
+        runs.append((prepare, {"scheme": scheme, "dt": dt, "bound": bound, "steps": 0}))
     return runs
 
 
@@ -394,11 +394,13 @@ def evolve(model: JinXinModel, initial: JinXinState, config: StepperConfig, trac
 
     companion = any(name in ("du", "dv") for name, _ in trackers)
     runs = _stepper_for(model, initial, config, companion)
-    states = [initial]
-    if companion:
-        states.append(LimitState(initial.u.copy(), initial.t))
+    grid = initial.grid
+    # each run's raw arrays and time; kernels never write their input, so the
+    # companion may start from initial's own u
+    arrays = [_arrays(initial)] + ([[initial.u.coeffs]] if companion else [])
+    clocks = [initial.t] * len(runs)
 
-    sch = scheme_for(initial.grid)
+    sch = scheme_for(grid)
     # one row of block norms per sample; each series reads the transpose
     rows = {key: np.empty((sample_times.size, sch.j_indices.size)) for key in trackers}
     t_start = time.perf_counter()
@@ -408,21 +410,25 @@ def evolve(model: JinXinModel, initial: JinXinState, config: StepperConfig, trac
 
     def sample(k):
         nonlocal max_abs_u, mean_drift
-        st, lim = states[0], (states[1] if companion else None)
+        st = _state(grid, arrays[0], clocks[0])
+        u_star = SpectralField(grid, arrays[1][0]) if companion else None
         max_abs_u = max(max_abs_u, lp_norm(st.u, np.inf))
         mean_drift = max(mean_drift, float(np.max(np.abs(st.u.mean() - mean0))))
         for (name, p), tab in rows.items():
-            tab[k] = block_lp_norms(_tracked_field(model, st, name, lim), p, sch)
+            tab[k] = block_lp_norms(_tracked_field(model, st, name, u_star), p, sch)
 
     sample(0)
     for k in range(1, sample_times.size):
         span = sample_times[k] - sample_times[k - 1]
-        for i, (stepper, prepare, run) in enumerate(runs):
+        for i, (prepare, run) in enumerate(runs):
             n_sub = max(1, int(math.ceil(span / run["dt"] - 1e-12)))
             h = span / n_sub
-            # popped, not indexed, into a Python call: no reference to the old
-            # state stays here, so advance frees its arrays once unpacked
-            states.insert(i, stepper.advance(states.pop(i), h, n_sub, prepare(h)))
+            kernel, coeffs = prepare(h)
+            # popped into a plain call (no argument tuple), then w and the tables
+            # unbound: advance frees each step's input, prepare the old tables
+            w, clocks[i] = advance(kernel, coeffs, arrays.pop(i), n_sub, clocks[i], h)
+            arrays.insert(i, w)
+            del w, kernel, coeffs
             run["steps"] += n_sub
         sample(k)
 
@@ -430,10 +436,10 @@ def evolve(model: JinXinModel, initial: JinXinState, config: StepperConfig, trac
         times=sample_times,
         series={(name, p): NormSeries(sch.j_indices, p, sample_times, tab.T)
                 for (name, p), tab in rows.items()},
-        final_state=states[0],
-        steps=sum(run["steps"] for *_, run in runs),
+        final_state=_state(grid, arrays[0], clocks[0]),
+        steps=sum(run["steps"] for _, run in runs),
         wall_time=time.perf_counter() - t_start,
         mean_drift=mean_drift,
         max_abs_u=max_abs_u,
-        runs=[run for *_, run in runs],
+        runs=[run for _, run in runs],
     )

@@ -29,7 +29,6 @@ __all__ = [
     "Flux",
     "JinXinModel",
     "JinXinState",
-    "LimitState",
     "DivergenceError",
     "FluxValidationError",
     "darcy_velocity",
@@ -216,19 +215,6 @@ class JinXinState:
 
     def copy(self) -> "JinXinState":
         return JinXinState(self.u.copy(), [vi.copy() for vi in self.v], self.t)
-
-
-@dataclass
-class LimitState:
-    u_star: SpectralField
-    t: float = 0.0
-
-    @property
-    def grid(self) -> Grid:
-        return self.u_star.grid
-
-    def copy(self) -> "LimitState":
-        return LimitState(self.u_star.copy(), self.t)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ by field as independent references for the steppers, which fuse them into
 their stage kernels.
 """
 
-from relaxlab.models import JinXinModel, JinXinState, LimitState, flux_fields
+from relaxlab.models import JinXinModel, JinXinState, flux_fields
 from relaxlab.spectral_core import SpectralField, diffusion_symbol, spectral_derivative
 
 
@@ -23,9 +23,8 @@ def jinxin_rhs(model: JinXinModel, state: JinXinState):
     return du.dealias(), dv
 
 
-def limit_rhs(flux, a, state: LimitState) -> SpectralField:
-    """du*/dt of the viscous conservation law, dealiased."""
-    u = state.u_star
+def limit_rhs(flux, a, u: SpectralField) -> SpectralField:
+    """du*/dt of the viscous conservation law at u*, dealiased."""
     g = u.grid
     rate = u.coeffs * -diffusion_symbol(g, a)
     if not flux.is_zero:

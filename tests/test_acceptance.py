@@ -13,7 +13,7 @@ import pytest
 from relaxlab.cli import PRESETS, dispatch, parse_config_dict
 from relaxlab.harness import run_selftest
 from relaxlab.integrators import step_jinxin, step_limit
-from relaxlab.models import JinXinModel, JinXinState, LimitState, make_flux
+from relaxlab.models import JinXinModel, JinXinState, make_flux
 from relaxlab.spectral_core import Grid, SpectralField
 from relaxlab.spectral_analysis import exact_linear_propagator
 
@@ -142,10 +142,10 @@ class TestCriterion3IntegratorOrder:
         T = 1.0
 
         def advance(dt):
-            st = LimitState(u0.copy())
+            st = u0
             for _ in range(int(round(T / dt))):
                 st = step_limit(fl, (1.0,), st, dt)
-            return st.u_star.coeffs
+            return st.coeffs
 
         ref = advance(2.0**-7 / 64.0)
         dts = [2.0**-k for k in range(4, 8)]

@@ -26,6 +26,16 @@ class TestParseConfig:
         _, h2 = parse_config_dict({"experiment": "spectrum", "model": {"a": [1], "eps": 1, "d": 1}})
         assert h1 == h2
 
+    def test_sample_every_rule_is_single_eps_simulate_only(self):
+        # epsilon-convergence and the eps_list sweep build their own sample times
+        stepper = {"sample_every": 5, "t_end": 1}
+        parse_config_dict({"experiment": "epsilon-convergence", "stepper": stepper})
+        parse_config_dict({"experiment": "simulate", "model": {"eps_list": [0.5, 0.25]}, "stepper": stepper})
+        # 1 / 1.9 rounds to one interval: samples at 0 and t_end
+        parse_config_dict({"experiment": "simulate", "stepper": {"sample_every": 1.9, "t_end": 1}})
+        with pytest.raises(ConfigError, match="config.stepper.sample_every"):
+            parse_config_dict({"experiment": "simulate", "stepper": {"sample_every": 2, "t_end": 1}})
+
     def test_negative_a_rejected(self):
         with pytest.raises(ConfigError, match="a_i > 0"):
             parse_config_dict({"experiment": "spectrum", "model": {"a": [-1]}})
@@ -172,11 +182,19 @@ class TestDispatch:
         # N = 16 keeps |k| <= 5 under the 2/3 rule: the scan would start from zero data
         ({"experiment": "overdamping", "grid": {"N": 16}, "scan": {"mode": [7]}}, "config.scan.mode"),
         ({"experiment": "overdamping", "grid": {"N": 16}, "scan": {"mode": [-16]}}, "config.scan.mode"),
+        # the Grid holds L = 1e154, but the scan's rate omega ~ 4e-307 puts 100/omega beyond the floats
+        ({"experiment": "overdamping", "grid": {"N": 16, "L": 1e154}}, "config.grid.L"),
+        # cross-field stepper rules; a single-eps simulate run samples t_end / sample_every intervals
+        ({"experiment": "simulate", "stepper": {"dt_min": 0.1, "dt_max": 0.05}}, "config.stepper.dt_min"),
+        ({"experiment": "simulate", "stepper": {"sample_every": 5, "t_end": 1}}, "config.stepper.sample_every"),
     ])
     def test_main_malformed_config_lists(self, tmp_path, capsys, tree, path):
         p = tmp_path / "c.json"
         p.write_text(json.dumps(tree))
-        rc = main(["run", "--config", str(p), "--out", str(tmp_path / "runs")])
+        # a rejected config ends in its one error line, with no numpy warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["run", "--config", str(p), "--out", str(tmp_path / "runs")])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and "Traceback" not in err

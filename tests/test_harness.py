@@ -114,6 +114,17 @@ class TestInitialData:
         total = math.sqrt(sum(lp_norm(v, 2) ** 2 for v in jx.v))
         assert total == pytest.approx(0.7, rel=1e-12)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("kind", "bogus", "unknown initial data kind 'bogus'"),
+        ("v_kind", "bogus", "unknown v preparation 'bogus'"),
+        ("v_scale_mode", "bogus", "unknown v_scale_mode 'bogus'"),
+    ])
+    def test_unknown_names_are_value_errors(self, grid, field, value, message):
+        model = JinXinModel(make_flux("burgers1d"), (1.0,), 0.2)
+        spec = InitialDataSpec(kind="gaussian_bump", v_kind="ill_prepared", v_scale=0.7)
+        with pytest.raises(ValueError, match=message):
+            make_initial_data(dataclasses.replace(spec, **{field: value}), grid, model)
+
     def test_sigma1_admissibility(self):
         check_sigma1_admissible(-0.5, 1, 2)
         with pytest.raises(ValueError, match="admissible range"):

@@ -1,5 +1,6 @@
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from relaxlab.integrators import (
 from relaxlab.models import (
     JinXinModel,
     JinXinState,
-    LimitState,
     darcy_velocity,
     make_flux,
 )
@@ -182,30 +182,30 @@ class TestStepLimit:
         fl = make_flux("zero", 1, 1)
         x = grid.coords()[0]
         u = SpectralField.from_physical(grid, np.cos(2 * x))
-        out = step_limit(fl, (1.5,), LimitState(u), 0.37)
+        out = step_limit(fl, (1.5,), u, 0.37)
         kap = grid.kappa_axes()[0].ravel()
         sel = np.isclose(np.abs(kap), 2.0)
         expected = u.coeffs[0, sel] * math.exp(-1.5 * 4.0 * 0.37)
-        assert np.max(np.abs(out.u_star.coeffs[0, sel] - expected)) <= 1e-15
+        assert np.max(np.abs(out.coeffs[0, sel] - expected)) <= 1e-15
 
     def test_constant_unchanged(self, grid):
         fl = make_flux("burgers1d")
         u = SpectralField.from_physical(grid, np.full(grid.shape, 0.4))
-        out = step_limit(fl, (1.0,), LimitState(u), 0.2)
-        assert np.max(np.abs(out.u_star.coeffs - u.coeffs)) <= 1e-14
+        out = step_limit(fl, (1.0,), u, 0.2)
+        assert np.max(np.abs(out.coeffs - u.coeffs)) <= 1e-14
 
     def test_euler_consistency_richardson(self, grid):
         # one if_rk2 step agrees with forward Euler on the full rhs to O(dt^2);
         # low modes only, so that dt*S stays small on every mode
         fl = make_flux("burgers1d")
         x = grid.coords()[0]
-        st = LimitState(SpectralField.from_physical(grid, 0.2 * np.cos(x) + 0.1 * np.sin(2 * x)))
+        st = SpectralField.from_physical(grid, 0.2 * np.cos(x) + 0.1 * np.sin(2 * x))
         rate = limit_rhs(fl, (1.0,), st)
         dts = [1e-2, 5e-3, 2.5e-3]
         gaps = []
         for dt in dts:
             out = step_limit(fl, (1.0,), st, dt)
-            gaps.append(np.max(np.abs(out.u_star.coeffs - st.u_star.coeffs - dt * rate.coeffs)))
+            gaps.append(np.max(np.abs(out.coeffs - st.coeffs - dt * rate.coeffs)))
         slope = np.polyfit(np.log(dts), np.log(gaps), 1)[0]
         assert slope >= 1.9
 
@@ -217,10 +217,10 @@ class TestStepLimit:
         T = 1.0
 
         def advance(dt):
-            st = LimitState(u0.copy())
+            st = u0
             for _ in range(int(round(T / dt))):
                 st = step_limit(fl, (1.0,), st, dt)
-            return st.u_star.coeffs
+            return st.coeffs
 
         ref = advance(2.0**-13)
         errs, dts = [], [2.0**-k for k in range(4, 8)]
@@ -255,12 +255,12 @@ class TestEvolve:
     def test_heat_l2_monotone(self, grid):
         fl = make_flux("zero", 1, 1)
         x = grid.coords()[0]
-        st = LimitState(SpectralField.from_physical(grid, np.cos(x) + 0.3 * np.cos(3 * x)))
+        st = SpectralField.from_physical(grid, np.cos(x) + 0.3 * np.cos(3 * x))
         times = np.linspace(0.0, 2.0, 21)
-        curve = [besov_norm(st.u_star, 0.0, 2, 2)]
+        curve = [besov_norm(st, 0.0, 2, 2)]
         for span in zip(times[:-1], times[1:]):
             st = _hand_loop(lambda s, h: step_limit(fl, (1.0,), s, h), st, span, 0.05)
-            curve.append(besov_norm(st.u_star, 0.0, 2, 2))
+            curve.append(besov_norm(st, 0.0, 2, 2))
         assert np.all(np.diff(curve) <= 1e-14)
 
     def test_divergence_reported_with_time(self, grid):
@@ -348,8 +348,8 @@ class TestLimitCompanion:
         # the companion starts from the relaxation system's own u0, flux and a
         lim_steps = []
         lone_lim = _hand_loop(lambda s, h: lim_steps.append(h) or step_limit(model.flux, model.a, s, h),
-                              LimitState(jx0.u.copy()), co.times, co.runs[1]["dt"])
-        u, u_star = alone.final_state.u, lone_lim.u_star
+                              jx0.u, co.times, co.runs[1]["dt"])
+        u, u_star = alone.final_state.u, lone_lim
         sch = scheme_for(u.grid)
         assert np.array_equal(co.get("du", 4).table[:, -1], block_lp_norms(u - u_star, 4, sch))
         vstar = darcy_velocity(model.flux, model.a, u_star)
@@ -371,9 +371,9 @@ class TestLimitCompanion:
             evolve(model, jx0, cfg, [("du", 2)])
 
     def test_limit_velocities_must_match_dimension(self):
-        st = LimitState(SpectralField.zero(Grid(2, 8, 2 * np.pi)))
+        u = SpectralField.zero(Grid(2, 8, 2 * np.pi))
         with pytest.raises(ValueError, match="need 2 diffusion coefficients"):
-            step_limit(make_flux("zero", 1, 2), (1.0,), st, 0.1)
+            step_limit(make_flux("zero", 1, 2), (1.0,), u, 0.1)
 
 
 def _hand_loop(step, state, times, dt):
@@ -395,7 +395,7 @@ def _burgers_state(g, eps):
 
 
 class TestAdvance:
-    """evolve advances each interval on raw arrays; step() is one sub-step of it."""
+    """evolve advances each interval on raw arrays; step_jinxin is one sub-step of it."""
 
     @pytest.mark.parametrize("scheme,d", [("imex_ssp2", 1), ("imex_ssp2", 2), ("exact_linear", 1)])
     def test_evolve_equals_step_loop(self, scheme, d):
@@ -419,7 +419,7 @@ class TestAdvance:
         model, jx0 = _burgers_state(g, 0.3)
         cfg = StepperConfig(scheme="imex_ssp2", cfl=0.4, dt_max=0.02)
         co = evolve(model, jx0, cfg, [("du", 2), ("dv", 2)], sample_times=[0.1, 0.25, 0.3])
-        jx, ls = jx0, LimitState(jx0.u.copy())
+        jx, ls = jx0, jx0.u
         sch = scheme_for(g)
         # every sample of the companion, not only the last, is its step loop's
         for k, span in enumerate(zip(co.times[:-1], co.times[1:]), start=1):
@@ -428,12 +428,56 @@ class TestAdvance:
             ls = _hand_loop(lambda s, h: step_limit(model.flux, model.a, s, h), ls, span,
                             co.runs[1]["dt"])
             assert np.array_equal(co.get("du", 2).table[:, k],
-                                  block_lp_norms(jx.u - ls.u_star, 2, sch))
-            vstar = darcy_velocity(model.flux, model.a, ls.u_star)
+                                  block_lp_norms(jx.u - ls, 2, sch))
+            vstar = darcy_velocity(model.flux, model.a, ls)
             assert np.array_equal(co.get("dv", 2).table[:, k],
                                   block_lp_norms(SpectralField.stack([jx.v[0] - vstar[0]]), 2, sch))
         assert np.array_equal(co.final_state.u.coeffs, jx.u.coeffs)
         assert co.final_state.t == jx.t
+
+    def test_evolve_frees_the_arrays_each_step_consumed(self, monkeypatch):
+        # evolve hands each interval's arrays over to advance and keeps no
+        # reference, so the arrays the first step of an interval consumed are
+        # dead by its third step; the first interval starts from st0, held here
+        g = Grid(1, 32, 2 * np.pi)
+        model, st0 = _burgers_state(g, 0.3)
+        prepare = _JinXinStepper.prepare
+        freed = []
+
+        def spying_prepare(self, *args, **kwargs):
+            kernel, coeffs = prepare(self, *args, **kwargs)
+            consumed = []
+
+            def spy(w, coeffs):
+                if len(consumed) == 2:
+                    freed.append([ref() is None for ref in consumed[0]])
+                consumed.append([weakref.ref(wi) for wi in w])
+                return kernel(w, coeffs)
+
+            return spy, coeffs
+
+        monkeypatch.setattr(_JinXinStepper, "prepare", spying_prepare)
+        cfg = StepperConfig(scheme="imex_ssp2", cfl=0.4, dt_max=0.02)
+        traj = evolve(model, st0, cfg, [("u", 2)], sample_times=[0.1, 0.2, 0.3])
+        assert traj.runs[0]["steps"] == 15 and len(freed) == 3
+        assert freed[0] == [False, False] and freed[1:] == [[True, True]] * 2
+
+    def test_evolve_frees_the_last_tables_before_the_next(self, grid, monkeypatch):
+        # an interval's exact_linear propagator is gone when prepare builds the next
+        model = JinXinModel(make_flux("zero", 1, 1), (1.0,), 0.3)
+        prepare = _JinXinStepper.prepare
+        last, alive = [], []
+
+        def spying_prepare(self, *args, **kwargs):
+            alive.extend(ref() is not None for ref in last)
+            kernel, coeffs = prepare(self, *args, **kwargs)
+            last[:] = [weakref.ref(coeffs[0])]
+            return kernel, coeffs
+
+        monkeypatch.setattr(_JinXinStepper, "prepare", spying_prepare)
+        cfg = StepperConfig(scheme="exact_linear", dt_max=0.1)
+        evolve(model, single_mode_state(grid, 0.3), cfg, [("u", 2)], sample_times=[0.25, 0.55, 1.0])
+        assert alive == [False, False]
 
     def test_divergence_time_is_first_bad_step(self, grid):
         # u ~ 1e20 overflows the Burgers flux on the third step of size 0.05,

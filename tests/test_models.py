@@ -7,7 +7,6 @@ from relaxlab.models import (
     FluxValidationError,
     JinXinModel,
     JinXinState,
-    LimitState,
     builtin_fluxes,
     darcy_velocity,
     effective_Z,
@@ -193,14 +192,14 @@ class TestLimitRHS:
         fl = make_flux("zero", 1, 1)
         x = grid.coords()[0]
         u = SpectralField.from_physical(grid, np.cos(3 * x))
-        rate = limit_rhs(fl, (2.0,), LimitState(u))
+        rate = limit_rhs(fl, (2.0,), u)
         expected = -2.0 * 9.0 * u.coeffs
         assert np.max(np.abs(rate.coeffs - expected)) <= 1e-12
 
     def test_constant_state(self, grid):
         fl = make_flux("burgers1d")
         u = SpectralField.from_physical(grid, np.full(grid.shape, 0.7))
-        assert lp_norm(limit_rhs(fl, (1.0,), LimitState(u)), 2) <= 1e-13
+        assert lp_norm(limit_rhs(fl, (1.0,), u), 2) <= 1e-13
 
     def test_burgers2d_closed_form(self, grid2d):
         # u = (sin x1, 0): rate = (-sin 2x1 - sin x1, 0)
@@ -208,7 +207,7 @@ class TestLimitRHS:
         x1 = grid2d.coords()[0]
         phys = np.stack([np.sin(x1) * np.ones(grid2d.shape), np.zeros(grid2d.shape)])
         u = SpectralField.from_physical(grid2d, phys)
-        rate = limit_rhs(fl, (1.0, 1.0), LimitState(u)).to_physical()
+        rate = limit_rhs(fl, (1.0, 1.0), u).to_physical()
         expected0 = -np.sin(2 * x1) - np.sin(x1)
         assert np.max(np.abs(rate[0] - expected0 * np.ones(grid2d.shape))) <= 1e-10
         assert np.max(np.abs(rate[1])) <= 1e-12
@@ -217,7 +216,7 @@ class TestLimitRHS:
         rng = np.random.default_rng(7)
         fl = make_flux("burgers1d")
         u = SpectralField.from_physical(grid, 0.1 * rng.standard_normal(grid.shape))
-        rate = limit_rhs(fl, (1.0,), LimitState(u))
+        rate = limit_rhs(fl, (1.0,), u)
         assert np.max(np.abs(rate.mean())) <= 1e-14
 
 
