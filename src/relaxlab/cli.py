@@ -19,7 +19,7 @@ import sys
 from . import harness
 from .harness import InitialDataSpec, StepperConfig, write_results
 from .integrators import JINXIN_SCHEMES
-from .models import DivergenceError, make_flux
+from .models import MAX_COMPONENTS, DivergenceError, make_flux
 from .spectral_analysis import mode_symbol
 from .spectral_core import Grid
 from .svgplot import render_csv
@@ -67,7 +67,7 @@ def _numbers(path, v):
 # schema: name -> (type(s), default, validator or None)
 _MODEL_SCHEMA = {
     "flux": ((str,), "zero", None),
-    "n": ((int,), 1, lambda p, v: _positive(p, v)),
+    "n": ((int,), 1, lambda p, v: 1 <= v <= MAX_COMPONENTS or _fail(p, f"need 1 <= n <= {MAX_COMPONENTS}, got {v}")),
     "d": ((int,), 1, lambda p, v: v in (1, 2) or _fail(p, "d must be 1 or 2")),
     "a": ((list,), [1.0], None),
     "eps": ((int, float, type(None)), None, None),
@@ -148,6 +148,35 @@ def _mode(path, mode, d):
         _fail(path, f"need d={d} integers, got {mode!r}")
 
 
+def _check_flux(m: dict):
+    """The model's flux builds, with the model's n and d."""
+    if m["terms"] is not None and m["flux"] != "polynomial":
+        _fail("config.model.terms", f"only the polynomial flux takes terms, got flux {m['flux']!r}")
+    try:
+        flux = make_flux(m["flux"], m["n"], m["d"], m["terms"])
+    except ValueError as e:
+        _fail("config.model.terms" if m["terms"] else "config.model.flux", str(e))
+    if (flux.n, flux.d) != (m["n"], m["d"]):
+        _fail("config.model.flux", f"{m['flux']} has n={flux.n}, d={flux.d}; "
+              f"the model says n={m['n']}, d={m['d']}")
+
+
+def _check_scan(scan: dict, S: float):
+    """Frictions 1/eps whose squares and those of eps stay positive floats.
+
+    harness.friction_grid spans min(span[0], 1) to max(span[1], 1) times the
+    peak 2 sqrt(S); the squares are monotone, so its two ends decide.
+    """
+    if not S > 0:
+        _fail("config.scan.mode", f"the scanned mode has S = {S:g}; the mean mode has no overdamping peak")
+    peak = 2 * math.sqrt(S)
+    for inv_eps in (min(scan["span"][0], 1) * peak, max(scan["span"][1], 1) * peak):
+        eps = 1.0 / inv_eps if inv_eps > 0 else math.inf
+        if not all(0.0 < x * x < math.inf for x in (inv_eps, eps)):
+            _fail("config.scan.span", f"the friction 1/eps = {inv_eps:g} of S = {S:g} puts eps^2 "
+                  "or 1/eps^2 outside the floats; use a narrower span")
+
+
 def _validate_section(tree: dict, schema: dict, path: str) -> dict:
     if not isinstance(tree, dict):
         raise ConfigError(f"{path}: expected an object, got {type(tree).__name__}")
@@ -187,6 +216,7 @@ def parse_config_dict(tree: dict) -> tuple:
             raise ConfigError(f"config.model.a[{i}]: a_i > 0 is required by the relaxation model, got {ai}")
     if len(m["a"]) != m["d"]:
         raise ConfigError(f"config.model.a: need d={m['d']} entries, got {len(m['a'])}")
+    _check_flux(m)
     if m["eps"] is not None and not m["eps"] > 0:
         raise ConfigError("config.model.eps: must be positive")
     if m["eps_list"] is not None:
@@ -220,6 +250,9 @@ def parse_config_dict(tree: dict) -> tuple:
         Grid(m["d"], cfg["grid"]["N"], float(cfg["grid"]["L"]))
     except (ValueError, OverflowError) as e:
         _fail("config.grid.L", str(e))
+    if cfg["experiment"] in ("overdamping", "spectrum"):
+        _check_scan(cfg["scan"], mode_symbol(tuple(2 * math.pi * k / float(cfg["grid"]["L"])
+                                                   for k in cfg["scan"]["mode"]), m["a"]))
     if cfg["data"]["kind"] == "single_mode":
         _mode("config.data.mode", cfg["data"]["mode"], m["d"])
     for i, t in enumerate(cfg["trackers"]):

@@ -35,6 +35,7 @@ from .integrators import (
     _cfl_bound,
     _JinXinStepper,
     advance,
+    checked_relaxation_scheme,
 )
 from .spectral_core import (
     Grid,
@@ -587,8 +588,8 @@ def run_overdamping_scan(grid: Grid, a, mode, eps_grid, scheme: str = "imex_ssp2
     state = make_initial_data(spec, grid, JinXinModel(flux, a, eps[0]))
     w = [np.repeat(c[None], len(eps), axis=0) for c in _arrays(state)]
     column = (-1,) + (1,) * (w[0].ndim - 1)
-    kernel, coeffs = _JinXinStepper(flux, a, grid).prepare(scheme, dt.reshape(column),
-                                                           np.reshape(eps, column))
+    kernel, coeffs = _JinXinStepper(flux, a, grid).prepare(checked_relaxation_scheme(scheme),
+                                                           dt.reshape(column), np.reshape(eps, column))
     # energy of the initialized wavevector pair only, read at its stored mode
     # and weighted; the conserved mean and roundoff injected elsewhere must
     # not floor the measurement

@@ -77,8 +77,7 @@ class StepperConfig:
             raise ValueError("cfl must lie in (0, 1]")
         if not (0.0 < self.dt_min <= self.dt_max):
             raise ValueError("need 0 < dt_min <= dt_max")
-        if self.scheme not in JINXIN_SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+        checked_relaxation_scheme(self.scheme)
 
 
 def jinxin_dt_bound(model: JinXinModel, grid) -> float:
@@ -129,17 +128,18 @@ def advance(kernel, coeffs, w: list, n_sub: int, t, h):
 
 
 # ---------------------------------------------------------------------------
-# relaxation system steppers
+# the stepper
 
 class _JinXinStepper:
-    """Precomputed multipliers for one (flux, a, grid).
+    """Precomputed multipliers for one (flux, a, grid) and every scheme on it.
 
-    The scheme kernels map [u, v_1, ..., v_d], raw coefficient arrays of
-    shape (..., n, N...), one step on (see advance). eps and dt enter only
-    through prepare(), as floats or as member columns that broadcast against
-    u, so one kernel advances a leading member axis of systems that share
-    flux, a and grid but not eps or dt. All arithmetic is elementwise, so
-    each member gets the numbers it would get stepped alone.
+    The kernels of imex_ssp2 and exact_linear map [u, v_1, ..., v_d], raw
+    coefficient arrays of shape (..., n, N...), one step on (see advance);
+    if_rk2 steps [u*] of the limit u_t + div f(u) = sum_i a_i d_i^2 u. eps
+    and dt enter only through prepare(), as floats or as member columns that
+    broadcast against u, so one kernel advances a leading member axis of
+    systems that share flux, a and grid but not eps or dt. All arithmetic is
+    elementwise, so each member gets the numbers it would get stepped alone.
     """
 
     def __init__(self, flux: Flux, a, grid):
@@ -150,12 +150,28 @@ class _JinXinStepper:
         self.deriv = [1j * kap for kap in self.kap]
         self.neg_a_deriv = [-a[i] * self.deriv[i] for i in range(flux.d)]
 
-    def prepare(self, scheme: str, dt, eps) -> tuple:
+    def bound(self, scheme: str, eps, u0: SpectralField):
+        """The bound dt of `scheme` is taken against at friction 1/eps from u0:
+        the CFL bound for imex_ssp2, dx / limit speed for if_rk2, None at zero
+        speed and for exact_linear.
+        """
+        if scheme == "imex_ssp2":
+            return _cfl_bound(eps, self.a, self.grid)
+        if scheme == "if_rk2":
+            speed = limit_advective_speed(self.flux, u0)
+            return self.grid.dx / speed if speed > 0 else None
+        if scheme == "exact_linear":
+            return None
+        raise ValueError(f"unknown scheme {scheme!r}")
+
+    def prepare(self, scheme: str, dt, eps=None) -> tuple:
         """(kernel, coefficients) of one step of `scheme` with size dt at friction 1/eps.
 
         imex_ssp2 checks every member against its hyperbolic CFL bound; the
         exact propagator has none. Its coefficients are the per-mode
-        propagator P on the stored lattice and eps.
+        propagator P on the stored lattice and eps; those of if_rk2, which
+        takes no eps, exp(-S dt) and dt. S is built here, so a stepper that
+        never prepares if_rk2 keeps no S table.
         """
         if scheme == "imex_ssp2":
             dts, bounds = np.broadcast_arrays(dt, _cfl_bound(eps, self.a, self.grid))
@@ -170,7 +186,9 @@ class _JinXinStepper:
                 raise ValueError("exact_linear applies to the linear system (zero flux) only")
             xi = np.stack(np.broadcast_arrays(*self.kap), -1)
             return self.exact_linear, (exact_linear_propagator(xi, eps, self.a, dt), eps)
-        raise ValueError(f"unknown relaxation scheme {scheme!r}")
+        if scheme == "if_rk2":
+            return self.if_rk2, (np.exp(-diffusion_symbol(self.grid, self.a) * dt), dt)
+        raise ValueError(f"unknown scheme {scheme!r}")
 
     def _stiff(self, u):
         """[-a_i d_i u + f_i(u)], the relaxed targets of v."""
@@ -207,6 +225,26 @@ class _JinXinStepper:
         w1 = [sum(P[..., i, j] * wj for j, wj in enumerate(w0)) for i in range(len(w0))]
         return [w1[0]] + [wi / eps for wi in w1[1:]]
 
+    def _nonlin(self, u):
+        return -self._div_v(flux_coeffs(self.flux, self.grid, u))
+
+    def if_rk2(self, w, coeffs):
+        """One integrating-factor RK2 step of [u0]; ef = exp(-S dt)."""
+        ef, dt = coeffs
+        u0, = w
+        if self.flux.is_zero:
+            return [ef * u0]
+        k1 = self._nonlin(u0)
+        k2 = self._nonlin(ef * (u0 + dt * k1))
+        return [ef * u0 + 0.5 * dt * (ef * k1 + k2)]
+
+
+def checked_relaxation_scheme(scheme: str) -> str:
+    """scheme, if it steps the relaxation system (if_rk2 steps its limit)."""
+    if scheme not in JINXIN_SCHEMES:
+        raise ValueError(f"unknown relaxation scheme {scheme!r}; need one of {JINXIN_SCHEMES}")
+    return scheme
+
 
 def _arrays(state: JinXinState) -> list:
     """[u, v_1, ..., v_d], the raw coefficient arrays of state."""
@@ -225,41 +263,9 @@ def step_jinxin(model: JinXinModel, state: JinXinState, dt: float, scheme: str =
     builds a new stepper (wavenumber tables, CFL bound, step coefficients).
     Loops should go through evolve, which builds one per run.
     """
-    kernel, coeffs = _JinXinStepper(model.flux, model.a, state.grid).prepare(scheme, dt, model.eps)
+    stepper = _JinXinStepper(model.flux, model.a, state.grid)
+    kernel, coeffs = stepper.prepare(checked_relaxation_scheme(scheme), dt, model.eps)
     return _state(state.grid, *advance(kernel, coeffs, _arrays(state), 1, state.t, dt))
-
-
-# ---------------------------------------------------------------------------
-# limit equation stepper
-
-class _LimitStepper:
-    """The viscous conservation law u_t + div f(u) = sum_i a_i d_i^2 u."""
-
-    def __init__(self, flux: Flux, a, grid):
-        self.flux = flux
-        self.grid = grid
-        self.deriv = [1j * kap for kap in grid.kappa_axes()]
-        self.S = diffusion_symbol(grid, a)
-
-    def _nonlin(self, u):
-        fv = flux_coeffs(self.flux, self.grid, u)
-        return -sum(self.deriv[i] * fv[i] for i in range(self.flux.d))
-
-    def if_rk2(self, w, coeffs):
-        """One integrating-factor RK2 step of [u0]; ef = exp(-S dt)."""
-        ef, dt = coeffs
-        u0, = w
-        if self.flux.is_zero:
-            return [ef * u0]
-        k1 = self._nonlin(u0)
-        k2 = self._nonlin(ef * (u0 + dt * k1))
-        return [ef * u0 + 0.5 * dt * (ef * k1 + k2)]
-
-    def prepare(self, scheme: str, h: float) -> tuple:
-        """(kernel, coefficients) of one step of `scheme` with size h: exp(-S h) and h."""
-        if scheme != "if_rk2":
-            raise ValueError(f"unknown limit scheme {scheme!r}")
-        return self.if_rk2, (np.exp(-self.S * h), h)
 
 
 def step_limit(flux: Flux, a, u_star: SpectralField, dt: float) -> SpectralField:
@@ -269,7 +275,7 @@ def step_limit(flux: Flux, a, u_star: SpectralField, dt: float) -> SpectralField
     (wavenumber tables, diffusion symbol, exp(-S dt)). Loops should go
     through evolve.
     """
-    kernel, coeffs = _LimitStepper(flux, checked_velocities(flux, a), u_star.grid).prepare("if_rk2", dt)
+    kernel, coeffs = _JinXinStepper(flux, checked_velocities(flux, a), u_star.grid).prepare("if_rk2", dt)
     return SpectralField(u_star.grid, advance(kernel, coeffs, [u_star.coeffs], 1, 0.0, dt)[0][0])
 
 
@@ -336,27 +342,19 @@ def sample_times_linear(t_end: float, every: float) -> np.ndarray:
 
 def _stepper_for(model: JinXinModel, initial: JinXinState, config: StepperConfig,
                  companion: bool) -> list:
-    """[(prepare, run)] of the relaxation system, then of its limit companion
-    when asked for. prepare(h) gives (kernel, coefficients) of one step of
-    size h; run records the scheme, dt, the stability bound dt is taken
-    against (the relaxation system's hyperbolic CFL bound, dx/speed for the
-    limit, None for exact_linear or a limit at zero speed) and the steps.
-    """
-    grid = initial.grid
-    relax = _JinXinStepper(model.flux, model.a, grid)
-    plans = [(partial(relax.prepare, config.scheme, eps=model.eps), config.scheme,
-              None if config.scheme == "exact_linear" else jinxin_dt_bound(model, grid))]
-    if companion:
-        speed = limit_advective_speed(model.flux, initial.u)
-        limit = _LimitStepper(model.flux, model.a, grid)
-        plans.append((partial(limit.prepare, "if_rk2"), "if_rk2",
-                      grid.dx / speed if speed > 0 else None))
+    """[(prepare, run)] of the relaxation system, then of its if_rk2 limit
+    companion when asked for, on one stepper. prepare(h) gives (kernel,
+    coefficients) of one step of size h; run records the scheme, dt, the
+    stepper's bound for it and the steps."""
+    stepper = _JinXinStepper(model.flux, model.a, initial.grid)
     runs = []
-    for prepare, scheme, bound in plans:
+    for scheme in [config.scheme] + ["if_rk2"] * companion:
+        bound = stepper.bound(scheme, model.eps, initial.u)
         dt = config.dt_max if bound is None else min(config.dt_max, config.cfl * bound)
         if dt < config.dt_min:
             raise ValueError(f"required dt {dt:g} is below dt_min {config.dt_min:g}")
-        runs.append((prepare, {"scheme": scheme, "dt": dt, "bound": bound, "steps": 0}))
+        runs.append((partial(stepper.prepare, scheme, eps=model.eps),
+                     {"scheme": scheme, "dt": dt, "bound": bound, "steps": 0}))
     return runs
 
 

@@ -126,10 +126,14 @@ def polynomial_flux(n: int, d: int, terms: list, name: str = "polynomial") -> Fl
     """
     parsed = []
     for t in terms:
-        i, c = int(t["direction"]), int(t["component"])
-        expo = tuple(int(e) for e in t["exponents"])
-        coef = float(t["coefficient"])
-        if not (0 <= i < d and 0 <= c < n) or len(expo) != n:
+        try:
+            i, c = int(t["direction"]), int(t["component"])
+            expo = tuple(int(e) for e in t["exponents"])
+            coef = float(t["coefficient"])
+        except (TypeError, KeyError, ValueError):
+            raise FluxValidationError(f"malformed polynomial term {t!r}: need direction, component, "
+                                      "exponents and coefficient") from None
+        if not (0 <= i < d and 0 <= c < n) or len(expo) != n or min(expo) < 0:
             raise FluxValidationError(f"malformed polynomial term {t!r}")
         if sum(expo) < 2 and coef != 0.0:
             raise FluxValidationError(

@@ -187,6 +187,29 @@ class TestDispatch:
         # cross-field stepper rules; a single-eps simulate run samples t_end / sample_every intervals
         ({"experiment": "simulate", "stepper": {"dt_min": 0.1, "dt_max": 0.05}}, "config.stepper.dt_min"),
         ({"experiment": "simulate", "stepper": {"sample_every": 5, "t_end": 1}}, "config.stepper.sample_every"),
+        # the flux builds under config.model, with the model's n and d
+        ({"experiment": "simulate", "model": {"flux": "polynomial", "terms": [1]}}, "config.model.terms"),
+        ({"experiment": "simulate", "model": {"flux": "polynomial", "terms": [{"direction": 0}]}},
+         "config.model.terms"),
+        ({"experiment": "simulate", "model": {"flux": "polynomial", "terms": [
+            {"direction": 0, "component": 0, "exponents": [1], "coefficient": 1.0}]}}, "config.model.terms"),
+        ({"experiment": "simulate", "model": {"flux": "polynomial", "n": 2, "terms": [
+            {"direction": 0, "component": 0, "exponents": [3, -1], "coefficient": 1.0}]}}, "config.model.terms"),
+        ({"experiment": "simulate", "model": {"flux": "burgers1d", "terms": []}}, "config.model.terms"),
+        ({"experiment": "simulate", "model": {"flux": "burgers1d", "n": 3}}, "config.model.flux"),
+        ({"experiment": "simulate", "model": {"flux": "burgers1d", "d": 2, "a": [1, 1]}}, "config.model.flux"),
+        ({"experiment": "simulate", "model": {"flux": "burgers2d"}}, "config.model.flux"),
+        ({"experiment": "simulate", "model": {"flux": "bogus"}}, "config.model.flux"),
+        ({"experiment": "simulate", "model": {"n": 5}}, "config.model.n"),
+        ({"experiment": "simulate", "model": {"n": 0}}, "config.model.n"),
+        # the mean mode has S = 0 and no overdamping peak
+        ({"experiment": "overdamping", "grid": {"N": 16}, "scan": {"mode": [0]}}, "config.scan.mode"),
+        ({"experiment": "spectrum", "scan": {"mode": [0]}}, "config.scan.mode"),
+        # frictions whose eps^2 or 1/eps^2 leave the floats
+        ({"experiment": "overdamping", "grid": {"N": 16}, "scan": {"span": [1e-300, 4]}}, "config.scan.span"),
+        ({"experiment": "spectrum", "scan": {"span": [1e-300, 4]}}, "config.scan.span"),
+        ({"experiment": "overdamping", "grid": {"N": 16}, "scan": {"span": [0.5, 1e300]}}, "config.scan.span"),
+        ({"experiment": "spectrum", "scan": {"span": [0.5, 1e300]}}, "config.scan.span"),
     ])
     def test_main_malformed_config_lists(self, tmp_path, capsys, tree, path):
         p = tmp_path / "c.json"

@@ -163,6 +163,12 @@ class TestStepJinXin:
         with pytest.raises(ValueError, match="zero flux"):
             step_jinxin(model, single_mode_state(grid, 0.5), 0.1, "exact_linear")
 
+    def test_limit_scheme_rejected(self, grid):
+        # the stepper also prepares the limit's if_rk2, which steps [u*] only
+        model = JinXinModel(make_flux("burgers1d"), (1.0,), 0.5)
+        with pytest.raises(ValueError, match="unknown relaxation scheme 'if_rk2'"):
+            step_jinxin(model, single_mode_state(grid, 0.5), 0.01, "if_rk2")
+
     def test_odd_symmetry_preserved(self):
         g = Grid(1, 64, 2 * np.pi)
         x = g.coords()[0]
