@@ -408,6 +408,8 @@ def dispatch(cfg: dict, cfg_hash: str, out_dir: str = "runs", jobs: int | None =
                                                   cfl=min(stepper.cfl, 0.3))
         except harness.ScanRangeError as e:
             raise ConfigError(f"config.grid.L: {e}") from None
+        except harness.ScanLengthError as e:
+            raise ConfigError(f"config.scan.span: {e}") from None
         worst = result["fits"]["worst_rel_err"]
         pk = result["fits"]["peak"]
         # written so that a NaN rate fails

@@ -543,6 +543,13 @@ def _decay_end(t: np.ndarray, y: np.ndarray) -> float:
     return t[max(k - 1, 1)]
 
 
+# steps per chunk of the overdamping march: the powers M^1..M^B of the
+# one-step matrix are built once, and each chunk maps the mode through them
+_CHUNK_STEPS = 256
+# the largest energy table a scan stores: steps times frictions (128 MiB)
+_MAX_SCAN_ENERGIES = 2**24
+
+
 class ScanRangeError(ValueError):
     """A decay rate so small that the scan's times leave the float range."""
 
@@ -551,17 +558,95 @@ class ScanRangeError(ValueError):
                          "step count out of range; use a smaller box or a narrower scan.span")
 
 
+class ScanLengthError(ValueError):
+    """A scan whose energy table, steps times frictions, is too large to store."""
+
+    def __init__(self, steps: int, members: int):
+        super().__init__(f"the scan needs {steps} steps at each of {members} frictions, more than "
+                         f"{_MAX_SCAN_ENERGIES} stored energies in all; use a narrower span")
+
+
+def _compose(T, A):
+    """T @ A over the last two axes, as elementwise products summed in
+    component order, so that a member's numbers do not depend on the batch
+    around it (a matmul may take another code path by batch size)."""
+    return sum(T[..., :, l, None] * A[..., None, l, :] for l in range(A.shape[-2]))
+
+
+def _powers(M, count: int):
+    """M^1, ..., M^count on a new leading axis, by doubling; a diverging M
+    gives non-finite powers, which the march's advance reports."""
+    table = M[None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(table) < count:
+            table = np.concatenate([table, _compose(table, table[-1])])
+    return table[:count]
+
+
+def _march_kernel(w, powers):
+    """[X], X[k] = M^(k+1) x, of w = [x]: one chunk of the mode march."""
+    return [_compose(powers, w[0])]
+
+
+def _mode_energies(grid: Grid, a, mode, eps, dt, steps: int, scheme: str) -> np.ndarray:
+    """(steps, members) energies of the initialized wavevector pair after
+    steps 1..steps, member m at friction 1/eps[m] with step dt[m].
+
+    The flux is zero, so a step of either scheme is linear and acts on each
+    stored mode alone: at the read mode it is one (d+1)x(d+1) matrix M per
+    member, found by applying the prepared kernel to unit states there. The
+    march maps the mode through M^1..M^B in chunks of B = _CHUNK_STEPS
+    steps, each one call of advance.
+    """
+    flux = make_flux("zero", 1, grid.d)
+    # single-mode data with v = 0 does not involve eps: one state serves every member
+    spec = InitialDataSpec(kind="single_mode", amplitude=1.0, mode=tuple(mode), v_kind="zero")
+    w0 = _arrays(make_initial_data(spec, grid, JinXinModel(flux, a, eps[0])))
+    # energy of the initialized wavevector pair only, read at its stored mode
+    # and weighted; the conserved mean and roundoff injected elsewhere must
+    # not floor the measurement
+    stored = mode if mode[-1] >= 0 else tuple(-m for m in mode)
+    sel = (0,) + tuple(m % grid.N for m in stored)
+    weight = grid.multiplicity()[(0,) * (grid.d - 1) + sel[-1:]]
+
+    shape = (len(eps),) + w0[0].shape
+    column = (-1,) + (1,) * (len(shape) - 1)
+    kernel, coeffs = _JinXinStepper(flux, a, grid).prepare(checked_relaxation_scheme(scheme),
+                                                           np.reshape(dt, column), np.reshape(eps, column))
+    at_mode = (slice(None),) + sel
+    M = np.empty((len(eps), len(w0), len(w0)), dtype=complex)
+    for j in range(len(w0)):
+        unit = [np.zeros(shape, dtype=complex) for _ in w0]
+        unit[j][at_mode] = 1.0
+        M[:, :, j] = np.stack([c[at_mode] for c in kernel(unit, coeffs)], -1)
+    powers = _powers(M, min(_CHUNK_STEPS, steps))
+
+    x = np.broadcast_to(np.array([c[sel] for c in w0])[:, None], M.shape[:-1] + (1,))
+    eps_row = np.asarray(eps)
+    energy = np.empty((steps, len(eps)))
+    t = 0.0
+    for start in range(0, steps, _CHUNK_STEPS):
+        m = min(_CHUNK_STEPS, steps - start)
+        (X,), t = advance(_march_kernel, powers[:m], [x], 1, t, m * dt)
+        energy[start:start + m] = weight * (np.abs(X[..., 0, 0]) ** 2
+                                            + sum(np.abs(eps_row * X[..., i, 0]) ** 2
+                                                  for i in range(1, len(w0))))
+        x = X[-1]
+    return energy
+
+
 def run_overdamping_scan(grid: Grid, a, mode, eps_grid, scheme: str = "imex_ssp2",
                          cfl: float = 0.3) -> dict:
     """Measured vs analytic decay rate of one linear mode across friction.
 
-    Every friction is one member of a packed batch: u has shape
-    (members, n, N...) and each of the d components of v the same. Member m
-    steps n_m times with its own dt_m and fits the energy decay of the
-    initialized wavevector pair over t >= t0 = 100/omega; the batch runs
-    max n_m steps and member m reads only its first n_m. The mode must lie
+    Every friction is one member of a batch. Member m steps n_m times with
+    its own dt_m and fits the energy decay of the initialized wavevector pair
+    over t >= t0 = 100/omega; the batch marches max n_m steps (see
+    _mode_energies) and member m reads only its first n_m. The mode must lie
     inside the 2/3-rule cut |k_i| <= N/3, or the grid holds no data to fit;
-    a rate omega too small for 300/omega and the step counts is a ScanRangeError.
+    a rate omega too small for 300/omega and the step counts is a
+    ScanRangeError, and a scan whose energies outgrow _MAX_SCAN_ENERGIES a
+    ScanLengthError.
     """
     cut = grid.N // 3
     if not any(mode) or any(abs(k) > cut for k in mode):
@@ -570,7 +655,6 @@ def run_overdamping_scan(grid: Grid, a, mode, eps_grid, scheme: str = "imex_ssp2
     kap = tuple(2 * np.pi * m / grid.L for m in mode)
     S = mode_symbol(kap, a)
     a = tuple(a)
-    flux = make_flux("zero", 1, grid.d)
     eps = [float(e) for e in eps_grid]
     om = np.array([decay_rate_omega(kap, e, a) for e in eps])
     # 300/omega and the step counts must fit a float and an int64; each test
@@ -582,28 +666,9 @@ def run_overdamping_scan(grid: Grid, a, mode, eps_grid, scheme: str = "imex_ssp2
     if not np.all(t1 / 2.0**62 < dt):
         raise ScanRangeError(om)
     n = np.ceil(t1 / dt).astype(int)
-
-    # single-mode data with v = 0 does not involve eps: one state serves every member
-    spec = InitialDataSpec(kind="single_mode", amplitude=1.0, mode=tuple(mode), v_kind="zero")
-    state = make_initial_data(spec, grid, JinXinModel(flux, a, eps[0]))
-    w = [np.repeat(c[None], len(eps), axis=0) for c in _arrays(state)]
-    column = (-1,) + (1,) * (w[0].ndim - 1)
-    kernel, coeffs = _JinXinStepper(flux, a, grid).prepare(checked_relaxation_scheme(scheme),
-                                                           dt.reshape(column), np.reshape(eps, column))
-    # energy of the initialized wavevector pair only, read at its stored mode
-    # and weighted; the conserved mean and roundoff injected elsewhere must
-    # not floor the measurement
-    stored = mode if mode[-1] >= 0 else tuple(-m for m in mode)
-    sel = tuple(m % grid.N for m in stored)
-    weight = grid.multiplicity()[(0,) * (grid.d - 1) + sel[-1:]]
-    idx = (slice(None), slice(None)) + sel
-    eps_pair = np.reshape(eps, (-1, 1))
-    energy = np.empty((n.max(), len(eps)))
-    t = 0.0
-    for k in range(n.max()):
-        w, t = advance(kernel, coeffs, w, 1, t, dt)
-        energy[k] = weight * (np.sum(np.abs(w[0][idx]) ** 2, axis=1)
-                              + sum(np.sum(np.abs(eps_pair * vi[idx]) ** 2, axis=1) for vi in w[1:]))
+    if int(n.max()) * len(eps) > _MAX_SCAN_ENERGIES:
+        raise ScanLengthError(int(n.max()), len(eps))
+    energy = _mode_energies(grid, a, mode, eps, dt, int(n.max()), scheme)
 
     rows = []
     for i, e in enumerate(eps):

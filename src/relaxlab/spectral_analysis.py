@@ -36,8 +36,10 @@ __all__ = [
     "mode_symbol",
 ]
 
-# relative discriminant size below which the slow pair is treated as defective
-_DEFECTIVE_TOL = 1e-8
+# |t (lam_+ - lam_-)| below which exp_slow_block sums the merged pair's series:
+# the series drops z^6/720 < 2e-17 there, the spectral formula loses about
+# 1e-16/|t (lam_+ - lam_-)| to cancellation beyond
+_MERGED_TOL = 1e-2
 _TRANSITIONAL_TOL = 1e-12
 
 
@@ -149,25 +151,30 @@ def exp_slow_block(S, eps, t) -> tuple:
     """Entries (E00, E01, E10, E11) of exp(t*B), B = [[0, -i S/eps], [-i/eps, -1/eps^2]].
 
     S, eps and t may be arrays; every entry is computed elementwise over
-    their broadcast. Within a relative 1e-8 of the defective point
-    1/eps^2 = 4S, measured on the 1/eps^2 scale, the spectral formula loses
-    accuracy to cancellation and is replaced by the Jordan limit
-    exp(lam t)(I + t(B - lam I)), lam = -1/(2 eps^2).
+    their broadcast. The spectral formula loses accuracy to cancellation
+    when the slow pair nearly merges over the time t, |t(lam_+ - lam_-)| <
+    _MERGED_TOL; there exp(tB) = exp(lam t)(cosh z I + sinh(z)/z t(B - lam I)),
+    lam = -1/(2 eps^2) and z = t(lam_+ - lam_-)/2, with cosh z and sinh(z)/z
+    summed to z^4, which gives the Jordan limit at the defective point z = 0.
     """
     S = np.asarray(S, dtype=float)
     lam_p, lam_m = _slow_pair(S, eps)
-    disc = 1.0 / eps**2 - 4.0 * S
-    defective = np.abs(disc) < _DEFECTIVE_TOL * np.maximum(1.0 / eps**2, 16.0 * eps**2 * S**2)
+    diff = lam_p - lam_m
+    merged = np.abs(t * diff) < _MERGED_TOL
+    # z^2 is real: the pair is real, or complex with one real part
+    z2 = (np.where(merged, 0.5 * t * diff, 0.0) ** 2).real
     # spectral formula (e_+ (B - lam_- I) - e_- (B - lam_+ I)) / (lam_+ - lam_-)
-    diff = np.where(defective, 1.0, lam_p - lam_m)
+    diff = np.where(merged, 1.0, diff)
     ep, em = np.exp(lam_p * t), np.exp(lam_m * t)
     b11 = -1.0 / eps**2
-    # Jordan limit at the double eigenvalue lam = -1/(2 eps^2), h = -lam t
+    # near the merged pair, at lam = -1/(2 eps^2) with h = -lam t
     h = 0.5 * t / eps**2
     el = np.exp(-h)
-    E00 = np.where(defective, el * (1.0 + h), (lam_p * em - lam_m * ep) / diff)
-    cross = np.where(defective, el * t, (ep - em) / diff)  # common factor of E01 and E10
-    E11 = np.where(defective, el * (1.0 - h), ((b11 - lam_m) * ep - (b11 - lam_p) * em) / diff)
+    ch = 1.0 + z2 / 2.0 * (1.0 + z2 / 12.0)
+    sh = 1.0 + z2 / 6.0 * (1.0 + z2 / 20.0)
+    E00 = np.where(merged, el * (ch + h * sh), (lam_p * em - lam_m * ep) / diff)
+    cross = np.where(merged, el * t * sh, (ep - em) / diff)  # common factor of E01 and E10
+    E11 = np.where(merged, el * (ch - h * sh), ((b11 - lam_m) * ep - (b11 - lam_p) * em) / diff)
     return E00, cross * (-1j * S / eps), cross * (-1j / eps), E11
 
 

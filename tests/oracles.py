@@ -1,9 +1,15 @@
-"""Right-hand sides of the relaxation system and its limit, written out field
-by field as independent references for the steppers, which fuse them into
-their stage kernels.
+"""Independent references: the right-hand sides of the relaxation system
+and its limit, written out field by field for the steppers, which fuse them
+into their stage kernels; and the per-step march of a zero-flux mode on the
+whole lattice for the overdamping scan, which marches powers of its one-step
+matrix instead.
 """
 
-from relaxlab.models import JinXinModel, JinXinState, flux_fields
+import numpy as np
+
+from relaxlab.harness import InitialDataSpec, make_initial_data
+from relaxlab.integrators import _arrays, _JinXinStepper, advance
+from relaxlab.models import JinXinModel, JinXinState, flux_fields, make_flux
 from relaxlab.spectral_core import SpectralField, diffusion_symbol, spectral_derivative
 
 
@@ -32,3 +38,29 @@ def limit_rhs(flux, a, u: SpectralField) -> SpectralField:
         for i in range(flux.d):
             rate = rate - spectral_derivative(fvals[i], i).coeffs
     return SpectralField(g, rate).dealias()
+
+
+def stepped_mode_energies(grid, a, mode, eps, dt, steps: int, scheme: str):
+    """(steps, members) energies of the initialized wavevector pair of a
+    zero-flux single-mode run, one prepared step of `scheme` at a time on
+    the whole packed lattice; member m has friction 1/eps[m] and step dt[m].
+    """
+    flux = make_flux("zero", 1, grid.d)
+    spec = InitialDataSpec(kind="single_mode", amplitude=1.0, mode=tuple(mode), v_kind="zero")
+    state = make_initial_data(spec, grid, JinXinModel(flux, a, eps[0]))
+    w = [np.repeat(c[None], len(eps), axis=0) for c in _arrays(state)]
+    column = (-1,) + (1,) * (w[0].ndim - 1)
+    kernel, coeffs = _JinXinStepper(flux, a, grid).prepare(scheme, np.reshape(dt, column),
+                                                           np.reshape(eps, column))
+    stored = mode if mode[-1] >= 0 else tuple(-m for m in mode)
+    sel = tuple(m % grid.N for m in stored)
+    weight = grid.multiplicity()[(0,) * (grid.d - 1) + sel[-1:]]
+    idx = (slice(None), slice(None)) + sel
+    eps_pair = np.reshape(eps, (-1, 1))
+    energy = np.empty((steps, len(eps)))
+    t = 0.0
+    for k in range(steps):
+        w, t = advance(kernel, coeffs, w, 1, t, np.asarray(dt))
+        energy[k] = weight * (np.sum(np.abs(w[0][idx]) ** 2, axis=1)
+                              + sum(np.sum(np.abs(eps_pair * vi[idx]) ** 2, axis=1) for vi in w[1:]))
+    return energy

@@ -210,6 +210,8 @@ class TestDispatch:
         ({"experiment": "spectrum", "scan": {"span": [1e-300, 4]}}, "config.scan.span"),
         ({"experiment": "overdamping", "grid": {"N": 16}, "scan": {"span": [0.5, 1e300]}}, "config.scan.span"),
         ({"experiment": "spectrum", "scan": {"span": [0.5, 1e300]}}, "config.scan.span"),
+        # a finite eps^2 = 2.5e23 that asks for about 2.5e15 steps per friction
+        ({"experiment": "overdamping", "grid": {"N": 16}, "scan": {"span": [1e-12, 4]}}, "config.scan.span"),
     ])
     def test_main_malformed_config_lists(self, tmp_path, capsys, tree, path):
         p = tmp_path / "c.json"

@@ -22,8 +22,8 @@ from relaxlab.harness import (
     run_spectrum,
     run_uniformity_study,
 )
-from relaxlab.integrators import StepperConfig, evolve
-from relaxlab.models import JinXinModel, effective_Z, make_flux
+from relaxlab.integrators import StepperConfig, advance, evolve
+from relaxlab.models import DivergenceError, JinXinModel, effective_Z, make_flux
 from relaxlab.spectral_core import (
     Grid,
     NormSeries,
@@ -33,7 +33,7 @@ from relaxlab.spectral_core import (
     lp_norm,
     scheme_for,
 )
-from relaxlab.spectral_analysis import threshold_J
+from relaxlab.spectral_analysis import decay_rate_omega, threshold_J
 
 
 def flat_profile_ratio(u: SpectralField, sigma1: float, J: int, p=2) -> float:
@@ -431,3 +431,81 @@ class TestExperiments:
             fits.append(out["fits"]["rows"][0])
         gap = abs(fits[0]["exponent"] - fits[1]["exponent"])
         assert gap <= max(fits[0]["stderr"], fits[1]["stderr"])
+
+
+# (d, a, mode) of the march cases: S = 1, 4, 9, 4 and 19 on L = 2 pi
+_MARCH_CASES = [
+    (1, (1.0,), (1,)),
+    (1, (1.0,), (-2,)),
+    (2, (1.0, 2.0), (1, 2)),
+    (2, (1.0, 2.0), (2, 0)),
+    (2, (1.0, 2.0), (1, -3)),
+]
+
+
+class TestModeMarch:
+    """The overdamping scan marches powers of the one-step matrix at its mode."""
+
+    @pytest.mark.parametrize("scheme", ["imex_ssp2", "exact_linear"])
+    @pytest.mark.parametrize("d,a,mode", _MARCH_CASES)
+    def test_energies_match_stepped_lattice(self, d, a, mode, scheme):
+        # three frictions around and at the peak 2 sqrt(S), at the scan's
+        # dt = 0.3 eps dx / max sqrt(a_i); 260 steps are a full chunk and a
+        # part one, 100 a part one. At the peak the mode matrix is a Jordan
+        # block, and the two marches drift apart about as steps^2 (4e-13 at
+        # 260 steps, 4e-12 at 600, with the energy down to 1e-150 and below)
+        from oracles import stepped_mode_energies
+
+        g = Grid(d, 16, 2 * np.pi)
+        assert harness._CHUNK_STEPS < 260 < 2 * harness._CHUNK_STEPS
+        S = sum(ai * k * k for ai, k in zip(a, mode))
+        eps = [1.0 / (f * 2 * math.sqrt(S)) for f in (0.5, 1.0, 4.0)]
+        dt = np.array([0.3 * e * g.dx / math.sqrt(max(a)) for e in eps])
+        for steps in (260, 100):
+            got = harness._mode_energies(g, a, mode, eps, dt, steps, scheme)
+            ref = stepped_mode_energies(g, a, mode, eps, dt, steps, scheme)
+            assert got.shape == ref.shape == (steps, 3)
+            assert np.max(np.abs(got - ref) / ref) <= 1e-12
+
+    @pytest.mark.parametrize("scheme", ["imex_ssp2", "exact_linear"])
+    def test_overdamping_batch_matches_single_frictions_2d(self, scheme):
+        g = Grid(2, 16, 2 * np.pi)
+        grid_eps = [1 / 3, 1 / 6, 1 / 12]  # 1/eps = 3, 6 = 2 sqrt(S) and 12 at S = 9
+        rows = run_overdamping_scan(g, (1.0, 2.0), (1, 2), eps_grid=grid_eps, scheme=scheme)["fits"]["rows"]
+        alone = [run_overdamping_scan(g, (1.0, 2.0), (1, 2), eps_grid=[e], scheme=scheme)["fits"]["rows"][0]
+                 for e in grid_eps]
+        assert rows == sorted(alone, key=lambda r: r["inv_eps"])
+        assert all(r["rel_err"] <= 0.02 for r in rows)
+
+    def test_one_advance_per_chunk(self, monkeypatch):
+        # the step counts of the scan, from its dt rule written out here
+        g = Grid(1, 16, 2 * np.pi)
+        eps = [1.0, 0.5, 0.125]
+        om = np.array([decay_rate_omega((1.0,), e, (1.0,)) for e in eps])
+        dt = np.minimum.reduce([0.3 * np.array(eps) * g.dx, 0.02 / om, 200.0 / om / 4000.0])
+        steps = int(np.ceil(300.0 / om / dt).max())
+        calls = []
+
+        def counted(kernel, coeffs, w, n_sub, t, h):
+            calls.append((n_sub, len(coeffs)))
+            return advance(kernel, coeffs, w, n_sub, t, h)
+
+        monkeypatch.setattr(harness, "advance", counted)
+        run_overdamping_scan(g, (1.0,), (1,), eps_grid=eps)
+        assert steps > 10 * harness._CHUNK_STEPS
+        assert len(calls) <= math.ceil(steps / harness._CHUNK_STEPS)
+        # every chunk is one advance of one step; its table holds the chunk's steps
+        assert all(n_sub == 1 for n_sub, _ in calls)
+        assert sum(m for _, m in calls) == steps
+
+    def test_non_finite_chunk_is_divergence(self, monkeypatch):
+        # a kernel that multiplies by 1e100 gives M = 1e100 I, whose powers overflow
+        def prepare(self, scheme, dt, eps=None):
+            return (lambda w, coeffs: [1e100 * wi for wi in w]), None
+
+        monkeypatch.setattr(harness._JinXinStepper, "prepare", prepare)
+        g = Grid(1, 16, 2 * np.pi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="non-finite"):
+                run_overdamping_scan(g, (1.0,), (1,), eps_grid=[1.0, 0.5])

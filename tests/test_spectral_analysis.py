@@ -247,6 +247,35 @@ class TestSlowBlockReference:
             assert _rel_err(P, R) <= 1e-12, t / eps**2
 
 
+class TestMergedPairLongTimes:
+    """The slow block where its pair nearly merges, at the long times
+    t/eps^2 >= 100 an exponential integrator at dt_max reaches: the branch
+    follows |t(lam_+ - lam_-)|, not the relative discriminant alone (whose
+    Jordan limit was off by 1e-5 at eps = 0.01, delta = 1e-9, t/eps^2 = 500)."""
+
+    @pytest.mark.parametrize("eps", [0.01, 0.1, 1.0])
+    @pytest.mark.parametrize("delta", [1e-9, -1e-9, 0.0, 1e-5, -1e-5, 1e-3, -1e-3])
+    @pytest.mark.parametrize("t_over_eps2", [1e-6, 5.0, 100.0, 500.0])
+    def test_near_defective_point(self, eps, delta, t_over_eps2):
+        # delta inside the old 1e-8 band on both sides, on the point, and outside;
+        # t/eps^2 = 1e-6 gives |t lam| << 1
+        xi = _defective_xi(eps, delta, [1.0])
+        t = t_over_eps2 * eps**2
+        P = exact_linear_propagator(xi, eps, [1.0], t)
+        R = _expm_reference(t * generator_matrix(xi, eps, [1.0]))
+        assert _rel_err(P, R) <= 1e-10
+
+    @pytest.mark.parametrize("xi,a", [((0.0,), (1.0,)), ((0.0, 0.0), (1.0, 2.0)),
+                                      (tuple(_defective_xi(0.01, 1e-9, [1.0, 2.0])), (1.0, 2.0))])
+    @pytest.mark.parametrize("t_over_eps2", [1e-6, 100.0, 500.0])
+    def test_zero_symbol_and_2d(self, xi, a, t_over_eps2):
+        eps = 0.01 if any(xi) else 0.5
+        t = t_over_eps2 * eps**2
+        P = exact_linear_propagator(xi, eps, a, t)
+        R = _expm_reference(t * generator_matrix(xi, eps, a))
+        assert _rel_err(P, R) <= 1e-10
+
+
 def _grid_wavevectors(grid):
     return np.stack(np.broadcast_arrays(*grid.kappa_axes()), -1)
 
