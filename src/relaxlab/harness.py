@@ -34,6 +34,8 @@ from .integrators import (
     _arrays,
     _cfl_bound,
     _JinXinStepper,
+    _march_kernel,
+    _powers,
     advance,
     checked_relaxation_scheme,
 )
@@ -546,8 +548,6 @@ def _decay_end(t: np.ndarray, y: np.ndarray) -> float:
 # steps per chunk of the overdamping march: the powers M^1..M^B of the
 # one-step matrix are built once, and each chunk maps the mode through them
 _CHUNK_STEPS = 256
-# the largest energy table a scan stores: steps times frictions (128 MiB)
-_MAX_SCAN_ENERGIES = 2**24
 
 
 class ScanRangeError(ValueError):
@@ -559,33 +559,12 @@ class ScanRangeError(ValueError):
 
 
 class ScanLengthError(ValueError):
-    """A scan whose energy table, steps times frictions, is too large to store."""
+    """A scan whose energy table, steps times frictions, cannot be allocated."""
 
     def __init__(self, steps: int, members: int):
-        super().__init__(f"the scan needs {steps} steps at each of {members} frictions, more than "
-                         f"{_MAX_SCAN_ENERGIES} stored energies in all; use a narrower span")
-
-
-def _compose(T, A):
-    """T @ A over the last two axes, as elementwise products summed in
-    component order, so that a member's numbers do not depend on the batch
-    around it (a matmul may take another code path by batch size)."""
-    return sum(T[..., :, l, None] * A[..., None, l, :] for l in range(A.shape[-2]))
-
-
-def _powers(M, count: int):
-    """M^1, ..., M^count on a new leading axis, by doubling; a diverging M
-    gives non-finite powers, which the march's advance reports."""
-    table = M[None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        while len(table) < count:
-            table = np.concatenate([table, _compose(table, table[-1])])
-    return table[:count]
-
-
-def _march_kernel(w, powers):
-    """[X], X[k] = M^(k+1) x, of w = [x]: one chunk of the mode march."""
-    return [_compose(powers, w[0])]
+        super().__init__(f"the scan needs {steps} steps at each of {members} frictions, and a table of "
+                         f"{steps} x {members} energies does not fit in memory; the span's smallest "
+                         "friction sets the step count, which also grows with grid.N")
 
 
 def _mode_energies(grid: Grid, a, mode, eps, dt, steps: int, scheme: str) -> np.ndarray:
@@ -596,8 +575,14 @@ def _mode_energies(grid: Grid, a, mode, eps, dt, steps: int, scheme: str) -> np.
     stored mode alone: at the read mode it is one (d+1)x(d+1) matrix M per
     member, found by applying the prepared kernel to unit states there. The
     march maps the mode through M^1..M^B in chunks of B = _CHUNK_STEPS
-    steps, each one call of advance.
+    steps, each one call of advance, so a DivergenceError reports the time
+    at the end of the chunk with the first non-finite step. A table that
+    cannot be allocated is a ScanLengthError.
     """
+    try:
+        energy = np.empty((steps, len(eps)))
+    except MemoryError:
+        raise ScanLengthError(steps, len(eps)) from None
     flux = make_flux("zero", 1, grid.d)
     # single-mode data with v = 0 does not involve eps: one state serves every member
     spec = InitialDataSpec(kind="single_mode", amplitude=1.0, mode=tuple(mode), v_kind="zero")
@@ -623,7 +608,6 @@ def _mode_energies(grid: Grid, a, mode, eps, dt, steps: int, scheme: str) -> np.
 
     x = np.broadcast_to(np.array([c[sel] for c in w0])[:, None], M.shape[:-1] + (1,))
     eps_row = np.asarray(eps)
-    energy = np.empty((steps, len(eps)))
     t = 0.0
     for start in range(0, steps, _CHUNK_STEPS):
         m = min(_CHUNK_STEPS, steps - start)
@@ -645,8 +629,7 @@ def run_overdamping_scan(grid: Grid, a, mode, eps_grid, scheme: str = "imex_ssp2
     _mode_energies) and member m reads only its first n_m. The mode must lie
     inside the 2/3-rule cut |k_i| <= N/3, or the grid holds no data to fit;
     a rate omega too small for 300/omega and the step counts is a
-    ScanRangeError, and a scan whose energies outgrow _MAX_SCAN_ENERGIES a
-    ScanLengthError.
+    ScanRangeError, and one whose energies cannot be stored a ScanLengthError.
     """
     cut = grid.N // 3
     if not any(mode) or any(abs(k) > cut for k in mode):
@@ -666,8 +649,6 @@ def run_overdamping_scan(grid: Grid, a, mode, eps_grid, scheme: str = "imex_ssp2
     if not np.all(t1 / 2.0**62 < dt):
         raise ScanRangeError(om)
     n = np.ceil(t1 / dt).astype(int)
-    if int(n.max()) * len(eps) > _MAX_SCAN_ENERGIES:
-        raise ScanLengthError(int(n.max()), len(eps))
     energy = _mode_energies(grid, a, mode, eps, dt, int(n.max()), scheme)
 
     rows = []

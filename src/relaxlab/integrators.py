@@ -127,6 +127,30 @@ def advance(kernel, coeffs, w: list, n_sub: int, t, h):
     return w, t
 
 
+# powers of a per-member one-step matrix, for a linear mode marched in chunks
+
+def _compose(T, A):
+    """T @ A over the last two axes, as elementwise products summed in
+    component order, so that a member's numbers do not depend on the batch
+    around it (a matmul may take another code path by batch size)."""
+    return sum(T[..., :, l, None] * A[..., None, l, :] for l in range(A.shape[-2]))
+
+
+def _powers(M, count: int):
+    """M^1, ..., M^count on a new leading axis, by doubling; a diverging M
+    gives non-finite powers, which the march's advance reports."""
+    table = M[None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(table) < count:
+            table = np.concatenate([table, _compose(table, table[-1])])
+    return table[:count]
+
+
+def _march_kernel(w, powers):
+    """[X], X[k] = M^(k+1) x, of w = [x]: one chunk of the mode march."""
+    return [_compose(powers, w[0])]
+
+
 # ---------------------------------------------------------------------------
 # the stepper
 

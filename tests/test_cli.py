@@ -225,6 +225,14 @@ class TestDispatch:
         assert err.startswith(f"error: {path}: ") and "Traceback" not in err
         assert not (tmp_path / "runs").exists()
 
+    def test_main_overdamping_default_span_on_fine_grid_runs(self, tmp_path, capsys):
+        # about 1.28M steps at 1/eps = 0.5 and a 1.28M x 21 energy table (215 MB):
+        # long, but it fits in memory, so the scan runs
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"experiment": "overdamping", "grid": {"N": 1024}}))
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "runs")]) == 0
+        assert "over 21 frictions" in capsys.readouterr().out
+
     def test_main_divergence_is_an_error(self, tmp_path, capsys):
         p = tmp_path / "c.json"
         p.write_text(json.dumps({"experiment": "simulate", "model": {"flux": "burgers1d"},
