@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .models import (
+    ConfigError,
     Flux,
     JinXinModel,
     JinXinState,
@@ -143,7 +144,7 @@ def _random_spectrum_component(grid: Grid, spec: InitialDataSpec, eps: float, k0
     prof[band] = mag[band] ** (-(spec.sigma1 + grid.d / 2.0))
     nrm = math.sqrt(grid.L**grid.d * np.sum(grid.multiplicity() * prof**2))
     if nrm == 0.0:
-        raise ValueError("random_spectrum: empty band; enlarge the grid or the threshold")
+        raise ConfigError("config.data: random_spectrum: empty band; enlarge the grid or the threshold")
     prof *= spec.amplitude / nrm
     if spec.ir_compensation:
         prof = _add_ir_tail(grid, prof, spec.sigma1, spec.ir_sigma_fit, spec.ir_t_hi)
@@ -166,7 +167,7 @@ def _add_ir_tail(grid: Grid, prof: np.ndarray, sigma1: float, sigma_fit: float, 
     c0 = float(np.median(2.0 ** (js * sigma1) * bn))
     gap = sigma_fit - sigma1
     if gap <= 0:
-        raise ValueError("ir compensation requires sigma_fit > sigma1")
+        raise ConfigError("config.fit.sigma_list: ir compensation requires sigma_fit > sigma1")
     j_freeze = int(math.floor(math.log2(0.7 / math.sqrt(t_hi))))
     deficit = c0 * 2.0 ** (sch.j_min * gap) * 2.0 ** (-gap) / (1.0 - 2.0 ** (-gap))
     for i, j in enumerate(js):
@@ -221,7 +222,7 @@ def make_initial_data(spec: InitialDataSpec, grid: Grid, model: JinXinModel, k0:
         prof[band] = 1.0
         total = math.sqrt(grid.L**grid.d * np.sum(grid.multiplicity() * prof**2) * n * d)
         if total == 0:
-            raise ValueError("ill_prepared: empty band below v_band_hi")
+            raise ConfigError("config.data.v_band_hi: ill_prepared: empty band below v_band_hi")
         power = {"fixed": 0, "inv_eps": 1, "inv_eps2": 2}.get(spec.v_scale_mode)
         if power is None:
             raise ValueError(f"unknown v_scale_mode {spec.v_scale_mode!r}")
@@ -238,10 +239,11 @@ def make_initial_data(spec: InitialDataSpec, grid: Grid, model: JinXinModel, k0:
 
 def check_sigma1_admissible(sigma1: float, d: int, p: float):
     if p > 2 * d:
-        raise ValueError(f"a decay study needs p <= 2d, got p={p} at d={d}: no sigma1 is admissible")
+        raise ConfigError(f"config.p: a decay study needs p <= 2d, got p={p} at d={d}: "
+                          "no sigma1 is admissible")
     if not (-d / p <= sigma1 <= d / p - 1):
-        raise ValueError(
-            f"sigma1={sigma1} outside the admissible range [{-d/p}, {d/p-1}] "
+        raise ConfigError(
+            f"config.data.sigma1: sigma1={sigma1} outside the admissible range [{-d/p}, {d/p-1}] "
             f"for a decay study at d={d}, p={p}"
         )
 
@@ -373,9 +375,9 @@ def run_uniformity_study(grid: Grid, flux: Flux, a, eps_list, data: InitialDataS
     for eps in eps_list:
         t1 = _growth_onset(eps)
         if t1 >= stepper.t_end:
-            raise ValueError(
-                f"eps={eps:g}: the growth onset t1=max(1, 10 eps^2)={t1:g} is not before "
-                f"t_end={stepper.t_end:g}, so the no-growth check would see no samples; "
+            raise ConfigError(
+                f"config.stepper.t_end: eps={eps:g}: the growth onset t1=max(1, 10 eps^2)={t1:g} "
+                f"is not before t_end={stepper.t_end:g}, so the no-growth check would see no samples; "
                 "raise stepper.t_end")
     args = [(grid, flux, a, eps, data, stepper, p, k0) for eps in eps_list]
     rows = list(_pmap(_uniformity_one, args, jobs))
@@ -476,8 +478,8 @@ def run_decay_study(grid: Grid, flux: Flux, a, eps: float, data: InitialDataSpec
     check_sigma1_admissible(data.sigma1, d, p)
     t_cut = 0.05 * (grid.L / (2 * np.pi)) ** 2 / min(a)
     if fit_window[1] > t_cut * (1 + 1e-9):
-        raise ValueError(
-            f"fit window end {fit_window[1]} exceeds the box cutoff time {t_cut:.3g}; "
+        raise ConfigError(
+            f"config.fit.window: fit window end {fit_window[1]} exceeds the box cutoff time {t_cut:.3g}; "
             "enlarge L or shorten the window"
         )
     model = JinXinModel(flux, tuple(a), eps)
@@ -550,23 +552,6 @@ def _decay_end(t: np.ndarray, y: np.ndarray) -> float:
 _CHUNK_STEPS = 256
 
 
-class ScanRangeError(ValueError):
-    """A decay rate so small that the scan's times leave the float range."""
-
-    def __init__(self, om):
-        super().__init__(f"the scan's slowest decay rate omega={np.min(om):g} puts 300/omega or its "
-                         "step count out of range; use a smaller box or a narrower scan.span")
-
-
-class ScanLengthError(ValueError):
-    """A scan whose energy table, steps times frictions, cannot be allocated."""
-
-    def __init__(self, steps: int, members: int):
-        super().__init__(f"the scan needs {steps} steps at each of {members} frictions, and a table of "
-                         f"{steps} x {members} energies does not fit in memory; the span's smallest "
-                         "friction sets the step count, which also grows with grid.N")
-
-
 def _mode_energies(grid: Grid, a, mode, eps, dt, steps: int, scheme: str) -> np.ndarray:
     """(steps, members) energies of the initialized wavevector pair after
     steps 1..steps, member m at friction 1/eps[m] with step dt[m].
@@ -577,12 +562,14 @@ def _mode_energies(grid: Grid, a, mode, eps, dt, steps: int, scheme: str) -> np.
     march maps the mode through M^1..M^B in chunks of B = _CHUNK_STEPS
     steps, each one call of advance, so a DivergenceError reports the time
     at the end of the chunk with the first non-finite step. A table that
-    cannot be allocated is a ScanLengthError.
+    cannot be allocated is a ConfigError of scan.span.
     """
     try:
         energy = np.empty((steps, len(eps)))
     except MemoryError:
-        raise ScanLengthError(steps, len(eps)) from None
+        raise ConfigError(f"config.scan.span: the scan needs {steps} steps at each of {len(eps)} frictions, "
+                          f"and a table of {steps} x {len(eps)} energies does not fit in memory; the span's "
+                          "smallest friction sets the step count, which also grows with grid.N") from None
     flux = make_flux("zero", 1, grid.d)
     # single-mode data with v = 0 does not involve eps: one state serves every member
     spec = InitialDataSpec(kind="single_mode", amplitude=1.0, mode=tuple(mode), v_kind="zero")
@@ -627,14 +614,13 @@ def run_overdamping_scan(grid: Grid, a, mode, eps_grid, scheme: str = "imex_ssp2
     its own dt_m and fits the energy decay of the initialized wavevector pair
     over t >= t0 = 100/omega; the batch marches max n_m steps (see
     _mode_energies) and member m reads only its first n_m. The mode must lie
-    inside the 2/3-rule cut |k_i| <= N/3, or the grid holds no data to fit;
-    a rate omega too small for 300/omega and the step counts is a
-    ScanRangeError, and one whose energies cannot be stored a ScanLengthError.
+    inside the 2/3-rule cut |k_i| <= N/3, or the grid holds no data to fit.
+    Each rejection is a ConfigError naming the config path at fault.
     """
     cut = grid.N // 3
     if not any(mode) or any(abs(k) > cut for k in mode):
-        raise ValueError(f"the scan mode must be a nonzero wavevector inside the 2/3-rule cut "
-                         f"|k_i| <= N/3 = {cut} of N = {grid.N}, got {list(mode)}")
+        raise ConfigError(f"config.scan.mode: the scan mode must be a nonzero wavevector inside the 2/3-rule "
+                          f"cut |k_i| <= N/3 = {cut} of N = {grid.N}, got {list(mode)}")
     kap = tuple(2 * np.pi * m / grid.L for m in mode)
     S = mode_symbol(kap, a)
     a = tuple(a)
@@ -642,12 +628,14 @@ def run_overdamping_scan(grid: Grid, a, mode, eps_grid, scheme: str = "imex_ssp2
     om = np.array([decay_rate_omega(kap, e, a) for e in eps])
     # 300/omega and the step counts must fit a float and an int64; each test
     # comes before its division, so none of them overflows
-    if not np.all(om > 300.0 / np.finfo(float).max):
-        raise ScanRangeError(om)
-    t0, t1 = 100.0 / om, 300.0 / om
-    dt = np.minimum.reduce([cfl * _cfl_bound(np.array(eps), a, grid), 0.02 / om, (t1 - t0) / 4000.0])
-    if not np.all(t1 / 2.0**62 < dt):
-        raise ScanRangeError(om)
+    in_range = np.all(om > 300.0 / np.finfo(float).max)
+    if in_range:
+        t0, t1 = 100.0 / om, 300.0 / om
+        dt = np.minimum.reduce([cfl * _cfl_bound(np.array(eps), a, grid), 0.02 / om, (t1 - t0) / 4000.0])
+        in_range = np.all(t1 / 2.0**62 < dt)
+    if not in_range:
+        raise ConfigError(f"config.grid.L: the scan's slowest decay rate omega={np.min(om):g} puts 300/omega "
+                          "or its step count out of range; use a smaller box or a narrower scan.span")
     n = np.ceil(t1 / dt).astype(int)
     energy = _mode_energies(grid, a, mode, eps, dt, int(n.max()), scheme)
 
@@ -726,12 +714,21 @@ def friction_grid(S: float, span, points: int) -> np.ndarray:
 
     `points` geometric values from span[0] to span[1] times the peak
     1/eps = 2 sqrt(S), and the peak itself, which adds a value only where
-    the geometric values miss it.
+    the geometric values miss it. The two ends decide, in Python floats
+    before numpy sees them, whether every eps^2 and 1/eps^2 is a positive float.
     """
     if not S > 0:
-        raise ValueError("the scanned mode has S = 0: the mean mode has no overdamping peak")
+        raise ConfigError(f"config.scan.mode: the scanned mode has S = {S:g}; "
+                          "the mean mode has no overdamping peak")
     peak = 2 * math.sqrt(S)
-    return np.unique(np.append(np.geomspace(span[0] * peak, span[1] * peak, points), peak))
+    for inv_eps in (min(float(span[0]), 1.0) * peak, max(float(span[1]), 1.0) * peak):
+        eps = 1.0 / inv_eps if inv_eps > 0 else math.inf
+        if not all(0.0 < x * x < math.inf for x in (inv_eps, eps)):
+            raise ConfigError(f"config.scan.span: the friction 1/eps = {inv_eps:g} of S = {S:g} puts eps^2 "
+                              "or 1/eps^2 outside the floats; use a narrower span")
+    # sorted without repeats, as np.unique, whose first call imports numpy.ma
+    x = np.sort(np.append(np.geomspace(span[0] * peak, span[1] * peak, points), peak))
+    return x[np.append(True, x[1:] != x[:-1])]
 
 
 def run_spectrum(a, mode_kappa=(1.0,), points: int = 41, span=(0.25, 4.0)) -> dict:

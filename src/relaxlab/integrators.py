@@ -17,6 +17,7 @@ from functools import partial
 import numpy as np
 
 from .models import (
+    ConfigError,
     DivergenceError,
     Flux,
     JinXinModel,
@@ -376,7 +377,7 @@ def _stepper_for(model: JinXinModel, initial: JinXinState, config: StepperConfig
         bound = stepper.bound(scheme, model.eps, initial.u)
         dt = config.dt_max if bound is None else min(config.dt_max, config.cfl * bound)
         if dt < config.dt_min:
-            raise ValueError(f"required dt {dt:g} is below dt_min {config.dt_min:g}")
+            raise ConfigError(f"config.stepper.dt_min: required dt {dt:g} is below dt_min {config.dt_min:g}")
         runs.append((partial(stepper.prepare, scheme, eps=model.eps),
                      {"scheme": scheme, "dt": dt, "bound": bound, "steps": 0}))
     return runs

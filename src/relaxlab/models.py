@@ -29,6 +29,7 @@ __all__ = [
     "Flux",
     "JinXinModel",
     "JinXinState",
+    "ConfigError",
     "DivergenceError",
     "FluxValidationError",
     "darcy_velocity",
@@ -40,6 +41,10 @@ __all__ = [
 ]
 
 MAX_COMPONENTS = 4
+
+
+class ConfigError(ValueError):
+    """A config value that cannot run; the message starts with its path, config.<section>.<key>."""
 
 
 class DivergenceError(RuntimeError):

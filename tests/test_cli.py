@@ -212,6 +212,20 @@ class TestDispatch:
         ({"experiment": "spectrum", "scan": {"span": [0.5, 1e300]}}, "config.scan.span"),
         # a finite eps^2 = 2.5e23 that asks for about 2.5e15 steps per friction
         ({"experiment": "overdamping", "grid": {"N": 16}, "scan": {"span": [1e-12, 4]}}, "config.scan.span"),
+        # rejections the experiments make once the run starts, before any file is written
+        ({"experiment": "decay", "grid": {"N": 64, "L": 2 * math.pi}, "fit": {"window": [1, 10]}},
+         "config.fit.window"),
+        ({"experiment": "decay", "data": {"sigma1": 0.5}}, "config.data.sigma1"),
+        ({"experiment": "decay", "p": 4}, "config.p"),
+        ({"experiment": "simulate", "model": {"eps_list": [2.0, 1.0]}, "stepper": {"t_end": 5}},
+         "config.stepper.t_end"),
+        ({"experiment": "simulate", "data": {"kind": "random_spectrum", "band_lo": 1e6}}, "config.data"),
+        ({"experiment": "simulate", "data": {"v_kind": "ill_prepared", "v_band_hi": 1e-9}},
+         "config.data.v_band_hi"),
+        ({"experiment": "simulate", "model": {"eps": 0.01}, "stepper": {"dt_min": 0.01}},
+         "config.stepper.dt_min"),
+        ({"experiment": "decay", "data": {"kind": "random_spectrum", "ir_compensation": True},
+          "fit": {"sigma_list": [-0.6], "window": [1, 10]}}, "config.fit.sigma_list"),
     ])
     def test_main_malformed_config_lists(self, tmp_path, capsys, tree, path):
         p = tmp_path / "c.json"

@@ -11,6 +11,7 @@ from relaxlab.harness import (
     _decay_end,
     check_sigma1_admissible,
     fit_rate,
+    friction_grid,
     functional_X,
     functional_X0,
     functional_X_at,
@@ -23,7 +24,7 @@ from relaxlab.harness import (
     run_uniformity_study,
 )
 from relaxlab.integrators import StepperConfig, advance, evolve
-from relaxlab.models import DivergenceError, JinXinModel, effective_Z, make_flux
+from relaxlab.models import ConfigError, DivergenceError, JinXinModel, effective_Z, make_flux
 from relaxlab.spectral_core import (
     Grid,
     NormSeries,
@@ -404,6 +405,33 @@ class TestExperiments:
         for _ in range(100):
             st = step_jinxin(model, st, 1e-3, "imex_ssp2")
         assert abs(st.u.mean()[0] - 0.3) <= 1e-10
+
+    @pytest.mark.parametrize("S,span,points", [
+        (1.0, (0.5, 4.0), 1), (1.0, (0.5, 4.0), 2), (1.0, (0.5, 4.0), 20), (1 / 256, (0.25, 4.0), 41),
+        # geometric values 0.5, 1, 2, 4, 8 that hold the peak 2
+        (1.0, (0.25, 4.0), 5),
+    ])
+    def test_friction_grid_is_unique_of_geometric_values_and_peak(self, S, span, points):
+        peak = 2 * math.sqrt(S)
+        expected = np.unique(np.append(np.geomspace(span[0] * peak, span[1] * peak, points), peak))
+        got = friction_grid(S, span, points)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("call,path", [
+        (lambda: friction_grid(0.0, (0.5, 4), 20), "config.scan.mode"),
+        (lambda: run_spectrum((1.0,), span=(1e-300, 4)), "config.scan.span"),
+        (lambda: run_spectrum((1.0,), span=(0.5, 1e300)), "config.scan.span"),
+        (lambda: run_spectrum((1.0,), mode_kappa=(0.0,)), "config.scan.mode"),
+        (lambda: run_overdamping_scan(Grid(1, 16, 2 * np.pi), (1.0,), (0,), eps_grid=[1.0]), "config.scan.mode"),
+        (lambda: run_overdamping_scan(Grid(1, 16, 1e154), (1.0,), (1,), eps_grid=[1e153]), "config.grid.L"),
+    ])
+    def test_library_scan_entry_points_name_their_config_path(self, call, path):
+        # the library, not only the CLI, rejects a scan it cannot run, before numpy can warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError) as e:
+                call()
+        assert str(e.value).startswith(f"{path}: ")
 
     def test_spectrum_rows(self):
         out = run_spectrum((1.0,), mode_kappa=(1.0,), points=11)
