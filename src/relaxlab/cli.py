@@ -55,6 +55,10 @@ def _finite_numbers(path, v):
         _fail(path, f"must be a finite number (p and tracker p, r may be inf), got {v!r}")
 
 
+def _exponent(path, v):
+    v > 0 or _fail(path, f"must be positive, got {v!r}")
+
+
 def _numbers(path, v):
     if not (v and all(_is_number(x) for x in v)):
         _fail(path, f"need a non-empty list of numbers, got {v!r}")
@@ -117,7 +121,7 @@ _TOP_SCHEMA = {
     "experiment": ((str,), None, lambda p, v: v in EXPERIMENTS or _fail(p, f"must be one of {EXPERIMENTS}")),
     "seed": ((int,), 0, None),
     "k0": ((int,), 0, None),
-    "p": ((int, float), 2, lambda p, v: v > 0 or _fail(p, f"must be positive, got {v!r}")),
+    "p": ((int, float), 2, _exponent),
     "jobs": ((int,), 1, lambda p, v: _positive(p, v)),
     "model": ((dict,), {}, None),
     "grid": ((dict,), {}, None),
@@ -128,9 +132,16 @@ _TOP_SCHEMA = {
     "trackers": ((list,), [], None),
     "data_variants": ((list, type(None)), None, None),
 }
+# one entry of config.trackers; field, s, p and r are required
+_TRACKER_SCHEMA = {
+    "field": ((str,), None, lambda p, v: v in ("u", "v", "z", "Z") or _fail(p, f"must be u, v, z or Z, got {v!r}")),
+    "s": ((int, float), None, None),
+    "p": ((int, float), None, _exponent),
+    "r": ((int, float), None, _exponent),
+    "window": ((str,), "full", lambda p, v: v in ("full", "low", "high") or _fail(p, "must be full, low or high")),
+}
 
 
-_TRACKER_KEYS = {"field", "s", "p", "r", "window"}
 _MAY_BE_INFINITE = re.compile(r"config\.p|config\.trackers\[\d+\]\.[pr]")
 
 
@@ -166,9 +177,8 @@ def _validate_section(tree: dict, schema: dict, path: str) -> dict:
     out = {}
     for key, (types, default, check) in schema.items():
         val = tree.get(key, default)
-        if isinstance(val, bool) and bool not in types:
-            raise ConfigError(f"{path}.{key}: expected {types}, got bool")
-        if val is not None and not isinstance(val, types):
+        # a given value must have one of the types, and a bool is no number
+        if key in tree and not (isinstance(val, types) and (bool in types or not isinstance(val, bool))):
             raise ConfigError(f"{path}.{key}: expected one of {[t.__name__ for t in types]}, "
                               f"got {type(val).__name__}")
         if check is not None and val is not None:
@@ -234,19 +244,8 @@ def parse_config_dict(tree: dict) -> tuple:
         path = f"config.trackers[{i}]"
         if not isinstance(t, dict) or not {"field", "s", "p", "r"} <= set(t):
             raise ConfigError(f"{path}: need keys field, s, p, r (optional window)")
-        unknown = sorted(set(t) - _TRACKER_KEYS)
-        if unknown:
-            raise ConfigError(f"{path}.{unknown[0]}: unknown key (allowed: {sorted(_TRACKER_KEYS)})")
-        if t["field"] not in ("u", "v", "z", "Z"):
-            raise ConfigError(f"{path}.field: must be u, v, z or Z, got {t['field']!r}")
-        for key in ("s", "p", "r"):
-            if not _is_number(t[key]):
-                raise ConfigError(f"{path}.{key}: must be a number, got {t[key]!r}")
-        for key in ("p", "r"):
-            if not t[key] > 0:
-                raise ConfigError(f"{path}.{key}: must be positive, got {t[key]!r}")
-        if t.get("window", "full") not in ("full", "low", "high"):
-            raise ConfigError(f"{path}.window: must be full, low or high")
+        # checked, not filled in: the entry is hashed as given
+        _validate_section(t, _TRACKER_SCHEMA, path)
 
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return cfg, hashlib.sha256(canon.encode()).hexdigest()[:16]

@@ -117,29 +117,25 @@ def _hermitian_randomize(grid: Grid, modulus: np.ndarray, rng) -> np.ndarray:
 
     The modulus of every coefficient is preserved, so L2-based block norms
     are deterministic functions of the profile alone. Phases are drawn on the
-    full lattice; a stored mode whose conjugate has the lower flat index
-    takes the negated phase of that conjugate.
+    full lattice; a stored mode whose conjugate -k mod N has the lower flat
+    index takes the negated phase of that conjugate.
     """
-    idx = np.arange(grid.N**grid.d).reshape(grid.shape)
-    conj_idx = idx
-    for ax in range(grid.d):
-        conj_idx = np.roll(np.flip(conj_idx, axis=ax), 1, axis=ax)
-    theta = rng.uniform(0.0, 2.0 * np.pi, size=grid.shape)
-    half = (Ellipsis, slice(0, grid.N // 2 + 1))
-    idx, conj_idx = idx[half], conj_idx[half]
-    phase = np.where(idx <= conj_idx, theta[half], -theta.reshape(-1)[conj_idx])
+    k = np.indices(grid.spectral_shape, sparse=True)
+    idx = np.ravel_multi_index(k, grid.shape)
+    conj_idx = np.ravel_multi_index([-ki % grid.N for ki in k], grid.shape)
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=grid.shape).reshape(-1)
+    phase = np.where(idx <= conj_idx, theta[idx], -theta[conj_idx])
     c = modulus * np.exp(1j * phase)
     self_paired = idx == conj_idx
     c[self_paired] = np.abs(c[self_paired])
     return c
 
 
-def _random_spectrum_component(grid: Grid, spec: InitialDataSpec, eps: float, k0: int, rng) -> np.ndarray:
+def _random_spectrum_profile(grid: Grid, spec: InitialDataSpec, eps: float, k0: int) -> np.ndarray:
     mag = grid.kappa_mag()
-    mask = grid.dealias_mask()
     J = threshold_J(eps, k0)
     top = min((8.0 / 3.0) * 2.0**J, spec.band_hi)
-    band = mask & (mag > 0) & (mag <= top) & (mag >= max(spec.band_lo, 0.5 * grid.kappa_min))
+    band = grid.dealias_mask() & (mag > 0) & (mag <= top) & (mag >= max(spec.band_lo, 0.5 * grid.kappa_min))
     prof = np.zeros(grid.spectral_shape)
     prof[band] = mag[band] ** (-(spec.sigma1 + grid.d / 2.0))
     nrm = math.sqrt(grid.L**grid.d * np.sum(grid.multiplicity() * prof**2))
@@ -148,7 +144,7 @@ def _random_spectrum_component(grid: Grid, spec: InitialDataSpec, eps: float, k0
     prof *= spec.amplitude / nrm
     if spec.ir_compensation:
         prof = _add_ir_tail(grid, prof, spec.sigma1, spec.ir_sigma_fit, spec.ir_t_hi)
-    return _hermitian_randomize(grid, prof, rng)
+    return prof
 
 
 def _add_ir_tail(grid: Grid, prof: np.ndarray, sigma1: float, sigma_fit: float, t_hi: float) -> np.ndarray:
@@ -188,27 +184,26 @@ def make_initial_data(spec: InitialDataSpec, grid: Grid, model: JinXinModel, k0:
     rng = np.random.default_rng(spec.seed)
     coords = grid.coords()
 
-    comps = []
-    for c in range(n):
-        if spec.kind == "gaussian_bump":
-            r2 = sum((coords[ax] - grid.L * (0.5 + 0.04 * c)) ** 2 for ax in range(d))
-            vals = spec.amplitude * np.exp(-r2 / spec.width**2)
-            if spec.carrier > 0:
-                vals = vals * np.cos(spec.carrier * (coords[0] - grid.L / 2) + 0.7 * c)
-            f = SpectralField.from_physical(grid, vals)
-            cc = f.coeffs[0].copy()
-            cc[(0,) * d] = 0.0  # mean handled separately
-            comps.append(cc)
-        elif spec.kind == "single_mode":
-            phase = sum(2.0 * np.pi * spec.mode[ax] * coords[ax] / grid.L for ax in range(d))
-            vals = spec.amplitude * np.cos(phase + 0.7 * c)
+    if spec.kind == "random_spectrum":
+        prof = _random_spectrum_profile(grid, spec, model.eps, k0)
+        comps = [_hermitian_randomize(grid, prof, rng) for _ in range(n)]
+    else:
+        comps = []
+        for c in range(n):
+            if spec.kind == "gaussian_bump":
+                r2 = sum((coords[ax] - grid.L * (0.5 + 0.04 * c)) ** 2 for ax in range(d))
+                vals = spec.amplitude * np.exp(-r2 / spec.width**2)
+                if spec.carrier > 0:
+                    vals = vals * np.cos(spec.carrier * (coords[0] - grid.L / 2) + 0.7 * c)
+            elif spec.kind == "single_mode":
+                phase = sum(2.0 * np.pi * spec.mode[ax] * coords[ax] / grid.L for ax in range(d))
+                vals = spec.amplitude * np.cos(phase + 0.7 * c)
+            else:
+                raise ValueError(f"unknown initial data kind {spec.kind!r}")
             cc = SpectralField.from_physical(grid, vals).coeffs[0]
-            cc[(0,) * d] = 0.0  # exact zero mean (cos quadrature leaves roundoff)
+            cc[(0,) * d] = 0.0  # zero mean (a cos quadrature leaves roundoff there)
             comps.append(cc)
-        elif spec.kind == "random_spectrum":
-            comps.append(_random_spectrum_component(grid, spec, model.eps, k0, rng))
-        else:
-            raise ValueError(f"unknown initial data kind {spec.kind!r}")
+    # also for band-limited data: the multiply sets the sign of zero coefficients, which saved fields keep
     u0 = SpectralField(grid, np.stack(comps)).dealias()
 
     if spec.v_kind == "darcy":
@@ -369,6 +364,23 @@ def fit_rate(x, y, window=None, kind: str = "time", r2_flag: float = 0.98,
 # ---------------------------------------------------------------------------
 # experiment drivers (pure: take plain dicts, return result dicts)
 
+def _sorted_union(*parts) -> np.ndarray:
+    """The parts' values, sorted and without repeats, as numpy's unique gives
+    them, without the numpy.ma import of unique's first call."""
+    x = np.sort(np.concatenate(parts))
+    return x[np.append(True, x[1:] != x[:-1])]
+
+
+def _eps_run(grid: Grid, flux: Flux, a, eps: float, data: InitialDataSpec, stepper: StepperConfig,
+             k0: int, trackers, *ladder):
+    """(trajectory, threshold J) of one run at friction 1/eps, sampled at the
+    sorted union of the ladder arrays, or on evolve's linear ladder without one."""
+    model = JinXinModel(flux, tuple(a), eps)
+    traj = evolve(model, make_initial_data(data, grid, model, k0), stepper, trackers,
+                  sample_times=_sorted_union(*ladder) if ladder else None)
+    return traj, threshold_J(eps, k0)
+
+
 def run_uniformity_study(grid: Grid, flux: Flux, a, eps_list, data: InitialDataSpec,
                          stepper: StepperConfig, p=2, k0: int = 0, jobs: int = 1) -> dict:
     """Uniform-bound experiment: X ratios across an eps sweep."""
@@ -394,13 +406,9 @@ def run_uniformity_study(grid: Grid, flux: Flux, a, eps_list, data: InitialDataS
 
 def _uniformity_one(arg):
     grid, flux, a, eps, data, stepper, p, k0 = arg
-    model = JinXinModel(flux, tuple(a), eps)
-    jx0 = make_initial_data(data, grid, model, k0)
-    J = threshold_J(eps, k0)
-    ts = np.unique(np.concatenate(
-        [np.geomspace(min(0.01, stepper.t_end / 100), 1.0, 25),
-         np.linspace(1.0, stepper.t_end, 140)]))
-    traj = evolve(model, jx0, stepper, _X_TRACKERS(p), sample_times=ts)
+    traj, J = _eps_run(grid, flux, a, eps, data, stepper, k0, _X_TRACKERS(p),
+                       np.geomspace(min(0.01, stepper.t_end / 100), 1.0, 25),
+                       np.linspace(1.0, stepper.t_end, 140))
     d = grid.d
     x0 = functional_X0(traj.series, eps, p, J, d)
     t1 = _growth_onset(eps)
@@ -433,8 +441,10 @@ def _growth_onset(eps: float) -> float:
 def run_epsilon_convergence(grid: Grid, flux: Flux, a, eps_list, data: InitialDataSpec,
                             stepper: StepperConfig, p=2, k0: int = 0, jobs: int = 1) -> dict:
     """Co-run the relaxation system and its limit; fit error norms in eps."""
-    args = [(grid, flux, a, eps, data, stepper, p, k0)
-            for eps in sorted(eps_list, reverse=True)]
+    distinct = sorted(set(eps_list), reverse=True)
+    if len(distinct) < 3:
+        raise ConfigError(f"config.model.eps_list: a fit in eps needs at least 3 distinct eps, got {distinct}")
+    args = [(grid, flux, a, eps, data, stepper, p, k0) for eps in sorted(eps_list, reverse=True)]
     rows = list(_pmap(_convergence_one, args, jobs))
     eps_arr = [r["eps"] for r in rows]
     fits = {"experiment": "epsilon-convergence", "p": p, "rows": rows}
@@ -446,15 +456,10 @@ def run_epsilon_convergence(grid: Grid, flux: Flux, a, eps_list, data: InitialDa
 
 def _convergence_one(arg):
     grid, flux, a, eps, data, stepper, p, k0 = arg
-    model = JinXinModel(flux, tuple(a), eps)
-    jx0 = make_initial_data(data, grid, model, k0)
-    J = threshold_J(eps, k0)
-    ts = np.unique(np.concatenate([
-        np.geomspace(max(1e-4, eps**2 / 4), 1.0, 30),
-        np.linspace(1.0, stepper.t_end, int(stepper.t_end / stepper.sample_every) + 1),
-    ]))
+    traj, J = _eps_run(grid, flux, a, eps, data, stepper, k0, [("Z", p), ("du", p), ("dv", p)],
+                       np.geomspace(max(1e-4, eps**2 / 4), 1.0, 30),
+                       np.linspace(1.0, stepper.t_end, int(stepper.t_end / stepper.sample_every) + 1))
     dp = grid.d / p
-    traj = evolve(model, jx0, stepper, [("Z", p), ("du", p), ("dv", p)], sample_times=ts)
     du = traj.get("du", p)
     dv = traj.get("dv", p)
     Zs = traj.get("Z", p)
@@ -478,25 +483,23 @@ def run_decay_study(grid: Grid, flux: Flux, a, eps: float, data: InitialDataSpec
     check_sigma1_admissible(data.sigma1, d, p)
     t_cut = 0.05 * (grid.L / (2 * np.pi)) ** 2 / min(a)
     if fit_window[1] > t_cut * (1 + 1e-9):
-        raise ConfigError(
-            f"config.fit.window: fit window end {fit_window[1]} exceeds the box cutoff time {t_cut:.3g}; "
-            "enlarge L or shorten the window"
-        )
-    model = JinXinModel(flux, tuple(a), eps)
-    jx0 = make_initial_data(data, grid, model, k0)
-    J = threshold_J(eps, k0)
-    ts = np.geomspace(min(0.25, fit_window[0] / 4), fit_window[1], 48)
+        raise ConfigError(f"config.fit.window: fit window end {fit_window[1]} exceeds the box cutoff time "
+                          f"{t_cut:.3g}; enlarge L or shorten the window")
+    ladder = [np.geomspace(min(0.25, fit_window[0] / 4), fit_window[1], 48)]
     if data.v_kind == "ill_prepared":
         # the O(eps) kick develops on the relaxation layer t ~ eps^2; the
         # steps must resolve it or the kick amplitude is integrated wrong
-        layer = np.geomspace(min(eps, eps / 2 if compare_half_eps else eps) ** 2 / 8,
-                             25 * eps**2, 16)
-        ts = np.unique(np.concatenate([layer, ts]))
+        ladder.append(np.geomspace(min(eps, eps / 2 if compare_half_eps else eps) ** 2 / 8,
+                                   25 * eps**2, 16))
+    ts = _sorted_union(*ladder)
+    in_window = int(np.count_nonzero((ts >= fit_window[0]) & (ts <= fit_window[1])))
+    if in_window < 5:
+        raise ConfigError(f"config.fit.window: the fit window [{fit_window[0]:g}, {fit_window[1]:g}] holds "
+                          f"{in_window} of the run's sample times and a fit needs 5; widen the window")
 
-    dp = d / p
     fits = {"experiment": "decay", "eps": eps, "p": p, "sigma1": data.sigma1, "rows": []}
     diff = with_difference or compare_half_eps
-    traj = evolve(model, jx0, stepper, [("u", p)] + [("du", p)] * diff, sample_times=ts)
+    traj, J = _eps_run(grid, flux, a, eps, data, stepper, k0, [("u", p)] + [("du", p)] * diff, ts)
     u_series = traj.get("u", p)
     du_series = traj.get("du", p) if diff else None
 
@@ -528,9 +531,7 @@ def run_decay_study(grid: Grid, flux: Flux, a, eps: float, data: InitialDataSpec
         fits["difference_fit"] = fit_rate(tarr[1:], dcurve[1:], fit_window, kind="time").to_dict()
         curves["du"] = dcurve.tolist()
     if compare_half_eps:
-        model2 = JinXinModel(flux, tuple(a), eps / 2)
-        jx02 = make_initial_data(data, grid, model2, k0)
-        traj2 = evolve(model2, jx02, stepper, [("du", p)], sample_times=ts)
+        traj2, _ = _eps_run(grid, flux, a, eps / 2, data, stepper, k0, [("du", p)], ts)
         d2 = traj2.get("du", p).besov_curve(sigma_list[0], 1, "full")
         d1 = np.asarray(curves["du"])
         sel = (tarr >= fit_window[0]) & (tarr <= fit_window[1])
@@ -676,11 +677,8 @@ def run_simulate(grid: Grid, flux: Flux, a, eps: float, data: InitialDataSpec,
                  stepper: StepperConfig, trackers, p=2, k0: int = 0,
                  dump_fields_to: str | None = None, config_hash: str = "") -> dict:
     """Single trajectory with named Besov trackers."""
-    model = JinXinModel(flux, tuple(a), eps)
-    jx0 = make_initial_data(data, grid, model, k0)
     base = sorted({(t["field"], t["p"]) for t in trackers} | set(_X_TRACKERS(p)))
-    traj = evolve(model, jx0, stepper, base)
-    J = threshold_J(eps, k0)
+    traj, J = _eps_run(grid, flux, a, eps, data, stepper, k0, base)
     rows = []
     for t in trackers:
         ser = traj.get(t["field"], t["p"])
@@ -726,9 +724,7 @@ def friction_grid(S: float, span, points: int) -> np.ndarray:
         if not all(0.0 < x * x < math.inf for x in (inv_eps, eps)):
             raise ConfigError(f"config.scan.span: the friction 1/eps = {inv_eps:g} of S = {S:g} puts eps^2 "
                               "or 1/eps^2 outside the floats; use a narrower span")
-    # sorted without repeats, as np.unique, whose first call imports numpy.ma
-    x = np.sort(np.append(np.geomspace(span[0] * peak, span[1] * peak, points), peak))
-    return x[np.append(True, x[1:] != x[:-1])]
+    return _sorted_union(np.geomspace(span[0] * peak, span[1] * peak, points), [peak])
 
 
 def run_spectrum(a, mode_kappa=(1.0,), points: int = 41, span=(0.25, 4.0)) -> dict:
@@ -755,8 +751,6 @@ def run_spectrum(a, mode_kappa=(1.0,), points: int = 41, span=(0.25, 4.0)) -> di
 def run_selftest(N: int = 256, seed: int = 0) -> dict:
     """The property suite: partition, disjointness, Bernstein, symmetry,
     eigen/propagator oracles, conservation, relaxation contraction."""
-    from .models import make_flux
-
     rng = np.random.default_rng(seed)
     checks = []
 

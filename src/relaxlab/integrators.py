@@ -360,11 +360,6 @@ def _tracked_field(model: JinXinModel, state: JinXinState, name: str,
     raise KeyError(f"unknown tracker field {name!r}")
 
 
-def sample_times_linear(t_end: float, every: float) -> np.ndarray:
-    n = int(round(t_end / every))
-    return np.linspace(0.0, t_end, n + 1)
-
-
 def _stepper_for(model: JinXinModel, initial: JinXinState, config: StepperConfig,
                  companion: bool) -> list:
     """[(prepare, run)] of the relaxation system, then of its if_rk2 limit
@@ -412,7 +407,7 @@ def evolve(model: JinXinModel, initial: JinXinState, config: StepperConfig, trac
     finite and strictly increasing; 0 is prepended when missing.
     """
     if sample_times is None:
-        sample_times = sample_times_linear(config.t_end, config.sample_every)
+        sample_times = np.linspace(0.0, config.t_end, int(round(config.t_end / config.sample_every)) + 1)
     sample_times = _checked_sample_times(sample_times)
 
     companion = any(name in ("du", "dv") for name, _ in trackers)

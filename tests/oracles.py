@@ -1,8 +1,10 @@
 """Independent references: the right-hand sides of the relaxation system
 and its limit, written out field by field for the steppers, which fuse them
-into their stage kernels; and the per-step march of a zero-flux mode on the
+into their stage kernels; the per-step march of a zero-flux mode on the
 whole lattice for the overdamping scan, which marches powers of its one-step
-matrix instead.
+matrix instead; and the conjugate pairing of random phases through
+full-lattice index tables, which the data synthesis finds on the stored half
+lattice instead.
 """
 
 import numpy as np
@@ -64,3 +66,21 @@ def stepped_mode_energies(grid, a, mode, eps, dt, steps: int, scheme: str):
         energy[k] = weight * (np.sum(np.abs(w[0][idx]) ** 2, axis=1)
                               + sum(np.sum(np.abs(eps_pair * vi[idx]) ** 2, axis=1) for vi in w[1:]))
     return energy
+
+
+def full_lattice_hermitian_randomize(grid, modulus, rng):
+    """Random phases on the half-spectrum modulus, paired through full-lattice
+    flat-index tables: the conjugate table is the index table flipped and
+    rolled by one along every axis."""
+    idx = np.arange(grid.N**grid.d).reshape(grid.shape)
+    conj_idx = idx
+    for ax in range(grid.d):
+        conj_idx = np.roll(np.flip(conj_idx, axis=ax), 1, axis=ax)
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=grid.shape)
+    half = (Ellipsis, slice(0, grid.N // 2 + 1))
+    idx, conj_idx = idx[half], conj_idx[half]
+    phase = np.where(idx <= conj_idx, theta[half], -theta.reshape(-1)[conj_idx])
+    c = modulus * np.exp(1j * phase)
+    self_paired = idx == conj_idx
+    c[self_paired] = np.abs(c[self_paired])
+    return c

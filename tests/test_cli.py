@@ -58,6 +58,28 @@ class TestParseConfig:
             {"field": "u", "s": 0.0, "p": math.inf, "r": math.inf}]})
         assert cfg["p"] == cfg["trackers"][0]["p"] == cfg["trackers"][0]["r"] == math.inf
 
+    @pytest.mark.parametrize("tree,message", [
+        ({"trackers": [{"field": "u", "s": 0.5, "p": "x", "r": 1}]},
+         "config.trackers[0].p: expected one of ['int', 'float'], got str"),
+        ({"trackers": [{"field": "u", "s": 0.5, "p": 2, "r": True}]},
+         "config.trackers[0].r: expected one of ['int', 'float'], got bool"),
+        ({"trackers": [{"field": "u", "s": 0.5, "p": 0, "r": 1}]}, "config.trackers[0].p: must be positive, got 0"),
+        ({"trackers": [{"field": "w", "s": 0.5, "p": 2, "r": 1}]},
+         "config.trackers[0].field: must be u, v, z or Z, got 'w'"),
+        ({"trackers": [{"field": "u", "s": 0.5}]}, "config.trackers[0]: need keys field, s, p, r (optional window)"),
+        ({"grid": {"L": True}}, "config.grid.L: expected one of ['int', 'float'], got bool"),
+    ])
+    def test_tracker_errors_read_like_other_sections(self, tree, message):
+        with pytest.raises(ConfigError) as e:
+            parse_config_dict({"experiment": "simulate", **tree})
+        assert str(e.value) == message
+
+    def test_tracker_entry_is_kept_as_given(self):
+        # no window is filled in, so the config hash of a tracker config stays put
+        entry = {"field": "Z", "s": 0.5, "p": 4, "r": 1}
+        cfg, _ = parse_config_dict({"experiment": "simulate", "trackers": [dict(entry)]})
+        assert cfg["trackers"] == [entry]
+
     def test_roundtrip(self, tmp_path):
         cfg, h = parse_config_dict(PRESETS["thm2-epsilon"])
         path = tmp_path / "cfg.json"
@@ -226,6 +248,27 @@ class TestDispatch:
          "config.stepper.dt_min"),
         ({"experiment": "decay", "data": {"kind": "random_spectrum", "ir_compensation": True},
           "fit": {"sigma_list": [-0.6], "window": [1, 10]}}, "config.fit.sigma_list"),
+        # a slope in eps needs three distinct eps, checked before the first run
+        ({"experiment": "epsilon-convergence", "model": {"flux": "burgers1d", "eps_list": [0.2, 0.1]},
+          "grid": {"N": 64}}, "config.model.eps_list"),
+        ({"experiment": "epsilon-convergence", "model": {"flux": "burgers1d", "eps_list": [0.2, 0.2, 0.2]},
+          "grid": {"N": 64}}, "config.model.eps_list"),
+        # one of the decay run's 48 geometric samples falls in the window, checked before stepping
+        ({"experiment": "decay", "fit": {"window": [9.9, 10]}}, "config.fit.window"),
+        # tracker entries are checked like every other section
+        ({"experiment": "simulate", "trackers": [{"field": "u", "s": "x", "p": 2, "r": 1}]},
+         "config.trackers[0].s"),
+        ({"experiment": "simulate", "trackers": [{"field": "u", "s": 0.5, "p": True, "r": 1}]},
+         "config.trackers[0].p"),
+        ({"experiment": "simulate", "trackers": [{"field": "u", "s": 0.5, "p": 2, "r": 1, "window": 3}]},
+         "config.trackers[0].window"),
+        ({"experiment": "simulate", "trackers": [{"field": 7, "s": 0.5, "p": 2, "r": 1}]},
+         "config.trackers[0].field"),
+        # an explicit null where the section has no null
+        ({"experiment": "simulate", "trackers": [{"field": "u", "s": None, "p": 2, "r": 1}]},
+         "config.trackers[0].s"),
+        ({"experiment": "simulate", "grid": {"N": None}}, "config.grid.N"),
+        ({"experiment": "simulate", "stepper": {"cfl": None}}, "config.stepper.cfl"),
     ])
     def test_main_malformed_config_lists(self, tmp_path, capsys, tree, path):
         p = tmp_path / "c.json"

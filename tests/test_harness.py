@@ -9,6 +9,8 @@ from relaxlab import harness, spectral_core
 from relaxlab.harness import (
     InitialDataSpec,
     _decay_end,
+    _hermitian_randomize,
+    _sorted_union,
     check_sigma1_admissible,
     fit_rate,
     friction_grid,
@@ -335,6 +337,28 @@ class TestExperiments:
             run_decay_study(g, flux, (1.0,), 0.1, data,
                             StepperConfig(scheme="imex_ssp2"), fit_window=(1.0, 100.0))
 
+    @pytest.mark.parametrize("eps_list", [[0.2, 0.1], [0.2, 0.2, 0.2]])
+    def test_epsilon_convergence_needs_three_distinct_eps(self, monkeypatch, eps_list):
+        # a slope in eps needs three distinct points; the sweep stops before its first run
+        def no_run(*args, **kwargs):
+            raise AssertionError("evolve called")
+
+        monkeypatch.setattr(harness, "evolve", no_run)
+        with pytest.raises(ConfigError, match=r"^config\.model\.eps_list: .*3 distinct eps"):
+            run_epsilon_convergence(Grid(1, 64, 2 * np.pi), make_flux("burgers1d"), (1.0,), eps_list,
+                                    InitialDataSpec(), StepperConfig())
+
+    def test_decay_window_with_too_few_samples_rejected_before_stepping(self, monkeypatch):
+        # 48 geometric samples from 0.25 to 10 put one of them (t = 10) in [9.9, 10]
+        def no_run(*args, **kwargs):
+            raise AssertionError("evolve called")
+
+        monkeypatch.setattr(harness, "evolve", no_run)
+        g = Grid(1, 256, 2 * np.pi * 16)  # cutoff time 12.8
+        with pytest.raises(ConfigError, match=r"^config\.fit\.window: .* holds 1 of the run's sample times"):
+            run_decay_study(g, make_flux("burgers1d"), (1.0,), 0.1, InitialDataSpec(), StepperConfig(),
+                            fit_window=(9.9, 10.0))
+
     def test_decay_pure_exponential_flagged(self):
         # a single mode decays exponentially; the power-law fit must flag it
         g = Grid(1, 64, 2 * np.pi * 16)
@@ -416,6 +440,37 @@ class TestExperiments:
         expected = np.unique(np.append(np.geomspace(span[0] * peak, span[1] * peak, points), peak))
         got = friction_grid(S, span, points)
         assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("t_end,sample_every,eps,fit_window", [
+        (1.0, 0.1, 1.0, (1.0, 10.0)), (20.0, 0.25, 0.025, (5.0, 500.0)), (50.0, 0.1, 0.02, (4.0, 50.0)),
+        (0.5, 0.3, 0.1, (0.5, 0.6)),
+    ])
+    def test_sorted_union_is_unique_of_the_concatenated_ladders(self, t_end, sample_every, eps, fit_window):
+        # the sample ladders of the uniformity, convergence and decay runs
+        ladders = [
+            [np.geomspace(min(0.01, t_end / 100), 1.0, 25), np.linspace(1.0, t_end, 140)],
+            [np.geomspace(max(1e-4, eps**2 / 4), 1.0, 30),
+             np.linspace(1.0, t_end, int(t_end / sample_every) + 1)],
+            [np.geomspace(min(0.25, fit_window[0] / 4), fit_window[1], 48),
+             np.geomspace((eps / 2) ** 2 / 8, 25 * eps**2, 16)],
+        ]
+        for parts in ladders:
+            expected = np.unique(np.concatenate(parts))
+            got = _sorted_union(*parts)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("N", [8, 16, 64, 256])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_hermitian_randomize_matches_full_lattice_pairing(self, d, N, seed):
+        from oracles import full_lattice_hermitian_randomize
+
+        g = Grid(d, N, 2 * np.pi)
+        modulus = np.random.default_rng(100 + seed).uniform(0.0, 1.0, g.spectral_shape)
+        modulus[modulus < 0.2] = 0.0  # zero moduli carry signed zeros
+        got = _hermitian_randomize(g, modulus, np.random.default_rng(seed))
+        expected = full_lattice_hermitian_randomize(g, modulus, np.random.default_rng(seed))
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("call,path", [
         (lambda: friction_grid(0.0, (0.5, 4), 20), "config.scan.mode"),

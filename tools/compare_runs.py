@@ -1,0 +1,134 @@
+"""Run the same configs on two checkouts of relaxlab and compare what they write.
+
+    python tools/compare_runs.py PARENT CHANGE [NAME ...]
+
+PARENT and CHANGE are repository roots. Each NAME is a preset, a benchmark
+workload of perfbench/workloads.py (run at seed 0) or the path of a JSON
+config; without names, every preset except thm3-decay-2d and the three
+workloads run. Each name runs once per root through
+`python -m relaxlab.cli run --jobs 1` with PYTHONPATH=<root>/src, into a
+fresh output directory. Every output file is compared byte for byte, except
+the wall_time entry of trajectory.json, and so are the exit status and the
+printed lines (with the roots and output directories masked). Each
+difference is printed; the exit status is 1 on any difference, else 0.
+
+Standard library only: the runs import relaxlab and numpy, this script
+does not.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import os
+import pathlib
+import re
+import subprocess
+import sys
+import tempfile
+
+HERE = pathlib.Path(__file__).resolve().parent.parent
+# the longest preset (minutes on a desk machine); name it to run it
+SKIPPED_BY_DEFAULT = ("thm3-decay-2d",)
+_WALL_TIME = re.compile(rb'"wall_time": [^,\n]*')
+
+
+def _workloads() -> dict:
+    """name -> config at seed 0 of every benchmark workload."""
+    spec = importlib.util.spec_from_file_location("workloads", HERE / "perfbench" / "workloads.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return {name: make(0) for name, (make, _) in mod.WORKLOADS.items()}
+
+
+def _env(root: pathlib.Path) -> dict:
+    return {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+
+
+def _presets(root: pathlib.Path) -> list:
+    out = subprocess.run([sys.executable, "-c", "from relaxlab.cli import PRESETS; print(*PRESETS)"],
+                         env=_env(root), capture_output=True, text=True, check=True)
+    return out.stdout.split()
+
+
+def _run(root: pathlib.Path, args: list, out: pathlib.Path) -> tuple:
+    """(exit status, stdout and stderr with the paths masked) of one CLI run."""
+    proc = subprocess.run([sys.executable, "-m", "relaxlab.cli", "run", "--jobs", "1", *args, "--out", str(out)],
+                          env=_env(root), cwd=out.parent, capture_output=True)
+    text = (proc.stdout + proc.stderr).replace(bytes(out), b"<out>").replace(bytes(root), b"<root>")
+    return proc.returncode, text
+
+
+def _files(top: pathlib.Path) -> dict:
+    """relative path -> bytes of every file under top, wall_time masked."""
+    found = {}
+    for path in sorted(p for p in top.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name == "trajectory.json":
+            data = _WALL_TIME.sub(b'"wall_time": null', data)
+        found[str(path.relative_to(top))] = data
+    return found
+
+
+def compare(parent: pathlib.Path, change: pathlib.Path, name: str, args: list, scratch: pathlib.Path) -> list:
+    """The differences between the two roots' runs of one config; scratch is a new directory."""
+    runs, trees = [], []
+    for side, root in (("parent", parent), ("change", change)):
+        out = scratch / side / "runs"
+        out.parent.mkdir(parents=True)
+        runs.append(_run(root, args, out))
+        trees.append(_files(out) if out.exists() else {})
+    (code_p, text_p), (code_c, text_c) = runs
+    diffs = []
+    if code_p != code_c:
+        diffs.append(f"exit status {code_p} -> {code_c}")
+    if text_p != text_c:
+        diffs.append(f"printed output differs:\n  {text_p.decode(errors='replace').strip()}\n"
+                     f"  {text_c.decode(errors='replace').strip()}")
+    tree_p, tree_c = trees
+    for rel in sorted(set(tree_p) | set(tree_c)):
+        if rel not in tree_c:
+            diffs.append(f"{rel} only in PARENT")
+        elif rel not in tree_p:
+            diffs.append(f"{rel} only in CHANGE")
+        elif tree_p[rel] != tree_c[rel]:
+            diffs.append(f"{rel} differs")
+    print(f"{name}: {len(diffs)} difference(s) over {len(tree_p)} files, exit {code_p}")
+    for d in diffs:
+        print(f"  {d}")
+    return diffs
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=pathlib.Path, help="root of the reference checkout")
+    parser.add_argument("change", type=pathlib.Path, help="root of the checkout under test")
+    parser.add_argument("names", nargs="*", help="presets, workloads or JSON config paths")
+    args = parser.parse_args(argv)
+    parent, change = args.parent.resolve(), args.change.resolve()
+
+    presets = _presets(change)
+    workloads = _workloads()
+    names = args.names or [p for p in presets if p not in SKIPPED_BY_DEFAULT] + list(workloads)
+    failed = 0
+    with tempfile.TemporaryDirectory(prefix="compare_runs_") as tmp:
+        scratch = pathlib.Path(tmp)
+        for i, name in enumerate(names):
+            if name in presets:
+                cli_args = ["--preset", name]
+            elif name in workloads:
+                config = scratch / f"{name}.json"
+                config.write_text(json.dumps(workloads[name]))
+                cli_args = ["--config", str(config)]
+            elif os.path.isfile(name):
+                cli_args = ["--config", os.path.abspath(name)]
+            else:
+                parser.error(f"{name!r} is no preset, workload or config file")
+            failed += bool(compare(parent, change, name, cli_args, scratch / str(i)))
+    print(f"{len(names) - failed} of {len(names)} configs wrote the same files")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
