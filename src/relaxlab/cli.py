@@ -22,7 +22,7 @@ from .integrators import JINXIN_SCHEMES
 from .models import MAX_COMPONENTS, ConfigError, DivergenceError, make_flux
 from .spectral_analysis import mode_symbol
 from .spectral_core import Grid
-from .svgplot import render_csv
+from .svgplot import plot_emit
 
 __all__ = ["parse_config", "parse_config_dict", "dispatch", "plot_emit", "PRESETS", "main"]
 
@@ -64,7 +64,13 @@ def _numbers(path, v):
         _fail(path, f"need a non-empty list of numbers, got {v!r}")
 
 
-# schema: name -> (type(s), default, validator or None)
+def _v_kind(path, v):
+    v in ("darcy", "ill_prepared", "zero") or _fail(path, f"unknown v_kind {v!r}")
+
+
+# schema: name -> (type(s), default, validator or None); the data and
+# stepper defaults are those of the dataclasses the sections fill
+_DATA, _STEPPER = InitialDataSpec(), StepperConfig()
 _MODEL_SCHEMA = {
     "flux": ((str,), "zero", None),
     "n": ((int,), 1, lambda p, v: 1 <= v <= MAX_COMPONENTS or _fail(p, f"need 1 <= n <= {MAX_COMPONENTS}, got {v}")),
@@ -79,32 +85,31 @@ _GRID_SCHEMA = {
     "L": ((int, float), 2 * math.pi * 16, lambda p, v: _positive(p, v)),
 }
 _DATA_SCHEMA = {
-    "kind": ((str,), "gaussian_bump",
+    "kind": ((str,), _DATA.kind,
              lambda p, v: v in ("gaussian_bump", "random_spectrum", "single_mode") or _fail(p, f"unknown kind {v!r}")),
-    "amplitude": ((int, float), 0.05, lambda p, v: _positive(p, v)),
-    "width": ((int, float), 2.0, lambda p, v: _positive(p, v)),
-    "carrier": ((int, float), 0.0, None),
-    "sigma1": ((int, float), -0.5, None),
-    "mode": ((list,), [1], None),
-    "band_lo": ((int, float), 0.0, None),
-    "band_hi": ((int, float, type(None)), None, None),
-    "ir_compensation": ((bool,), False, None),
-    "v_kind": ((str,), "darcy",
-               lambda p, v: v in ("darcy", "ill_prepared", "zero") or _fail(p, f"unknown v_kind {v!r}")),
-    "v_scale": ((int, float), 0.0, None),
-    "v_scale_mode": ((str,), "fixed",
+    "amplitude": ((int, float), _DATA.amplitude, lambda p, v: _positive(p, v)),
+    "width": ((int, float), _DATA.width, lambda p, v: _positive(p, v)),
+    "carrier": ((int, float), _DATA.carrier, None),
+    "sigma1": ((int, float), _DATA.sigma1, None),
+    "mode": ((list,), list(_DATA.mode), None),
+    "band_lo": ((int, float), _DATA.band_lo, None),
+    "band_hi": ((int, float, type(None)), None, None),  # null: no upper cut
+    "ir_compensation": ((bool,), _DATA.ir_compensation, None),
+    "v_kind": ((str,), _DATA.v_kind, _v_kind),
+    "v_scale": ((int, float), _DATA.v_scale, None),
+    "v_scale_mode": ((str,), _DATA.v_scale_mode,
                      lambda p, v: v in ("fixed", "inv_eps", "inv_eps2") or _fail(p, f"unknown v_scale_mode {v!r}")),
-    "v_band_hi": ((int, float), 1.0, lambda p, v: _positive(p, v)),
+    "v_band_hi": ((int, float), _DATA.v_band_hi, lambda p, v: _positive(p, v)),
 }
 _STEPPER_SCHEMA = {
     # every experiment steps a relaxation system (a limit companion runs if_rk2)
-    "scheme": ((str,), "imex_ssp2",
+    "scheme": ((str,), _STEPPER.scheme,
                lambda p, v: v in JINXIN_SCHEMES or _fail(p, f"must be one of {JINXIN_SCHEMES}, got {v!r}")),
-    "cfl": ((int, float), 0.45, lambda p, v: (0 < v <= 1) or _fail(p, "cfl must lie in (0, 1]")),
-    "dt_max": ((int, float), 0.05, lambda p, v: _positive(p, v)),
-    "dt_min": ((int, float), 1e-12, lambda p, v: _positive(p, v)),
-    "t_end": ((int, float), 1.0, lambda p, v: _positive(p, v)),
-    "sample_every": ((int, float), 0.1, lambda p, v: _positive(p, v)),
+    "cfl": ((int, float), _STEPPER.cfl, lambda p, v: (0 < v <= 1) or _fail(p, "cfl must lie in (0, 1]")),
+    "dt_max": ((int, float), _STEPPER.dt_max, lambda p, v: _positive(p, v)),
+    "dt_min": ((int, float), _STEPPER.dt_min, lambda p, v: _positive(p, v)),
+    "t_end": ((int, float), _STEPPER.t_end, lambda p, v: _positive(p, v)),
+    "sample_every": ((int, float), _STEPPER.sample_every, lambda p, v: _positive(p, v)),
 }
 _FIT_SCHEMA = {
     "window": ((list,), [1.0, 10.0], _increasing_pair),
@@ -119,7 +124,7 @@ _SCAN_SCHEMA = {
 }
 _TOP_SCHEMA = {
     "experiment": ((str,), None, lambda p, v: v in EXPERIMENTS or _fail(p, f"must be one of {EXPERIMENTS}")),
-    "seed": ((int,), 0, None),
+    "seed": ((int,), 0, lambda p, v: v >= 0 or _fail(p, f"must be a non-negative integer, got {v}")),
     "k0": ((int,), 0, None),
     "p": ((int, float), 2, _exponent),
     "jobs": ((int,), 1, lambda p, v: _positive(p, v)),
@@ -227,11 +232,6 @@ def parse_config_dict(tree: dict) -> tuple:
               f"{st['sample_every']!r} rounds to no sampling interval; need at least 2 time samples")
     if cfg["experiment"] == "epsilon-convergence" and m["eps_list"] is None:
         cfg["model"]["eps_list"] = [0.2, 0.1, 0.05, 0.025]
-    if (cfg["experiment"] in ("simulate", "epsilon-convergence", "decay")
-            and cfg["stepper"]["scheme"] == "exact_linear" and m["flux"] != "zero"):
-        # the overdamping scan always steps the zero flux, whatever model.flux says
-        raise ConfigError(f"config.stepper.scheme: exact_linear applies to the linear system "
-                          f"(model.flux zero) only, got model.flux {m['flux']!r}")
     if cfg["experiment"] in ("overdamping", "spectrum"):
         _mode("config.scan.mode", cfg["scan"]["mode"], m["d"])
     try:
@@ -240,6 +240,8 @@ def parse_config_dict(tree: dict) -> tuple:
         _fail("config.grid.L", str(e))
     if cfg["data"]["kind"] == "single_mode":
         _mode("config.data.mode", cfg["data"]["mode"], m["d"])
+    for i, vk in enumerate(cfg["data_variants"] or []):
+        _v_kind(f"config.data_variants[{i}]", vk)
     for i, t in enumerate(cfg["trackers"]):
         path = f"config.trackers[{i}]"
         if not isinstance(t, dict) or not {"field", "s", "p", "r"} <= set(t):
@@ -329,26 +331,21 @@ PRESETS: dict = {
 # ---------------------------------------------------------------------------
 # dispatch
 
+def _floats(section: dict) -> dict:
+    """The section with each int value as a float; a bool stays a bool."""
+    return {key: float(v) if type(v) is int else v for key, v in section.items()}
+
+
 def _build_common(cfg: dict):
     m = cfg["model"]
     grid = Grid(m["d"], cfg["grid"]["N"], float(cfg["grid"]["L"]))
     flux = make_flux(m["flux"], m["n"], m["d"], m["terms"])
-    d = cfg["data"]
-    data = InitialDataSpec(
-        kind=d["kind"], amplitude=float(d["amplitude"]), width=float(d["width"]),
-        carrier=float(d["carrier"]), sigma1=float(d["sigma1"]), seed=cfg["seed"],
-        mode=tuple(d["mode"]), band_lo=float(d["band_lo"]),
-        band_hi=float(d["band_hi"]) if d["band_hi"] is not None else math.inf,
-        ir_compensation=d["ir_compensation"],
-        ir_sigma_fit=float(cfg["fit"]["sigma_list"][0]),
-        ir_t_hi=float(cfg["fit"]["window"][1]),
-        v_kind=d["v_kind"], v_scale=float(d["v_scale"]), v_scale_mode=d["v_scale_mode"],
-        v_band_hi=float(d["v_band_hi"]),
-    )
-    s = cfg["stepper"]
-    stepper = StepperConfig(scheme=s["scheme"], cfl=float(s["cfl"]), dt_max=float(s["dt_max"]),
-                            dt_min=float(s["dt_min"]), t_end=float(s["t_end"]),
-                            sample_every=float(s["sample_every"]))
+    d = _floats(cfg["data"])
+    data = InitialDataSpec(**{**d, "mode": tuple(d["mode"]),
+                              "band_hi": math.inf if d["band_hi"] is None else d["band_hi"],
+                              "seed": cfg["seed"], "ir_sigma_fit": float(cfg["fit"]["sigma_list"][0]),
+                              "ir_t_hi": float(cfg["fit"]["window"][1])})
+    stepper = StepperConfig(**_floats(cfg["stepper"]))
     return grid, flux, tuple(float(x) for x in m["a"]), data, stepper
 
 
@@ -419,16 +416,13 @@ def dispatch(cfg: dict, cfg_hash: str, out_dir: str = "runs", jobs: int | None =
                 fits_all[vk] = res["fits"]
                 if not all(r["small_data_ok"] for r in res["fits"]["rows"]):
                     failures.append(f"{vk}: |u| exceeded the small-data bound")
-            result = {"fits": {"experiment": "uniformity", "variants": fits_all},
-                      "norm_rows": [], "csv_curves": None}
+            result = {"fits": {"experiment": "uniformity", "variants": fits_all}}
             spreads = {vk: fits_all[vk]["ratio_spread"] for vk in fits_all}
             summary = "uniformity: X(t_end)/X0 spread across eps " + ", ".join(
                 f"{vk}: {v:.3f}" for vk, v in spreads.items())
         else:
             result = harness.run_simulate(grid, flux, a, float(m["eps"]), data, stepper,
-                                          cfg["trackers"], p=cfg["p"], k0=cfg["k0"],
-                                          dump_fields_to=os.path.join(out_dir, cfg_hash, "fields"),
-                                          config_hash=cfg_hash)
+                                          cfg["trackers"], p=cfg["p"], k0=cfg["k0"])
             if result["fits"]["max_abs_u"] > 1.0:
                 failures.append("|u| exceeded the small-data bound")
             summary = (f"simulate: {result['fits']['steps']} steps, "
@@ -440,15 +434,6 @@ def dispatch(cfg: dict, cfg_hash: str, out_dir: str = "runs", jobs: int | None =
     status = 1 if failures else 0
     print(f"[{cfg_hash}] {summary} -> {rundir}" + (f" FAIL: {failures[0]}" if failures else ""))
     return status
-
-
-def plot_emit(csv_path: str, kind: str = "loglog", out_path: str | None = None) -> str:
-    """Render a harness CSV to a standalone SVG; returns the SVG path."""
-    svg = render_csv(csv_path, kind)
-    out_path = out_path or os.path.splitext(csv_path)[0] + ".svg"
-    with open(out_path, "w") as fh:
-        fh.write(svg)
-    return out_path
 
 
 def _worker_count(text: str, source: str) -> int:
@@ -475,7 +460,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="runs", help="results directory (default: runs)")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--jobs", default=None,
-                        help="worker count (fallback: RELAXLAB_JOBS, then 1)")
+                        help="worker count (fallback: RELAXLAB_JOBS, then the config's jobs)")
     parser.add_argument("--kind", default="loglog", choices=["loglog", "linear"],
                         help="plot style for the plot command")
     args = parser.parse_args(argv)

@@ -2,10 +2,10 @@
 sweeps that turn the asymptotic estimates into desk-scale numbers.
 
 All randomness flows through numpy Generators seeded from the config, and
-every experiment writes the same results layout:
+write_results writes every experiment's results in one layout:
 
-    runs/<config-hash>/{config.json, norms.csv, fits.json, fields/*.bin,
-                        curves.svg}
+    runs/<config-hash>/{config.json, fits.json, norms.csv, curves.csv,
+                        curves.svg, trajectory.json, fields/*.bin}
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ from .spectral_analysis import (
     mode_symbol,
     threshold_J,
 )
+from .svgplot import plot_emit
 
 __all__ = [
     "InitialDataSpec",
@@ -401,7 +402,7 @@ def run_uniformity_study(grid: Grid, flux: Flux, a, eps_list, data: InitialDataS
         "ratio_spread": max(ratios) / min(ratios),
         "max_growth_after_t1": max(r["growth_after_t1"] for r in rows),
     }
-    return {"fits": fits, "norm_rows": [], "csv_curves": None}
+    return {"fits": fits}
 
 
 def _uniformity_one(arg):
@@ -451,7 +452,7 @@ def run_epsilon_convergence(grid: Grid, flux: Flux, a, eps_list, data: InitialDa
     for key in ("sup_du", "int_dv", "int_Zlow"):
         fits[f"fit_{key}"] = fit_rate(eps_arr, [r[key] for r in rows], kind="plain",
                                       min_points=3).to_dict()
-    return {"fits": fits, "norm_rows": [], "csv_curves": None}
+    return {"fits": fits}
 
 
 def _convergence_one(arg):
@@ -670,13 +671,12 @@ def run_overdamping_scan(grid: Grid, a, mode, eps_grid, scheme: str = "imex_ssp2
         "omega_measured": [r["omega_measured"] for r in rows],
         "omega_analytic": [r["omega_analytic"] for r in rows],
     }
-    return {"fits": fits, "norm_rows": [], "csv_curves": curves}
+    return {"fits": fits, "csv_curves": curves}
 
 
 def run_simulate(grid: Grid, flux: Flux, a, eps: float, data: InitialDataSpec,
-                 stepper: StepperConfig, trackers, p=2, k0: int = 0,
-                 dump_fields_to: str | None = None, config_hash: str = "") -> dict:
-    """Single trajectory with named Besov trackers."""
+                 stepper: StepperConfig, trackers, p=2, k0: int = 0) -> dict:
+    """Single trajectory with named Besov trackers, and its final fields."""
     base = sorted({(t["field"], t["p"]) for t in trackers} | set(_X_TRACKERS(p)))
     traj, J = _eps_run(grid, flux, a, eps, data, stepper, k0, base)
     rows = []
@@ -696,15 +696,12 @@ def run_simulate(grid: Grid, flux: Flux, a, eps: float, data: InitialDataSpec,
         "mean_drift": traj.mean_drift,
         "max_abs_u": traj.max_abs_u,
     }
-    out = {"fits": fits, "norm_rows": rows,
-           "csv_curves": {"t": list(traj.times),
-                          "u": traj.get("u", p).besov_curve(grid.d / p, 1, "full").tolist()},
-           "extra_files": {"trajectory.json": traj.summary(config_hash)}}
-    if dump_fields_to:
-        os.makedirs(dump_fields_to, exist_ok=True)
-        save_field(traj.final_state.u, os.path.join(dump_fields_to, "u_final.bin"))
-        save_field(SpectralField.stack(traj.final_state.v), os.path.join(dump_fields_to, "v_final.bin"))
-    return out
+    return {"fits": fits, "norm_rows": rows,
+            "csv_curves": {"t": list(traj.times),
+                           "u": traj.get("u", p).besov_curve(grid.d / p, 1, "full").tolist()},
+            "extra_files": {"trajectory.json": traj.summary()},
+            "fields": {"u_final.bin": traj.final_state.u,
+                       "v_final.bin": SpectralField.stack(traj.final_state.v)}}
 
 
 def friction_grid(S: float, span, points: int) -> np.ndarray:
@@ -738,7 +735,6 @@ def run_spectrum(a, mode_kappa=(1.0,), points: int = 41, span=(0.25, 4.0)) -> di
         rows.append({"inv_eps": float(ie), "omega": om, "regime": reg})
     return {
         "fits": {"experiment": "spectrum", "S": S, "rows": rows},
-        "norm_rows": [],
         "csv_curves": {"inv_eps": [r["inv_eps"] for r in rows],
                        "omega": [r["omega"] for r in rows],
                        "regime": [r["regime"] for r in rows]},
@@ -870,8 +866,6 @@ def run_selftest(N: int = 256, seed: int = 0) -> dict:
     return {
         "fits": {"experiment": "selftest", "checks": checks,
                  "passed": n_pass, "total": len(checks)},
-        "norm_rows": [],
-        "csv_curves": None,
     }
 
 
@@ -900,40 +894,37 @@ def _json_default(o):
     raise TypeError(f"not serializable: {type(o)}")
 
 
-def write_results(outdir: str, config: dict, config_hash: str, result: dict) -> str:
-    """Persist the canonical layout under outdir/<config-hash>/."""
-    from .svgplot import render_curves
+def _write_json(path: str, tree):
+    with open(path, "w") as fh:
+        json.dump(tree, fh, indent=2, sort_keys=True, default=_json_default)
+        fh.write("\n")
 
+
+def write_results(outdir: str, config: dict, config_hash: str, result: dict) -> str:
+    """Persist the canonical layout under outdir/<config-hash>/: the config,
+    fits, norm rows, curves as CSV and as its `relaxlab plot` SVG, each JSON
+    sidecar of result["extra_files"] stamped with the hash, and each field of
+    result["fields"] under fields/."""
     rundir = os.path.join(outdir, config_hash)
     os.makedirs(rundir, exist_ok=True)
-    with open(os.path.join(rundir, "config.json"), "w") as fh:
-        json.dump(config, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(rundir, "fits.json"), "w") as fh:
-        json.dump(result["fits"], fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+    _write_json(os.path.join(rundir, "config.json"), config)
+    _write_json(os.path.join(rundir, "fits.json"), result["fits"])
     with open(os.path.join(rundir, "norms.csv"), "w") as fh:
         fh.write("t,name,s,p,r,window,value\n")
         for t, name, s, p, r, window, value in result.get("norm_rows", []):
             fh.write(f"{float(t)!r},{name},{float(s)!r},{p!r},{r!r},{window},{float(value)!r}\n")
     curves = result.get("csv_curves")
     if curves:
-        keys = list(curves.keys())
-        ncol = len(curves[keys[0]])
-
-        def cell(v):
-            return v if isinstance(v, str) else repr(float(v))
-
-        with open(os.path.join(rundir, "curves.csv"), "w") as fh:
-            fh.write(",".join(keys) + "\n")
-            for i in range(ncol):
-                fh.write(",".join(cell(curves[k][i]) for k in keys) + "\n")
-        numeric = {k: v for k, v in curves.items() if not isinstance(v[0], str)}
-        svg = render_curves(numeric, loglog=True)
-        with open(os.path.join(rundir, "curves.svg"), "w") as fh:
-            fh.write(svg)
+        # repr round-trips every float, so the SVG plots the values themselves
+        csv_path = os.path.join(rundir, "curves.csv")
+        with open(csv_path, "w") as fh:
+            fh.write(",".join(curves) + "\n")
+            for row in zip(*curves.values()):
+                fh.write(",".join(v if isinstance(v, str) else repr(float(v)) for v in row) + "\n")
+        plot_emit(csv_path)
     for name, tree in result.get("extra_files", {}).items():
-        with open(os.path.join(rundir, name), "w") as fh:
-            json.dump(tree, fh, indent=2, sort_keys=True, default=_json_default)
-            fh.write("\n")
+        _write_json(os.path.join(rundir, name), {**tree, "config_hash": config_hash})
+    for name, field in result.get("fields", {}).items():
+        os.makedirs(os.path.join(rundir, "fields"), exist_ok=True)
+        save_field(field, os.path.join(rundir, "fields", name))
     return rundir

@@ -192,8 +192,8 @@ class _JinXinStepper:
     def prepare(self, scheme: str, dt, eps=None) -> tuple:
         """(kernel, coefficients) of one step of `scheme` with size dt at friction 1/eps.
 
-        imex_ssp2 checks every member against its hyperbolic CFL bound; the
-        exact propagator has none. Its coefficients are the per-mode
+        imex_ssp2 checks every member against its hyperbolic CFL bound, and
+        exact_linear that the flux is zero. Its coefficients are the per-mode
         propagator P on the stored lattice and eps; those of if_rk2, which
         takes no eps, exp(-S dt) and dt. S is built here, so a stepper that
         never prepares if_rk2 keeps no S table.
@@ -208,7 +208,8 @@ class _JinXinStepper:
             return self.ssp2, (dt, e2, g, e2 + g, dt * (1 - _GAMMA))
         if scheme == "exact_linear":
             if not self.flux.is_zero:
-                raise ValueError("exact_linear applies to the linear system (zero flux) only")
+                raise ConfigError("config.stepper.scheme: exact_linear applies to the linear system "
+                                  f"(zero flux) only, got flux {self.flux.name!r}")
             xi = np.stack(np.broadcast_arrays(*self.kap), -1)
             return self.exact_linear, (exact_linear_propagator(xi, eps, self.a, dt), eps)
         if scheme == "if_rk2":
@@ -321,10 +322,9 @@ class Trajectory:
     def get(self, fieldname: str, p) -> NormSeries:
         return self.series[(fieldname, p)]
 
-    def summary(self, config_hash: str = "") -> dict:
+    def summary(self) -> dict:
         """JSON-ready trajectory summary."""
         out = {
-            "config_hash": config_hash,
             "t_samples": [float(t) for t in self.times],
             "step_count": self.steps,
             "wall_time": self.wall_time,

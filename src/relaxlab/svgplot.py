@@ -6,8 +6,9 @@ No plotting dependency; byte-identical output for identical input.
 from __future__ import annotations
 
 import math
+import os
 
-__all__ = ["render_curves", "render_csv"]
+__all__ = ["render_curves", "render_csv", "plot_emit"]
 
 _W, _H = 640, 440
 _ML, _MR, _MT, _MB = 70, 20, 20, 50
@@ -67,19 +68,16 @@ def render_curves(curves: dict, loglog: bool = False) -> str:
     if ylo == yhi:
         ylo, yhi = ylo * 0.9 or -1.0, yhi * 1.1 or 1.0
 
-    def tx(x):
+    def frac(v, lo, hi):
         if loglog:
-            f = (math.log10(x) - math.log10(xlo)) / (math.log10(xhi) - math.log10(xlo))
-        else:
-            f = (x - xlo) / (xhi - xlo)
-        return _ML + f * (_W - _ML - _MR)
+            return (math.log10(v) - math.log10(lo)) / (math.log10(hi) - math.log10(lo))
+        return (v - lo) / (hi - lo)
+
+    def tx(x):
+        return _ML + frac(x, xlo, xhi) * (_W - _ML - _MR)
 
     def ty(y):
-        if loglog:
-            f = (math.log10(y) - math.log10(ylo)) / (math.log10(yhi) - math.log10(ylo))
-        else:
-            f = (y - ylo) / (yhi - ylo)
-        return _H - _MB - f * (_H - _MT - _MB)
+        return _H - _MB - frac(y, ylo, yhi) * (_H - _MT - _MB)
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
@@ -147,3 +145,12 @@ def render_csv(csv_path: str, kind: str = "loglog") -> str:
     if len(numeric) < 2:
         raise ValueError(f"{csv_path}: need at least two numeric columns")
     return render_curves(numeric, loglog=(kind == "loglog"))
+
+
+def plot_emit(csv_path: str, kind: str = "loglog", out_path: str | None = None) -> str:
+    """Render a harness CSV to a standalone SVG; returns the SVG path."""
+    svg = render_csv(csv_path, kind)
+    out_path = out_path or os.path.splitext(csv_path)[0] + ".svg"
+    with open(out_path, "w") as fh:
+        fh.write(svg)
+    return out_path

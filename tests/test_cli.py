@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -6,14 +7,19 @@ import pytest
 
 from relaxlab import harness
 from relaxlab.cli import (
+    _DATA_SCHEMA,
+    _STEPPER_SCHEMA,
     PRESETS,
     ConfigError,
+    _build_common,
     dispatch,
     main,
     parse_config,
     parse_config_dict,
     plot_emit,
 )
+from relaxlab.harness import InitialDataSpec
+from relaxlab.integrators import StepperConfig
 
 
 class TestParseConfig:
@@ -51,6 +57,34 @@ class TestParseConfig:
     def test_bad_type_named(self):
         with pytest.raises(ConfigError, match="config.stepper.cfl"):
             parse_config_dict({"experiment": "spectrum", "stepper": {"cfl": "fast"}})
+
+    def test_data_and_stepper_schemas_spell_the_dataclass_fields(self):
+        # seed, ir_sigma_fit and ir_t_hi come from config.seed and config.fit
+        def names(cls):
+            return {f.name for f in dataclasses.fields(cls)}
+        assert set(_DATA_SCHEMA) == names(InitialDataSpec) - {"seed", "ir_sigma_fit", "ir_t_hi"}
+        assert set(_STEPPER_SCHEMA) == names(StepperConfig)
+
+    def test_defaults_build_the_dataclass_defaults(self):
+        _, _, _, data, stepper = _build_common(parse_config_dict({"experiment": "simulate"})[0])
+        # repr tells -1 from -1.0, which == does not
+        assert repr(data) == repr(InitialDataSpec(ir_t_hi=10.0))
+        assert repr(stepper) == repr(StepperConfig())
+
+    def test_int_and_float_spellings_build_equal_dataclasses(self):
+        data = {"amplitude": 1, "width": 2, "carrier": 3, "sigma1": -1, "band_lo": 0, "band_hi": 9,
+                "ir_compensation": True, "v_scale": 0, "v_band_hi": 1}
+        stepper = {"cfl": 1, "dt_max": 1, "dt_min": 1, "t_end": 4, "sample_every": 1}
+        fit = {"window": [1, 10], "sigma_list": [0]}
+        built = []
+        for spell in (lambda v: v, lambda v: float(v) if type(v) is int else v):
+            tree = {"experiment": "simulate", "data": {k: spell(v) for k, v in data.items()},
+                    "stepper": {k: spell(v) for k, v in stepper.items()},
+                    "fit": {k: [spell(x) for x in v] for k, v in fit.items()}}
+            built.append(_build_common(parse_config_dict(tree)[0])[3:])
+        (data_i, stepper_i), (data_f, stepper_f) = built
+        assert repr(data_i) == repr(data_f) and repr(stepper_i) == repr(stepper_f)
+        assert data_i.ir_compensation is True and data_i.mode == (1,) and data_i.seed == 0
 
     def test_infinite_exponents_accepted(self):
         # L^inf and l^inf: the one place a config number may be infinite
@@ -269,6 +303,12 @@ class TestDispatch:
          "config.trackers[0].s"),
         ({"experiment": "simulate", "grid": {"N": None}}, "config.grid.N"),
         ({"experiment": "simulate", "stepper": {"cfl": None}}, "config.stepper.cfl"),
+        # the seed and each data variant are checked at parse time, before any run
+        ({"experiment": "simulate", "seed": -1}, "config.seed"),
+        ({"experiment": "simulate", "model": {"eps_list": [0.5, 0.25]}, "data_variants": ["darcy", "bogus"]},
+         "config.data_variants[1]"),
+        ({"experiment": "simulate", "model": {"eps_list": [0.5, 0.25]}, "data_variants": [7]},
+         "config.data_variants[0]"),
     ])
     def test_main_malformed_config_lists(self, tmp_path, capsys, tree, path):
         p = tmp_path / "c.json"
@@ -280,6 +320,13 @@ class TestDispatch:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("preset", ["spectrum", "selftest"])
+    def test_main_negative_seed_flag(self, tmp_path, capsys, preset):
+        rc = main(["run", "--preset", preset, "--seed", "-1", "--out", str(tmp_path / "runs")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: config.seed: must be a non-negative integer, got -1\n"
         assert not (tmp_path / "runs").exists()
 
     def test_main_overdamping_default_span_on_fine_grid_runs(self, tmp_path, capsys):
@@ -449,6 +496,15 @@ class TestPlotEmit:
         assert main(["plot", str(p)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "two numeric columns" in err
+
+    def test_run_curves_svg_is_the_plot_of_its_curves_csv(self, tmp_path):
+        cfg, h = parse_config_dict(json.loads(json.dumps(PRESETS["spectrum"])))
+        assert dispatch(cfg, h, out_dir=str(tmp_path)) == 0
+        run = tmp_path / h
+        # the regime column is text, which the plot leaves out
+        assert (run / "curves.csv").read_text().startswith("inv_eps,omega,regime\n")
+        replot = plot_emit(str(run / "curves.csv"), "loglog", str(tmp_path / "replot.svg"))
+        assert (run / "curves.svg").read_text() == open(replot).read()
 
     def test_deterministic_bytes(self, tmp_path):
         p = tmp_path / "c.csv"

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import warnings
 
@@ -34,6 +35,7 @@ from relaxlab.spectral_core import (
     besov_norm,
     block_lp_norms,
     lp_norm,
+    load_field,
     scheme_for,
 )
 from relaxlab.spectral_analysis import decay_rate_omega, threshold_J
@@ -592,3 +594,22 @@ class TestModeMarch:
             warnings.simplefilter("error")
             with pytest.raises(DivergenceError, match="non-finite"):
                 run_overdamping_scan(g, (1.0,), (1,), eps_grid=[1.0, 0.5])
+
+
+class TestWriteResults:
+    def test_writes_fields_and_stamps_each_sidecar(self, tmp_path):
+        g = Grid(1, 16, 2 * math.pi)
+        u = SpectralField.from_physical(g, np.sin(g.coords()[0]))
+        result = {"fits": {"experiment": "synthetic"},
+                  "extra_files": {"a.json": {"x": 1}, "trajectory.json": {"t_samples": [0.0, 1.0]}},
+                  "fields": {"u_final.bin": u, "v_final.bin": SpectralField.stack([u, -1.0 * u])}}
+        rundir = harness.write_results(str(tmp_path), {"experiment": "synthetic"}, "0123abcd", result)
+        run = tmp_path / "0123abcd"
+        assert rundir == str(run)
+        assert sorted(p.name for p in run.iterdir()) == [
+            "a.json", "config.json", "fields", "fits.json", "norms.csv", "trajectory.json"]
+        for name, tree in result["extra_files"].items():
+            assert json.loads((run / name).read_text()) == {**tree, "config_hash": "0123abcd"}
+        assert sorted(p.name for p in (run / "fields").iterdir()) == ["u_final.bin", "v_final.bin"]
+        for name, field in result["fields"].items():
+            np.testing.assert_array_equal(load_field(run / "fields" / name).coeffs, field.coeffs)

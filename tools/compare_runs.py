@@ -4,13 +4,17 @@
 
 PARENT and CHANGE are repository roots. Each NAME is a preset, a benchmark
 workload of perfbench/workloads.py (run at seed 0) or the path of a JSON
-config; without names, every preset except thm3-decay-2d and the three
-workloads run. Each name runs once per root through
-`python -m relaxlab.cli run --jobs 1` with PYTHONPATH=<root>/src, into a
-fresh output directory. Every output file is compared byte for byte, except
-the wall_time entry of trajectory.json, and so are the exit status and the
-printed lines (with the roots and output directories masked). Each
-difference is printed; the exit status is 1 on any difference, else 0.
+config; without names, every preset except thm3-decay-2d, the three
+workloads and the configs under tools/compare_configs/ run. Those configs
+take seconds each and cover what no preset does: exact_linear in the
+overdamping scan, int-valued data and stepper sections, a simulate run with
+p = 4 and Z trackers, and an eps sweep over three v_kind variants. Each
+name runs once per root through `python -m relaxlab.cli run --jobs 1` with
+PYTHONPATH=<root>/src, into a fresh output directory. Every output file is
+compared byte for byte, except the wall_time entry of trajectory.json, and
+so are the exit status and the printed lines (with the roots and output
+directories masked). Each difference is printed; the exit status is 1 on
+any difference, else 0.
 
 Standard library only: the runs import relaxlab and numpy, this script
 does not.
@@ -31,6 +35,7 @@ import tempfile
 HERE = pathlib.Path(__file__).resolve().parent.parent
 # the longest preset (minutes on a desk machine); name it to run it
 SKIPPED_BY_DEFAULT = ("thm3-decay-2d",)
+CONFIGS = sorted(str(p) for p in (HERE / "tools" / "compare_configs").glob("*.json"))
 _WALL_TIME = re.compile(rb'"wall_time": [^,\n]*')
 
 
@@ -110,7 +115,7 @@ def main(argv=None) -> int:
 
     presets = _presets(change)
     workloads = _workloads()
-    names = args.names or [p for p in presets if p not in SKIPPED_BY_DEFAULT] + list(workloads)
+    names = args.names or [p for p in presets if p not in SKIPPED_BY_DEFAULT] + list(workloads) + CONFIGS
     failed = 0
     with tempfile.TemporaryDirectory(prefix="compare_runs_") as tmp:
         scratch = pathlib.Path(tmp)
