@@ -2,7 +2,9 @@
 
 Config files are JSON trees validated against an explicit schema: unknown
 keys are rejected, defaults are filled, and the canonicalized tree is hashed
-so identical configs land in identical run directories.
+so identical configs land in identical run directories. The data and stepper
+schemas are read from the fields of InitialDataSpec and StepperConfig, which
+check the values themselves.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ import sys
 
 from . import harness
 from .harness import InitialDataSpec, StepperConfig, write_results
-from .integrators import JINXIN_SCHEMES
-from .models import MAX_COMPONENTS, ConfigError, DivergenceError, make_flux
+from .models import MAX_COMPONENTS, ConfigError, DivergenceError, _positive, make_flux
 from .spectral_analysis import mode_symbol
 from .spectral_core import Grid
 from .svgplot import plot_emit
@@ -27,11 +28,6 @@ from .svgplot import plot_emit
 __all__ = ["parse_config", "parse_config_dict", "dispatch", "plot_emit", "PRESETS", "main"]
 
 EXPERIMENTS = ("simulate", "epsilon-convergence", "decay", "overdamping", "spectrum", "selftest")
-
-
-def _positive(path, v):
-    if not v > 0:
-        raise ConfigError(f"{path}: must be positive (the model assumes a_i > 0, eps > 0), got {v}")
 
 
 def _is_number(v) -> bool:
@@ -55,22 +51,23 @@ def _finite_numbers(path, v):
         _fail(path, f"must be a finite number (p and tracker p, r may be inf), got {v!r}")
 
 
-def _exponent(path, v):
-    v > 0 or _fail(path, f"must be positive, got {v!r}")
-
-
 def _numbers(path, v):
     if not (v and all(_is_number(x) for x in v)):
         _fail(path, f"need a non-empty list of numbers, got {v!r}")
 
 
-def _v_kind(path, v):
-    v in ("darcy", "ill_prepared", "zero") or _fail(path, f"unknown v_kind {v!r}")
+# the JSON types of a dataclass field's default; a tuple is a JSON list
+_JSON_TYPES = {str: (str,), bool: (bool,), float: (int, float), tuple: (list,)}
 
 
-# schema: name -> (type(s), default, validator or None); the data and
-# stepper defaults are those of the dataclasses the sections fill
-_DATA, _STEPPER = InitialDataSpec(), StepperConfig()
+def _dataclass_schema(cls, omit=()) -> dict:
+    """The schema of the section that fills cls, read from its fields but omit:
+    each default, the JSON types of its type and no validator (cls checks)."""
+    return {f.name: (_JSON_TYPES[type(f.default)], list(f.default) if type(f.default) is tuple else f.default, None)
+            for f in dataclasses.fields(cls) if f.name not in omit}
+
+
+# schema: name -> (type(s), default, validator or None)
 _MODEL_SCHEMA = {
     "flux": ((str,), "zero", None),
     "n": ((int,), 1, lambda p, v: 1 <= v <= MAX_COMPONENTS or _fail(p, f"need 1 <= n <= {MAX_COMPONENTS}, got {v}")),
@@ -82,35 +79,12 @@ _MODEL_SCHEMA = {
 }
 _GRID_SCHEMA = {
     "N": ((int,), 256, lambda p, v: (v >= 8 and (v & (v - 1)) == 0) or _fail(p, "N must be a power of two >= 8")),
-    "L": ((int, float), 2 * math.pi * 16, lambda p, v: _positive(p, v)),
+    "L": ((int, float), 2 * math.pi * 16, _positive),
 }
-_DATA_SCHEMA = {
-    "kind": ((str,), _DATA.kind,
-             lambda p, v: v in ("gaussian_bump", "random_spectrum", "single_mode") or _fail(p, f"unknown kind {v!r}")),
-    "amplitude": ((int, float), _DATA.amplitude, lambda p, v: _positive(p, v)),
-    "width": ((int, float), _DATA.width, lambda p, v: _positive(p, v)),
-    "carrier": ((int, float), _DATA.carrier, None),
-    "sigma1": ((int, float), _DATA.sigma1, None),
-    "mode": ((list,), list(_DATA.mode), None),
-    "band_lo": ((int, float), _DATA.band_lo, None),
-    "band_hi": ((int, float, type(None)), None, None),  # null: no upper cut
-    "ir_compensation": ((bool,), _DATA.ir_compensation, None),
-    "v_kind": ((str,), _DATA.v_kind, _v_kind),
-    "v_scale": ((int, float), _DATA.v_scale, None),
-    "v_scale_mode": ((str,), _DATA.v_scale_mode,
-                     lambda p, v: v in ("fixed", "inv_eps", "inv_eps2") or _fail(p, f"unknown v_scale_mode {v!r}")),
-    "v_band_hi": ((int, float), _DATA.v_band_hi, lambda p, v: _positive(p, v)),
-}
-_STEPPER_SCHEMA = {
-    # every experiment steps a relaxation system (a limit companion runs if_rk2)
-    "scheme": ((str,), _STEPPER.scheme,
-               lambda p, v: v in JINXIN_SCHEMES or _fail(p, f"must be one of {JINXIN_SCHEMES}, got {v!r}")),
-    "cfl": ((int, float), _STEPPER.cfl, lambda p, v: (0 < v <= 1) or _fail(p, "cfl must lie in (0, 1]")),
-    "dt_max": ((int, float), _STEPPER.dt_max, lambda p, v: _positive(p, v)),
-    "dt_min": ((int, float), _STEPPER.dt_min, lambda p, v: _positive(p, v)),
-    "t_end": ((int, float), _STEPPER.t_end, lambda p, v: _positive(p, v)),
-    "sample_every": ((int, float), _STEPPER.sample_every, lambda p, v: _positive(p, v)),
-}
+# seed, ir_sigma_fit and ir_t_hi come from config.seed and config.fit
+_DATA_SCHEMA = {**_dataclass_schema(InitialDataSpec, omit=("seed", "ir_sigma_fit", "ir_t_hi")),
+                "band_hi": ((int, float, type(None)), None, None)}  # null: no upper cut
+_STEPPER_SCHEMA = _dataclass_schema(StepperConfig)
 _FIT_SCHEMA = {
     "window": ((list,), [1.0, 10.0], _increasing_pair),
     "sigma_list": ((list,), [0.0], _numbers),
@@ -119,15 +93,15 @@ _FIT_SCHEMA = {
 }
 _SCAN_SCHEMA = {
     "mode": ((list,), [1], None),
-    "points": ((int,), 20, lambda p, v: _positive(p, v)),
+    "points": ((int,), 20, _positive),
     "span": ((list,), [0.5, 4.0], _increasing_pair),
 }
 _TOP_SCHEMA = {
     "experiment": ((str,), None, lambda p, v: v in EXPERIMENTS or _fail(p, f"must be one of {EXPERIMENTS}")),
     "seed": ((int,), 0, lambda p, v: v >= 0 or _fail(p, f"must be a non-negative integer, got {v}")),
     "k0": ((int,), 0, None),
-    "p": ((int, float), 2, _exponent),
-    "jobs": ((int,), 1, lambda p, v: _positive(p, v)),
+    "p": ((int, float), 2, _positive),
+    "jobs": ((int,), 1, _positive),
     "model": ((dict,), {}, None),
     "grid": ((dict,), {}, None),
     "data": ((dict,), {}, None),
@@ -141,8 +115,8 @@ _TOP_SCHEMA = {
 _TRACKER_SCHEMA = {
     "field": ((str,), None, lambda p, v: v in ("u", "v", "z", "Z") or _fail(p, f"must be u, v, z or Z, got {v!r}")),
     "s": ((int, float), None, None),
-    "p": ((int, float), None, _exponent),
-    "r": ((int, float), None, _exponent),
+    "p": ((int, float), None, _positive),
+    "r": ((int, float), None, _positive),
     "window": ((str,), "full", lambda p, v: v in ("full", "low", "high") or _fail(p, "must be full, low or high")),
 }
 
@@ -158,19 +132,6 @@ def _mode(path, mode, d):
     """An integer wavevector of d entries."""
     if len(mode) != d or not all(isinstance(k, int) and not isinstance(k, bool) for k in mode):
         _fail(path, f"need d={d} integers, got {mode!r}")
-
-
-def _check_flux(m: dict):
-    """The model's flux builds, with the model's n and d."""
-    if m["terms"] is not None and m["flux"] != "polynomial":
-        _fail("config.model.terms", f"only the polynomial flux takes terms, got flux {m['flux']!r}")
-    try:
-        flux = make_flux(m["flux"], m["n"], m["d"], m["terms"])
-    except ValueError as e:
-        _fail("config.model.terms" if m["terms"] else "config.model.flux", str(e))
-    if (flux.n, flux.d) != (m["n"], m["d"]):
-        _fail("config.model.flux", f"{m['flux']} has n={flux.n}, d={flux.d}; "
-              f"the model says n={m['n']}, d={m['d']}")
 
 
 def _validate_section(tree: dict, schema: dict, path: str) -> dict:
@@ -192,6 +153,37 @@ def _validate_section(tree: dict, schema: dict, path: str) -> dict:
     return out
 
 
+def _floats(section: dict) -> dict:
+    """The section with each int value as a float; a bool stays a bool."""
+    return {key: float(v) if type(v) is int else v for key, v in section.items()}
+
+
+def _build_common(cfg: dict):
+    """(grid, flux, a, data, stepper) of a config; a value none of them takes
+    raises ConfigError at its path. The flux is built with the model's n and d."""
+    m = cfg["model"]
+    if m["terms"] is not None and m["flux"] != "polynomial":
+        _fail("config.model.terms", f"only the polynomial flux takes terms, got flux {m['flux']!r}")
+    try:
+        flux = make_flux(m["flux"], m["n"], m["d"], m["terms"])
+    except ValueError as e:
+        _fail("config.model.terms" if m["terms"] else "config.model.flux", str(e))
+    if (flux.n, flux.d) != (m["n"], m["d"]):
+        _fail("config.model.flux", f"{m['flux']} has n={flux.n}, d={flux.d}; "
+              f"the model says n={m['n']}, d={m['d']}")
+    try:
+        grid = Grid(m["d"], cfg["grid"]["N"], float(cfg["grid"]["L"]))
+    except (ValueError, OverflowError) as e:
+        _fail("config.grid.L", str(e))
+    d = _floats(cfg["data"])
+    data = InitialDataSpec(**{**d, "mode": tuple(d["mode"]),
+                              "band_hi": math.inf if d["band_hi"] is None else d["band_hi"],
+                              "seed": cfg["seed"], "ir_sigma_fit": float(cfg["fit"]["sigma_list"][0]),
+                              "ir_t_hi": float(cfg["fit"]["window"][1])})
+    stepper = StepperConfig(**_floats(cfg["stepper"]))
+    return grid, flux, tuple(float(x) for x in m["a"]), data, stepper
+
+
 def parse_config_dict(tree: dict) -> tuple:
     """Validate a config tree, fill defaults, return (config, hash)."""
     _finite_numbers("config", tree)
@@ -211,7 +203,6 @@ def parse_config_dict(tree: dict) -> tuple:
             raise ConfigError(f"config.model.a[{i}]: a_i > 0 is required by the relaxation model, got {ai}")
     if len(m["a"]) != m["d"]:
         raise ConfigError(f"config.model.a: need d={m['d']} entries, got {len(m['a'])}")
-    _check_flux(m)
     if m["eps"] is not None and not m["eps"] > 0:
         raise ConfigError("config.model.eps: must be positive")
     if m["eps_list"] is not None:
@@ -223,9 +214,9 @@ def parse_config_dict(tree: dict) -> tuple:
                 raise ConfigError(f"config.model.eps_list[{i}]: must be a positive number, got {e!r}")
     if cfg["experiment"] in ("simulate", "decay") and m["eps"] is None and m["eps_list"] is None:
         cfg["model"]["eps"] = 1.0
+    # the flux, the grid and the data and stepper values, before the rules across sections
+    _, _, _, data, _ = _build_common(cfg)
     st = cfg["stepper"]
-    if st["dt_min"] > st["dt_max"]:
-        _fail("config.stepper.dt_min", f"need dt_min <= dt_max, got {st['dt_min']!r} > {st['dt_max']!r}")
     if cfg["experiment"] == "simulate" and m["eps_list"] is None and not st["t_end"] / st["sample_every"] > 0.5:
         # a single-eps simulate run samples t_end in round(t_end / sample_every) intervals
         _fail("config.stepper.sample_every", f"t_end / sample_every = {st['t_end']!r} / "
@@ -234,14 +225,15 @@ def parse_config_dict(tree: dict) -> tuple:
         cfg["model"]["eps_list"] = [0.2, 0.1, 0.05, 0.025]
     if cfg["experiment"] in ("overdamping", "spectrum"):
         _mode("config.scan.mode", cfg["scan"]["mode"], m["d"])
-    try:
-        Grid(m["d"], cfg["grid"]["N"], float(cfg["grid"]["L"]))
-    except (ValueError, OverflowError) as e:
-        _fail("config.grid.L", str(e))
     if cfg["data"]["kind"] == "single_mode":
         _mode("config.data.mode", cfg["data"]["mode"], m["d"])
+    if cfg["data_variants"] is not None and not (cfg["experiment"] == "simulate" and m["eps_list"]):
+        _fail("config.data_variants", "only a simulate eps sweep (model.eps_list) runs data variants")
     for i, vk in enumerate(cfg["data_variants"] or []):
-        _v_kind(f"config.data_variants[{i}]", vk)
+        try:
+            dataclasses.replace(data, v_kind=vk)
+        except ConfigError as e:
+            _fail(f"config.data_variants[{i}]", str(e).removeprefix("config.data.v_kind: "))
     for i, t in enumerate(cfg["trackers"]):
         path = f"config.trackers[{i}]"
         if not isinstance(t, dict) or not {"field", "s", "p", "r"} <= set(t):
@@ -330,24 +322,6 @@ PRESETS: dict = {
 
 # ---------------------------------------------------------------------------
 # dispatch
-
-def _floats(section: dict) -> dict:
-    """The section with each int value as a float; a bool stays a bool."""
-    return {key: float(v) if type(v) is int else v for key, v in section.items()}
-
-
-def _build_common(cfg: dict):
-    m = cfg["model"]
-    grid = Grid(m["d"], cfg["grid"]["N"], float(cfg["grid"]["L"]))
-    flux = make_flux(m["flux"], m["n"], m["d"], m["terms"])
-    d = _floats(cfg["data"])
-    data = InitialDataSpec(**{**d, "mode": tuple(d["mode"]),
-                              "band_hi": math.inf if d["band_hi"] is None else d["band_hi"],
-                              "seed": cfg["seed"], "ir_sigma_fit": float(cfg["fit"]["sigma_list"][0]),
-                              "ir_t_hi": float(cfg["fit"]["window"][1])})
-    stepper = StepperConfig(**_floats(cfg["stepper"]))
-    return grid, flux, tuple(float(x) for x in m["a"]), data, stepper
-
 
 def dispatch(cfg: dict, cfg_hash: str, out_dir: str = "runs", jobs: int | None = None) -> int:
     """Run the configured experiment; write artifacts; return exit status."""

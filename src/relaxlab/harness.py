@@ -23,6 +23,7 @@ from .models import (
     Flux,
     JinXinModel,
     JinXinState,
+    _positive,
     darcy_velocity,
     effective_Z,
     flux_fields,
@@ -90,10 +91,15 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # initial data
 
-@dataclass
+# v_scale_mode -> the power of 1/eps that scales an ill_prepared v0
+_V_SCALE_POWER = {"fixed": 0, "inv_eps": 1, "inv_eps2": 2}
+
+
+@dataclass(frozen=True)
 class InitialDataSpec:
     """Recipe for (u0, v0); amplitude is the L2 size of u0 except for bumps
-    and single modes, where it is the pointwise amplitude."""
+    and single modes, where it is the pointwise amplitude. The config's data
+    section: a bad value raises ConfigError at config.data.<field>."""
 
     kind: str = "gaussian_bump"          # gaussian_bump | random_spectrum | single_mode
     amplitude: float = 0.05
@@ -111,6 +117,15 @@ class InitialDataSpec:
     v_scale: float = 0.0                 # L2 norm of the stacked v0 when ill_prepared
     v_scale_mode: str = "fixed"          # fixed | inv_eps | inv_eps2: ill_prepared v0 at v_scale/eps^(0|1|2)
     v_band_hi: float = 1.0               # ill_prepared spectral cap
+
+    def __post_init__(self):
+        for name, known, what in (("kind", ("gaussian_bump", "random_spectrum", "single_mode"), "initial data kind"),
+                                  ("v_kind", ("darcy", "ill_prepared", "zero"), "v preparation"),
+                                  ("v_scale_mode", tuple(_V_SCALE_POWER), "v_scale_mode")):
+            if getattr(self, name) not in known:
+                raise ConfigError(f"config.data.{name}: unknown {what} {getattr(self, name)!r}")
+        for name in ("amplitude", "width", "v_band_hi"):
+            _positive(f"config.data.{name}", getattr(self, name))
 
 
 def _hermitian_randomize(grid: Grid, modulus: np.ndarray, rng) -> np.ndarray:
@@ -196,11 +211,9 @@ def make_initial_data(spec: InitialDataSpec, grid: Grid, model: JinXinModel, k0:
                 vals = spec.amplitude * np.exp(-r2 / spec.width**2)
                 if spec.carrier > 0:
                     vals = vals * np.cos(spec.carrier * (coords[0] - grid.L / 2) + 0.7 * c)
-            elif spec.kind == "single_mode":
+            else:  # single_mode
                 phase = sum(2.0 * np.pi * spec.mode[ax] * coords[ax] / grid.L for ax in range(d))
                 vals = spec.amplitude * np.cos(phase + 0.7 * c)
-            else:
-                raise ValueError(f"unknown initial data kind {spec.kind!r}")
             cc = SpectralField.from_physical(grid, vals).coeffs[0]
             cc[(0,) * d] = 0.0  # zero mean (a cos quadrature leaves roundoff there)
             comps.append(cc)
@@ -211,7 +224,7 @@ def make_initial_data(spec: InitialDataSpec, grid: Grid, model: JinXinModel, k0:
         v0 = darcy_velocity(model.flux, model.a, u0)
     elif spec.v_kind == "zero":
         v0 = [SpectralField.zero(grid, n) for _ in range(d)]
-    elif spec.v_kind == "ill_prepared":
+    else:  # ill_prepared
         mag = grid.kappa_mag()
         band = grid.dealias_mask() & (mag > 0) & (mag <= spec.v_band_hi)
         prof = np.zeros(grid.spectral_shape)
@@ -219,16 +232,11 @@ def make_initial_data(spec: InitialDataSpec, grid: Grid, model: JinXinModel, k0:
         total = math.sqrt(grid.L**grid.d * np.sum(grid.multiplicity() * prof**2) * n * d)
         if total == 0:
             raise ConfigError("config.data.v_band_hi: ill_prepared: empty band below v_band_hi")
-        power = {"fixed": 0, "inv_eps": 1, "inv_eps2": 2}.get(spec.v_scale_mode)
-        if power is None:
-            raise ValueError(f"unknown v_scale_mode {spec.v_scale_mode!r}")
-        prof *= spec.v_scale / model.eps**power / total
+        prof *= spec.v_scale / model.eps**_V_SCALE_POWER[spec.v_scale_mode] / total
         v0 = [
             SpectralField(grid, np.stack([_hermitian_randomize(grid, prof, rng) for _ in range(n)]))
             for _ in range(d)
         ]
-    else:
-        raise ValueError(f"unknown v preparation {spec.v_kind!r}")
 
     return JinXinState(u0, v0, 0.0)
 

@@ -22,6 +22,7 @@ from .models import (
     Flux,
     JinXinModel,
     JinXinState,
+    _positive,
     checked_velocities,
     darcy_velocity,
     effective_Z,
@@ -64,8 +65,10 @@ class CFLError(ValueError):
         self.admissible = admissible
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepperConfig:
+    """The config's stepper section; a bad value raises ConfigError at config.stepper.<field>."""
+
     scheme: str = "imex_ssp2"
     cfl: float = 0.45
     dt_max: float = 0.05
@@ -74,11 +77,13 @@ class StepperConfig:
     sample_every: float = 0.1
 
     def __post_init__(self):
-        if not (0.0 < self.cfl <= 1.0):
-            raise ValueError("cfl must lie in (0, 1]")
-        if not (0.0 < self.dt_min <= self.dt_max):
-            raise ValueError("need 0 < dt_min <= dt_max")
         checked_relaxation_scheme(self.scheme)
+        if not 0.0 < self.cfl <= 1.0:
+            raise ConfigError(f"config.stepper.cfl: cfl must lie in (0, 1], got {self.cfl!r}")
+        for name in ("dt_max", "dt_min", "t_end", "sample_every"):
+            _positive(f"config.stepper.{name}", getattr(self, name))
+        if not self.dt_min <= self.dt_max:
+            raise ConfigError(f"config.stepper.dt_min: need dt_min <= dt_max, got {self.dt_min!r} > {self.dt_max!r}")
 
 
 def jinxin_dt_bound(model: JinXinModel, grid) -> float:
@@ -268,7 +273,7 @@ class _JinXinStepper:
 def checked_relaxation_scheme(scheme: str) -> str:
     """scheme, if it steps the relaxation system (if_rk2 steps its limit)."""
     if scheme not in JINXIN_SCHEMES:
-        raise ValueError(f"unknown relaxation scheme {scheme!r}; need one of {JINXIN_SCHEMES}")
+        raise ConfigError(f"config.stepper.scheme: unknown relaxation scheme {scheme!r}; need one of {JINXIN_SCHEMES}")
     return scheme
 
 

@@ -47,6 +47,12 @@ class ConfigError(ValueError):
     """A config value that cannot run; the message starts with its path, config.<section>.<key>."""
 
 
+def _positive(path: str, v):
+    """A ConfigError at path unless v > 0 (NaN is not)."""
+    if not v > 0:
+        raise ConfigError(f"{path}: must be positive, got {v!r}")
+
+
 class DivergenceError(RuntimeError):
     """A field picked up NaN/Inf coefficients."""
 
@@ -160,8 +166,10 @@ def builtin_fluxes() -> dict:
 
 def make_flux(flux_id: str, n: int | None = None, d: int | None = None, terms=None) -> Flux:
     """Build a flux by string id, validating the origin conditions."""
+    if any(size is not None and size < 1 for size in (n, d)):
+        raise FluxValidationError(f"need n, d >= 1, got n={n}, d={d}")
     if flux_id == "zero":
-        fl = _zero_flux(n or 1, d or 1)
+        fl = _zero_flux(1 if n is None else n, 1 if d is None else d)
     elif flux_id == "polynomial":
         fl = polynomial_flux(n, d, terms or [])
     elif flux_id in builtin_fluxes():

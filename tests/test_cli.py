@@ -126,6 +126,15 @@ class TestParseConfig:
             cfg, h = parse_config_dict(json.loads(json.dumps(tree)))
             assert len(h) == 16, name
 
+    def test_preset_hashes_are_pinned(self):
+        # a schema that drops or retypes a default moves every run directory
+        pinned = {"selftest": "25097c1652c88cbc", "fig1-overdamping": "3dd57ac1f061bc6f",
+                  "spectrum": "62f2e3eeb9edae48", "thm1-uniform": "88b692c0f4a041b5",
+                  "thm2-epsilon": "de4a6797e3fae056", "thm3-decay-1d": "97f9a22d30ea94e2",
+                  "thm3-decay-2d": "d4116c488f51de17"}
+        assert {name: parse_config_dict(json.loads(json.dumps(tree)))[1]
+                for name, tree in PRESETS.items()} == pinned
+
     def test_invalid_json_reported(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{nope")
@@ -309,6 +318,20 @@ class TestDispatch:
          "config.data_variants[1]"),
         ({"experiment": "simulate", "model": {"eps_list": [0.5, 0.25]}, "data_variants": [7]},
          "config.data_variants[0]"),
+        # only a simulate eps sweep runs data variants
+        ({"experiment": "simulate", "grid": {"N": 32}, "data_variants": ["ill_prepared"]}, "config.data_variants"),
+        ({"experiment": "spectrum", "data_variants": ["darcy"]}, "config.data_variants"),
+        # the data and stepper values InitialDataSpec and StepperConfig reject
+        ({"experiment": "simulate", "data": {"kind": "bogus"}}, "config.data.kind"),
+        ({"experiment": "simulate", "data": {"v_kind": "bogus"}}, "config.data.v_kind"),
+        ({"experiment": "simulate", "data": {"v_scale_mode": "bogus"}}, "config.data.v_scale_mode"),
+        ({"experiment": "simulate", "data": {"amplitude": 0}}, "config.data.amplitude"),
+        ({"experiment": "simulate", "data": {"width": -1}}, "config.data.width"),
+        ({"experiment": "simulate", "data": {"v_band_hi": 0}}, "config.data.v_band_hi"),
+        ({"experiment": "simulate", "stepper": {"cfl": 2}}, "config.stepper.cfl"),
+        ({"experiment": "simulate", "stepper": {"dt_max": 0}}, "config.stepper.dt_max"),
+        ({"experiment": "simulate", "stepper": {"t_end": 0}}, "config.stepper.t_end"),
+        ({"experiment": "simulate", "stepper": {"sample_every": 0}}, "config.stepper.sample_every"),
     ])
     def test_main_malformed_config_lists(self, tmp_path, capsys, tree, path):
         p = tmp_path / "c.json"

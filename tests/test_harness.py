@@ -130,6 +130,16 @@ class TestInitialData:
         with pytest.raises(ValueError, match=message):
             make_initial_data(dataclasses.replace(spec, **{field: value}), grid, model)
 
+    @pytest.mark.parametrize("cls,field,value", [(InitialDataSpec, "kind", "bogus"), (StepperConfig, "cfl", 2)])
+    def test_config_dataclasses_check_and_freeze_their_values(self, cls, field, value):
+        # each is a config section: a rejected value names config.<section>.<field>
+        section = "data" if cls is InitialDataSpec else "stepper"
+        with pytest.raises(ConfigError) as e:
+            cls(**{field: value})
+        assert str(e.value).startswith(f"config.{section}.{field}: ")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cls(), field, value)
+
     def test_sigma1_admissibility(self):
         check_sigma1_admissible(-0.5, 1, 2)
         with pytest.raises(ValueError, match="admissible range"):

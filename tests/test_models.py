@@ -72,6 +72,16 @@ class TestFluxCatalog:
         with pytest.raises(FluxValidationError, match="f\\(0\\)=Df\\(0\\)=0"):
             make_flux("polynomial", 1, 1, terms)
 
+    @pytest.mark.parametrize("n,d,name", [(0, 0, "n=0"), (1, 0, "d=0"), (-1, 1, "n=-1")])
+    def test_sizes_below_one_rejected(self, n, d, name):
+        # 0 is a size, not a missing one: only None takes the zero flux's default 1
+        with pytest.raises(FluxValidationError, match=name):
+            make_flux("zero", n, d)
+
+    def test_zero_flux_default_size(self):
+        fl = make_flux("zero")
+        assert (fl.n, fl.d) == (1, 1)
+
     def test_unknown_id(self):
         with pytest.raises(FluxValidationError, match="unknown flux id"):
             make_flux("nope")
