@@ -4,7 +4,8 @@ Config files are JSON trees validated against an explicit schema: unknown
 keys are rejected, defaults are filled, and the canonicalized tree is hashed
 so identical configs land in identical run directories. The data and stepper
 schemas are read from the fields of InitialDataSpec and StepperConfig, which
-check the values themselves.
+check the values themselves; make_flux and checked_velocities check the
+model's flux, n, d, terms and a.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 
 from . import harness
 from .harness import InitialDataSpec, StepperConfig, write_results
-from .models import MAX_COMPONENTS, ConfigError, DivergenceError, _positive, make_flux
+from .models import ConfigError, DivergenceError, _positive, checked_velocities, make_flux
 from .spectral_analysis import mode_symbol
 from .spectral_core import Grid
 from .svgplot import plot_emit
@@ -70,7 +71,7 @@ def _dataclass_schema(cls, omit=()) -> dict:
 # schema: name -> (type(s), default, validator or None)
 _MODEL_SCHEMA = {
     "flux": ((str,), "zero", None),
-    "n": ((int,), 1, lambda p, v: 1 <= v <= MAX_COMPONENTS or _fail(p, f"need 1 <= n <= {MAX_COMPONENTS}, got {v}")),
+    "n": ((int,), 1, None),
     "d": ((int,), 1, lambda p, v: v in (1, 2) or _fail(p, "d must be 1 or 2")),
     "a": ((list,), [1.0], None),
     "eps": ((int, float, type(None)), None, None),
@@ -162,15 +163,8 @@ def _build_common(cfg: dict):
     """(grid, flux, a, data, stepper) of a config; a value none of them takes
     raises ConfigError at its path. The flux is built with the model's n and d."""
     m = cfg["model"]
-    if m["terms"] is not None and m["flux"] != "polynomial":
-        _fail("config.model.terms", f"only the polynomial flux takes terms, got flux {m['flux']!r}")
-    try:
-        flux = make_flux(m["flux"], m["n"], m["d"], m["terms"])
-    except ValueError as e:
-        _fail("config.model.terms" if m["terms"] else "config.model.flux", str(e))
-    if (flux.n, flux.d) != (m["n"], m["d"]):
-        _fail("config.model.flux", f"{m['flux']} has n={flux.n}, d={flux.d}; "
-              f"the model says n={m['n']}, d={m['d']}")
+    flux = make_flux(m["flux"], m["n"], m["d"], m["terms"])
+    a = checked_velocities(flux, m["a"])
     try:
         grid = Grid(m["d"], cfg["grid"]["N"], float(cfg["grid"]["L"]))
     except (ValueError, OverflowError) as e:
@@ -181,7 +175,7 @@ def _build_common(cfg: dict):
                               "seed": cfg["seed"], "ir_sigma_fit": float(cfg["fit"]["sigma_list"][0]),
                               "ir_t_hi": float(cfg["fit"]["window"][1])})
     stepper = StepperConfig(**_floats(cfg["stepper"]))
-    return grid, flux, tuple(float(x) for x in m["a"]), data, stepper
+    return grid, flux, a, data, stepper
 
 
 def parse_config_dict(tree: dict) -> tuple:
@@ -198,23 +192,20 @@ def parse_config_dict(tree: dict) -> tuple:
     cfg["scan"] = _validate_section(cfg["scan"], _SCAN_SCHEMA, "config.scan")
 
     m = cfg["model"]
-    for i, ai in enumerate(m["a"]):
-        if not (_is_number(ai) and ai > 0):
-            raise ConfigError(f"config.model.a[{i}]: a_i > 0 is required by the relaxation model, got {ai}")
-    if len(m["a"]) != m["d"]:
-        raise ConfigError(f"config.model.a: need d={m['d']} entries, got {len(m['a'])}")
     if m["eps"] is not None and not m["eps"] > 0:
         raise ConfigError("config.model.eps: must be positive")
     if m["eps_list"] is not None:
         if cfg["experiment"] in ("decay", "overdamping", "spectrum", "selftest"):
             raise ConfigError(
                 f"config.model.eps_list: {cfg['experiment']} is a single-eps experiment; use model.eps")
+        if not m["eps_list"]:
+            raise ConfigError("config.model.eps_list: need a non-empty list of positive numbers, got []")
         for i, e in enumerate(m["eps_list"]):
             if not (_is_number(e) and e > 0):
                 raise ConfigError(f"config.model.eps_list[{i}]: must be a positive number, got {e!r}")
     if cfg["experiment"] in ("simulate", "decay") and m["eps"] is None and m["eps_list"] is None:
         cfg["model"]["eps"] = 1.0
-    # the flux, the grid and the data and stepper values, before the rules across sections
+    # the flux, a, the grid and the data and stepper values, before the rules across sections
     _, _, _, data, _ = _build_common(cfg)
     st = cfg["stepper"]
     if cfg["experiment"] == "simulate" and m["eps_list"] is None and not st["t_end"] / st["sample_every"] > 0.5:

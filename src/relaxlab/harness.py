@@ -371,7 +371,7 @@ def fit_rate(x, y, window=None, kind: str = "time", r2_flag: float = 0.98,
 
 
 # ---------------------------------------------------------------------------
-# experiment drivers (pure: take plain dicts, return result dicts)
+# experiment drivers: take a Grid, a Flux and the config dataclasses, return result dicts
 
 def _sorted_union(*parts) -> np.ndarray:
     """The parts' values, sorted and without repeats, as numpy's unique gives

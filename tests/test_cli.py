@@ -332,6 +332,17 @@ class TestDispatch:
         ({"experiment": "simulate", "stepper": {"dt_max": 0}}, "config.stepper.dt_max"),
         ({"experiment": "simulate", "stepper": {"t_end": 0}}, "config.stepper.t_end"),
         ({"experiment": "simulate", "stepper": {"sample_every": 0}}, "config.stepper.sample_every"),
+        # an empty eps sweep has no eps to run
+        ({"experiment": "simulate", "model": {"eps_list": []}}, "config.model.eps_list"),
+        ({"experiment": "epsilon-convergence", "model": {"eps_list": []}}, "config.model.eps_list"),
+        # make_flux checks the model's sizes before the flux id and the terms
+        ({"experiment": "simulate", "model": {"flux": "burgers1d", "n": 5}}, "config.model.n"),
+        ({"experiment": "simulate", "model": {"flux": "polynomial", "n": 5, "terms": [{"direction": 0}]}},
+         "config.model.n"),
+        ({"experiment": "simulate", "model": {"flux": "bogus", "n": 0}}, "config.model.n"),
+        # checked_velocities checks each a_i, then one a per dimension
+        ({"experiment": "simulate", "model": {"a": [1, 2]}}, "config.model.a"),
+        ({"experiment": "simulate", "model": {"a": [0]}}, "config.model.a[0]"),
     ])
     def test_main_malformed_config_lists(self, tmp_path, capsys, tree, path):
         p = tmp_path / "c.json"
@@ -344,6 +355,16 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and "Traceback" not in err
         assert not (tmp_path / "runs").exists()
+
+    def test_main_steep_quadratic_flux_runs(self, tmp_path):
+        # 150 u^2 has no constant or linear part, so it runs however large its coefficient
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"experiment": "simulate", "grid": {"N": 32}, "stepper": {"t_end": 1},
+                                 "model": {"flux": "polynomial", "terms": [
+                                     {"direction": 0, "component": 0, "exponents": [2], "coefficient": 150}]}}))
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "runs")]) == 0
+        (rundir,) = (tmp_path / "runs").iterdir()
+        assert (rundir / "fits.json").is_file()
 
     @pytest.mark.parametrize("preset", ["spectrum", "selftest"])
     def test_main_negative_seed_flag(self, tmp_path, capsys, preset):

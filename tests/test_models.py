@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from relaxlab.models import (
+    ConfigError,
+    Flux,
     FluxValidationError,
     JinXinModel,
     JinXinState,
     builtin_fluxes,
+    checked_velocities,
     darcy_velocity,
     effective_Z,
     effective_z,
@@ -87,8 +90,38 @@ class TestFluxCatalog:
             make_flux("nope")
 
     def test_origin_check_quadratic(self):
-        for fid in ("burgers1d", "burgers2d"):
-            make_flux(fid).check_origin()  # does not raise
+        # each built-in flux has f(0) = 0, and |f(delta e_k)| / delta^2 does not
+        # move with delta: no constant or linear part, so no flux needs a probe
+        # beside the degree rule of polynomial terms
+        for fid in builtin_fluxes():
+            fl = make_flux(fid)
+            assert all(not np.any(f) for f in fl.evaluate(np.zeros((fl.n, 1))))
+            for k in range(fl.n):
+                ratios = []
+                for delta in (1e-2, 1e-3):
+                    u = np.zeros((fl.n, 1))
+                    u[k, 0] = delta
+                    ratios.append(max(np.max(np.abs(f)) for f in fl.evaluate(u)) / delta**2)
+                assert ratios[0] == pytest.approx(ratios[1], rel=1e-12, abs=0.0), (fid, k)
+
+    def test_steep_quadratic_builds(self):
+        # 150 u^2 is quadratic at the origin however large its coefficient
+        terms = [{"direction": 0, "component": 0, "exponents": [2], "coefficient": 150.0}]
+        fl = make_flux("polynomial", 1, 1, terms)
+        assert fl.evaluate(np.array([[1e-3]]))[0][0, 0] == pytest.approx(1.5e-4)
+
+    def test_polynomial_needs_sizes(self):
+        with pytest.raises(FluxValidationError, match=r"^config\.model\.n: "):
+            make_flux("polynomial")
+
+    def test_flux_error_is_a_config_error(self):
+        assert issubclass(FluxValidationError, ConfigError)
+
+    def test_flux_checks_its_sizes(self):
+        with pytest.raises(FluxValidationError, match=r"^config\.model\.n: .*n=5"):
+            Flux("wide", 5, 1, lambda u: [u])
+        with pytest.raises(FluxValidationError, match=r"^config\.model\.d: .*d=0"):
+            Flux("flat", 1, 0, lambda u: [])
 
     def test_rebuild_roundtrip(self):
         # a flux travels to worker processes by pickle
@@ -152,9 +185,17 @@ class TestModelValidation:
 
     def test_component_cap(self):
         terms = [{"direction": 0, "component": 0, "exponents": [2, 0, 0, 0, 0], "coefficient": 1.0}]
-        fl = make_flux("polynomial", 5, 1, terms)
-        with pytest.raises(ValueError, match="components"):
-            JinXinModel(fl, (1.0,), 0.5)
+        with pytest.raises(FluxValidationError, match=r"^config\.model\.n: .*components"):
+            make_flux("polynomial", 5, 1, terms)
+
+    @pytest.mark.parametrize("bad", [True, 0, -1])
+    def test_velocity_entries_checked(self, bad):
+        with pytest.raises(ConfigError, match=r"^config\.model\.a\[0\]: a_i > 0"):
+            checked_velocities(make_flux("burgers1d"), [bad])
+
+    def test_velocity_numpy_scalars_accepted(self):
+        a = checked_velocities(make_flux("zero", 1, 2), [np.float64(1.0), np.int64(2)])
+        assert a == (1.0, 2.0) and all(type(x) is float for x in a)
 
 
 class TestJinXinRHS:

@@ -8,15 +8,17 @@ config; without names, every preset except thm3-decay-2d, the three
 workloads and the configs under tools/compare_configs/ run. Those configs
 take seconds each and cover what no preset does: exact_linear in the
 overdamping scan, int-valued data and stepper sections, a simulate run with
-p = 4 and Z trackers, an eps sweep over three v_kind variants, and a
-simulate run that sets every data and stepper field away from its default
-(so each passes through the config schema into the run unchanged). Each
-name runs once per root through `python -m relaxlab.cli run --jobs 1` with
-PYTHONPATH=<root>/src, into a fresh output directory. Every output file is
-compared byte for byte, except the wall_time entry of trajectory.json, and
-so are the exit status and the printed lines (with the roots and output
-directories masked). Each difference is printed; the exit status is 1 on
-any difference, else 0.
+p = 4 and Z trackers, an eps sweep over three v_kind variants, a simulate
+run that sets every data and stepper field away from its default (so each
+passes through the config schema into the run unchanged), and a simulate
+run of a polynomial flux of two components with mixed terms
+(polynomial-n2.json, the one config that builds its flux from
+model.terms). Each name runs once per root through `python -m relaxlab.cli
+run --jobs 1` with PYTHONPATH=<root>/src, into a fresh output directory.
+Every output file is compared byte for byte, except the wall_time entry of
+trajectory.json, and so are the exit status and the printed lines (with the
+roots and output directories masked). Each difference is printed; the exit
+status is 1 on any difference, else 0.
 
 Standard library only: the runs import relaxlab and numpy, this script
 does not.
