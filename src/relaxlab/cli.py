@@ -232,8 +232,14 @@ def parse_config_dict(tree: dict) -> tuple:
         # checked, not filled in: the entry is hashed as given
         _validate_section(t, _TRACKER_SCHEMA, path)
 
-    canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+    canon = json.dumps(_hashed_tree(cfg), sort_keys=True, separators=(",", ":"))
     return cfg, hashlib.sha256(canon.encode()).hexdigest()[:16]
+
+
+def _hashed_tree(cfg: dict) -> dict:
+    """The config a run is hashed by and writes to config.json: the worker
+    count is pinned to its default, since it does not change the results."""
+    return {**cfg, "jobs": _TOP_SCHEMA["jobs"][1]}
 
 
 def parse_config(path: str) -> tuple:
@@ -395,7 +401,7 @@ def dispatch(cfg: dict, cfg_hash: str, out_dir: str = "runs", jobs: int | None =
     else:
         raise ConfigError(f"unknown experiment {exp!r}")
 
-    rundir = write_results(out_dir, cfg, cfg_hash, result)
+    rundir = write_results(out_dir, _hashed_tree(cfg), cfg_hash, result)
     status = 1 if failures else 0
     print(f"[{cfg_hash}] {summary} -> {rundir}" + (f" FAIL: {failures[0]}" if failures else ""))
     return status

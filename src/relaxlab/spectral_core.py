@@ -180,6 +180,24 @@ def _support_columns(table: np.ndarray) -> int:
     return int(np.flatnonzero(nonzero).max(initial=0)) + 1
 
 
+def _support_reach(table: np.ndarray) -> int:
+    """Largest |mode index| on any axis among the nonzeros of a half-lattice table."""
+    N = 2 * (table.shape[-1] - 1)
+    # index i on an axis of N points holds mode i or i - N, whichever is smaller in size
+    return max((int(np.minimum(i, N - i).max(initial=0)) for i in np.nonzero(table)), default=0)
+
+
+def _even_smooth_above(x) -> int:
+    """The smallest even 2^a 3^b (a >= 1) above x."""
+    best, t = np.inf, 2
+    while t < best:
+        m = t
+        while m <= x:
+            m *= 2
+        best, t = min(best, m), 3 * t
+    return best
+
+
 def diffusion_symbol(grid: Grid, a) -> np.ndarray:
     """S = sum_i a_i kappa_i^2 on the stored lattice; -S is the symbol of sum_i a_i d_i^2."""
     return sum(a[ax] * kap**2 for ax, kap in enumerate(grid.kappa_axes()))
@@ -226,15 +244,16 @@ def _dealiased_physical(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def _lp_physical(phys: np.ndarray, p, grid: Grid) -> float:
-    """Rectangle-rule L^p norm of (n,) + grid.shape samples, Euclidean over n.
+    """Rectangle-rule L^p norm of (n,) + (M,) * grid.d samples, Euclidean over n.
 
+    The samples lie on the M-point grid of the box, M = grid.N or coarser.
     phys is overwritten with its squares.
     """
     sq = np.sum(np.square(phys, out=phys), axis=0)
     if np.isinf(p):
         return float(np.sqrt(np.max(sq)))
     sq **= p / 2
-    return float((np.sum(sq) * grid.dx**grid.d) ** (1.0 / p))
+    return float((np.sum(sq) * (grid.L / phys.shape[-1]) ** grid.d) ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +355,11 @@ class DyadicScheme:
     j_range covers every dyadic index whose annulus [3/4, 8/3]*2^j meets the
     nonzero dealiased lattice, so the base cutoff plus all blocks reproduce
     any dealiased field exactly (telescoping partition of unity).
+
+    Each block's support is read from its multiplier: columns[j] leading
+    last-axis columns hold it, and reach[j] is the largest |mode index| it
+    reaches on any axis. eval_size(j, p) is the grid block_lp_norms samples
+    block j on for an L^p norm.
     """
 
     def __init__(self, grid: Grid):
@@ -359,9 +383,24 @@ class DyadicScheme:
         self.multipliers = {
             jj: phi_profile(mag / 2.0**jj) for jj in range(self.j_min, self.j_max + 1)
         }
-        # leading last-axis columns that hold each block's support
         self.columns = {jj: _support_columns(m) for jj, m in self.multipliers.items()}
+        self.reach = {jj: _support_reach(m) for jj, m in self.multipliers.items()}
         self.base_multiplier = chi_profile(mag / 2.0**self.j_min)
+
+    def eval_size(self, j: int, p) -> int:
+        """Points per axis of the grid on which block j's L^p norm is evaluated.
+
+        For even integer p, |block_j f|^p is a trigonometric polynomial of
+        degree p * reach[j], which the M-point rectangle rule integrates
+        exactly for every M > p * reach[j] (the N-point rule too, when
+        N > p * reach[j]). The block then takes the smallest even 2^a 3^b
+        such M if it is below N. Every other p, and every other block, keep N.
+        """
+        N = self.grid.N
+        bound = p * self.reach[j]
+        if not (bound < N and p % 2 == 0):
+            return N
+        return min(_even_smooth_above(bound), N)
 
     @property
     def j_indices(self) -> np.ndarray:
@@ -453,7 +492,13 @@ def block_lp_norms(field: SpectralField, p, sch: DyadicScheme | None = None) -> 
     p=2 is Parseval weighted by the multiplicity. Other p invert each block
     on the leading last-axis columns its multiplier reaches
     (DyadicScheme.columns), through one coefficient and one sample buffer
-    that every block reuses.
+    that every block reuses. A block whose evaluation size
+    M = DyadicScheme.eval_size(j, p) is below N (even p only) is sampled on
+    the M-point grid, where the rectangle rule is exact: its rows
+    |k| <= reach[j] go into an (n,) + (M,) * (d-1) + (columns[j],) view of
+    the coefficient buffer and invert into an (n,) + (M,) * d view of the
+    sample buffer. The norm then moves from the N-point rule's value by
+    roundoff only.
     """
     sch = sch or scheme_for(field.grid)
     g = field.grid
@@ -464,15 +509,29 @@ def block_lp_norms(field: SpectralField, p, sch: DyadicScheme | None = None) -> 
             out[i] = np.sqrt(g.L**g.d * np.sum(sch.multipliers[j] ** 2 * e))
         return out
     c = field.coeffs
-    cbuf = np.empty_like(c)
-    phys = np.empty((field.n,) + g.shape)
+    n, d, N = field.n, g.d, g.N
+    cbuf = np.empty(c.shape, dtype=complex)
+    phys = np.empty((n,) + g.shape)
     for i, j in enumerate(sch.j_indices):
-        m = sch.columns[j]
-        blk = np.multiply(c[..., :m], sch.multipliers[j][..., :m], out=cbuf[..., :m])
-        if g.d == 2:
+        m, M, mult = sch.columns[j], sch.eval_size(j, p), sch.multipliers[j]
+        if M == N:
+            blk = np.multiply(c[..., :m], mult[..., :m], out=cbuf[..., :m])
+            x = phys
+        else:
+            blk = cbuf.reshape(-1)[: n * M ** (d - 1) * m].reshape((n,) + (M,) * (d - 1) + (m,))
+            x = phys.reshape(-1)[: n * M**d].reshape((n,) + (M,) * d)
+            if d == 1:
+                np.multiply(c[:, :m], mult[:m], out=blk)
+            else:
+                # modes k = 0..K lead axis -2 on either grid, and k = -K..-1 end it
+                K = sch.reach[j]
+                np.multiply(c[:, : K + 1, :m], mult[: K + 1, :m], out=blk[:, : K + 1])
+                np.multiply(c[:, N - K :, :m], mult[N - K :, :m], out=blk[:, M - K :])
+                blk[:, K + 1 : M - K] = 0
+        if d == 2:
             np.fft.ifft(blk, axis=-2, norm="forward", out=blk)
-        np.fft.irfft(blk, g.N, axis=-1, norm="forward", out=phys)
-        out[i] = _lp_physical(phys, p, g)
+        np.fft.irfft(blk, M, axis=-1, norm="forward", out=x)
+        out[i] = _lp_physical(x, p, g)
     return out
 
 

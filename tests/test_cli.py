@@ -135,6 +135,19 @@ class TestParseConfig:
         assert {name: parse_config_dict(json.loads(json.dumps(tree)))[1]
                 for name, tree in PRESETS.items()} == pinned
 
+    def test_worker_count_is_not_hashed(self, tmp_path, capsys):
+        # jobs changes how a sweep is scheduled, not what it writes, so both
+        # configs share one run directory and write one config.json
+        cfg1, h1 = parse_config_dict({"experiment": "spectrum"})
+        cfg2, h2 = parse_config_dict({"experiment": "spectrum", "jobs": 2})
+        assert h1 == h2 == "58ec1833e5000265" and cfg2["jobs"] == 2
+        written = []
+        for i, (cfg, h) in enumerate(((cfg1, h1), (cfg2, h2))):
+            assert dispatch(cfg, h, out_dir=str(tmp_path / str(i))) == 0
+            written.append(tmp_path / str(i) / h / "config.json")
+        assert written[0].read_bytes() == written[1].read_bytes()
+        assert parse_config(written[1]) == (cfg1, h1)
+
     def test_invalid_json_reported(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{nope")

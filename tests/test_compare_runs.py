@@ -1,7 +1,10 @@
 """tools/compare_runs.py finds no difference between a checkout and itself,
-and names the output file that a changed plot format alters: tick labels
-with five decimals ("1.00000" for "1")."""
+names the output file that a changed plot format alters: tick labels with
+five decimals ("1.00000" for "1"), and reports by how much the numbers of a
+differing .json or .csv file moved."""
 
+import importlib.util
+import json
 import pathlib
 import shutil
 import subprocess
@@ -30,3 +33,18 @@ def test_changed_plot_format_is_named(tmp_path):
     out = compare_runs(ROOT, tmp_path, "spectrum")
     assert out.returncode == 1, out.stdout + out.stderr
     assert "curves.svg differs" in out.stdout and "fits.json" not in out.stdout
+
+
+def test_numeric_difference_is_reported():
+    spec = importlib.util.spec_from_file_location("compare_runs", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    parent = json.dumps({"fits": {"slope": 0.5, "rows": [1.0, 4.0]}, "hash": "0123e456", "ok": True})
+    change = json.dumps({"fits": {"slope": 0.5, "rows": [1.0, 5.0]}, "hash": "0123e457",
+                         "ok": False, "extra": 3})
+    line = tool._describe("fits.json", parent.encode(), change.encode())
+    assert line == "fits.json differs (largest relative difference 0.2 over 3 numbers; 1 numbers in one file only)"
+    line = tool._describe("norms.csv", b"t,name,value\n0.0,u,4.0\n1.0,u,nan\n", b"t,name,value\n0.0,u,6.0\n1.0,u,nan\n")
+    assert line == "norms.csv differs (largest relative difference 0.333 over 4 numbers)"
+    assert tool._describe("curves.svg", b"<svg/>", b"<svg />") == "curves.svg differs"
+    assert tool._describe("fits.json", b"{", b"{}") == "fits.json differs"

@@ -490,10 +490,59 @@ class TestRealTransforms:
         got = block_lp_norms(f, p, sch)
         for i, j in enumerate(sch.j_indices):
             full = np.fft.irfftn(f.coeffs * sch.multipliers[j], s=g.shape, axes=axes, norm="forward")
-            assert got[i] == _lp_physical(full, p, g)
+            if sch.eval_size(j, p) == N:
+                assert got[i] == _lp_physical(full, p, g)
+            else:
+                # an even-p block on its coarser exact grid moves by roundoff
+                assert got[i] == pytest.approx(_lp_physical(full, p, g), rel=1e-14, abs=0.0)
         for j, m in sch.columns.items():
             assert sch.multipliers[j][..., m - 1].any() and not sch.multipliers[j][..., m:].any()
         assert sch.columns[sch.j_min] < sch.columns[sch.j_max] == N // 2 + 1
+
+    @pytest.mark.parametrize("d,N,L_over_pi", [(1, 256, 32), (2, 64, 16)])
+    @pytest.mark.parametrize("p", [4, 6])
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_even_p_block_norms_match_padded_grid(self, rng, d, N, L_over_pi, p, dealias):
+        # |block_j f|^p has degree p*reach[j]; wherever that is below N, the
+        # rectangle rule on 2N points integrates it exactly, as the coarse
+        # grid and the N-point grid do, so the three agree to roundoff
+        g = Grid(d, N, L_over_pi * np.pi)
+        f = SpectralField.from_physical(g, rng.standard_normal((2,) + g.shape), dealias=dealias)
+        sch = scheme_for(g)
+        got = block_lp_norms(f, p, sch)
+        exact = [i for i, j in enumerate(sch.j_indices) if p * sch.reach[j] < N]
+        assert any(sch.eval_size(j, p) < N for j in sch.j_indices[exact])
+        for i in exact:
+            blk = f.coeffs * sch.multipliers[sch.j_indices[i]]
+            padded = np.zeros((2,) + (2 * N,) * (d - 1) + (N + 1,), dtype=complex)
+            if d == 1:
+                padded[:, : N // 2 + 1] = blk
+            else:  # nonnegative modes lead axis -2, negative ones end it
+                padded[:, : N // 2, : N // 2 + 1] = blk[:, : N // 2]
+                padded[:, -(N // 2) :, : N // 2 + 1] = blk[:, N // 2 :]
+            phys = np.fft.irfftn(padded, s=(2 * N,) * d, axes=tuple(range(1, d + 1)), norm="forward")
+            ref = (np.sum(np.sum(phys**2, axis=0) ** (p / 2)) * (g.L / (2 * N)) ** d) ** (1 / p)
+            assert got[i] == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("d,N,L", [(1, 4096, 200 * np.pi), (2, 256, 64 * np.pi), (2, 64, 3.0)])
+    def test_eval_sizes(self, d, N, L):
+        sch = scheme_for(Grid(d, N, L))
+        smooth = {2**a * 3**b for a in range(1, 13) for b in range(8)}
+        modes = np.meshgrid(*[np.abs(np.fft.fftfreq(N, 1.0 / N))] * (d - 1), np.arange(N // 2 + 1),
+                            indexing="ij")
+        for j in sch.j_indices:
+            K, nonzero = sch.reach[j], sch.multipliers[j] != 0
+            assert K == max(k[nonzero].max() for k in modes)
+            for p in (2, 4, 6):
+                # the smallest even 2^a 3^b above p*K, where that is below N
+                M = sch.eval_size(j, p)
+                above = min(s for s in smooth if s > p * K)
+                assert M == (above if above < N else N)
+                assert p * K < M <= N or (M == N <= p * K)
+            for p in (1, 3, 2.5, np.inf):
+                assert sch.eval_size(j, p) == N
+        if (d, N) == (2, 256):
+            assert [sch.eval_size(j, 4) for j in sch.j_indices] == [6, 12, 24, 48, 96, 192, 256, 256, 256]
 
     @pytest.mark.parametrize("d,N", [(1, 512), (2, 64)])
     def test_dealiased_transforms_equal_numpy_nd(self, rng, d, N):

@@ -17,8 +17,10 @@ model.terms). Each name runs once per root through `python -m relaxlab.cli
 run --jobs 1` with PYTHONPATH=<root>/src, into a fresh output directory.
 Every output file is compared byte for byte, except the wall_time entry of
 trajectory.json, and so are the exit status and the printed lines (with the
-roots and output directories masked). Each difference is printed; the exit
-status is 1 on any difference, else 0.
+roots and output directories masked). Each difference is printed, and for
+a .json or .csv file also the largest relative difference between the
+numbers that stand at the same place in both; the exit status is 1 on any
+difference, else 0.
 
 Standard library only: the runs import relaxlab and numpy, this script
 does not.
@@ -27,8 +29,11 @@ does not.
 from __future__ import annotations
 
 import argparse
+import csv
 import importlib.util
+import io
 import json
+import math
 import os
 import pathlib
 import re
@@ -80,6 +85,53 @@ def _files(top: pathlib.Path) -> dict:
     return found
 
 
+def _numbers(rel: str, data: bytes) -> dict:
+    """place -> value of every number in a .json or .csv file; {} for other files."""
+    found = {}
+    if rel.endswith(".json"):
+        def walk(place, x):
+            if isinstance(x, dict):
+                for k, v in x.items():
+                    walk(place + (k,), v)
+            elif isinstance(x, list):
+                for i, v in enumerate(x):
+                    walk(place + (i,), v)
+            elif isinstance(x, (int, float)) and not isinstance(x, bool):
+                found[place] = float(x)
+        walk((), json.loads(data))
+    elif rel.endswith(".csv"):
+        for i, row in enumerate(csv.reader(io.StringIO(data.decode()))):
+            for k, cell in enumerate(row):
+                try:
+                    found[(i, k)] = float(cell)
+                except ValueError:
+                    pass
+    return found
+
+
+def _rel_diff(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def _describe(rel: str, data_p: bytes, data_c: bytes) -> str:
+    """The line that reports one output file whose bytes differ."""
+    try:
+        nums_p, nums_c = _numbers(rel, data_p), _numbers(rel, data_c)
+    except (ValueError, csv.Error):
+        return f"{rel} differs"
+    shared = nums_p.keys() & nums_c.keys()
+    if not shared:
+        return f"{rel} differs"
+    worst = max(_rel_diff(nums_p[k], nums_c[k]) for k in shared)
+    alone = len(nums_p.keys() ^ nums_c.keys())
+    return (f"{rel} differs (largest relative difference {worst:.3g} over {len(shared)} numbers"
+            + (f"; {alone} numbers in one file only)" if alone else ")"))
+
+
 def compare(parent: pathlib.Path, change: pathlib.Path, name: str, args: list, scratch: pathlib.Path) -> list:
     """The differences between the two roots' runs of one config; scratch is a new directory."""
     runs, trees = [], []
@@ -102,7 +154,7 @@ def compare(parent: pathlib.Path, change: pathlib.Path, name: str, args: list, s
         elif rel not in tree_p:
             diffs.append(f"{rel} only in CHANGE")
         elif tree_p[rel] != tree_c[rel]:
-            diffs.append(f"{rel} differs")
+            diffs.append(_describe(rel, tree_p[rel], tree_c[rel]))
     print(f"{name}: {len(diffs)} difference(s) over {len(tree_p)} files, exit {code_p}")
     for d in diffs:
         print(f"  {d}")
