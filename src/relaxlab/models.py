@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .spectral_core import (
+    ConfigError,
     Grid,
     SpectralField,
     _dealiased_physical,
@@ -42,10 +43,6 @@ __all__ = [
 ]
 
 MAX_COMPONENTS = 4
-
-
-class ConfigError(ValueError):
-    """A config value that cannot run; the message starts with its path, config.<section>.<key>."""
 
 
 def _positive(path: str, v):

@@ -20,6 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
+    "ConfigError",
     "Grid",
     "SpectralField",
     "DyadicScheme",
@@ -37,6 +38,10 @@ __all__ = [
     "save_field",
     "load_field",
 ]
+
+
+class ConfigError(ValueError):
+    """A config value that cannot run; the message starts with its path, config.<section>.<key>."""
 
 
 class DyadicRangeError(ValueError):
@@ -79,7 +84,11 @@ def phi_profile(xi) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic grid: d dimensions, N points per axis, box length L."""
+    """Uniform periodic grid: d dimensions, N points per axis, box length L.
+
+    A bad value raises ConfigError at config.model.d, config.grid.N or
+    config.grid.L; L is kept as a float.
+    """
 
     d: int
     N: int
@@ -87,14 +96,22 @@ class Grid:
 
     def __post_init__(self):
         if self.d not in (1, 2):
-            raise ValueError(f"d must be 1 or 2, got {self.d}")
+            raise ConfigError(f"config.model.d: d must be 1 or 2, got {self.d}")
         if self.N < 8 or (self.N & (self.N - 1)) != 0:
-            raise ValueError(f"N must be a power of two >= 8, got {self.N}")
+            raise ConfigError(f"config.grid.N: N must be a power of two >= 8, got {self.N}")
+        try:
+            object.__setattr__(self, "L", float(self.L))
+        except OverflowError as e:
+            raise ConfigError(f"config.grid.L: L is out of range ({e})") from None
         if not self.L > 0:
-            raise ValueError(f"L must be positive, got {self.L}")
-        k_lo, k_hi = 2.0 * np.pi / self.L, np.pi * self.N / self.L
+            raise ConfigError(f"config.grid.L: L must be positive, got {self.L}")
+        try:
+            k_lo, k_hi = 2.0 * np.pi / self.L, np.pi * self.N / self.L
+        except OverflowError as e:  # only an int N can leave the float range here
+            raise ConfigError(f"config.grid.N: N is out of range ({e})") from None
         if not (k_lo * k_lo > 0.0 and k_hi * k_hi < np.inf and self.L * self.L < np.inf):
-            raise ValueError(f"L={self.L:g} is out of range: (2 pi/L)^2, (pi N/L)^2 or L^2 leaves the float range")
+            raise ConfigError(f"config.grid.L: L={self.L:g} is out of range: "
+                              "(2 pi/L)^2, (pi N/L)^2 or L^2 leaves the float range")
 
     @property
     def dx(self) -> float:
@@ -127,9 +144,8 @@ class Grid:
         return _grid_tables(self.d, self.N, self.L)[2]
 
     def dealias_band(self) -> np.ndarray:
-        """dealias_mask on the leading last-axis columns that hold every survivor.
-
-        In 1D every column of the band survives.
+        """dealias_mask on its first floor(N/3) + 1 last-axis columns, which hold
+        every survivor. In 1D every column of the band survives.
         """
         return _grid_tables(self.d, self.N, self.L)[5]
 
@@ -170,14 +186,8 @@ def _grid_tables(d: int, N: int, L: float):
     kmax = mag[keep].max()
     weight = np.full(N // 2 + 1, 2.0)
     weight[[0, N // 2]] = 1.0
-    band = np.ascontiguousarray(keep[..., : _support_columns(keep)])
+    band = np.ascontiguousarray(keep[..., : int(cut) + 1])
     return kap, mag, keep, kmax, weight.reshape((1,) * (d - 1) + (-1,)), band
-
-
-def _support_columns(table: np.ndarray) -> int:
-    """Number of leading last-axis columns that hold every nonzero of table."""
-    nonzero = np.any(table.reshape(-1, table.shape[-1]) != 0, axis=0)
-    return int(np.flatnonzero(nonzero).max(initial=0)) + 1
 
 
 def _support_reach(table: np.ndarray) -> int:
@@ -356,10 +366,12 @@ class DyadicScheme:
     nonzero dealiased lattice, so the base cutoff plus all blocks reproduce
     any dealiased field exactly (telescoping partition of unity).
 
-    Each block's support is read from its multiplier: columns[j] leading
-    last-axis columns hold it, and reach[j] is the largest |mode index| it
-    reaches on any axis. eval_size(j, p) is the grid block_lp_norms samples
-    block j on for an L^p norm.
+    Each block's support is read from its multiplier: reach[j] is the
+    largest |mode index| it reaches on any axis. The multiplier depends on
+    |kappa| alone and every axis has the same L, so the block lives in the
+    rows |k| <= reach[j] of the first reach[j] + 1 last-axis columns.
+    eval_size(j, p) is the grid block_lp_norms samples block j on for an
+    L^p norm.
     """
 
     def __init__(self, grid: Grid):
@@ -383,7 +395,6 @@ class DyadicScheme:
         self.multipliers = {
             jj: phi_profile(mag / 2.0**jj) for jj in range(self.j_min, self.j_max + 1)
         }
-        self.columns = {jj: _support_columns(m) for jj, m in self.multipliers.items()}
         self.reach = {jj: _support_reach(m) for jj, m in self.multipliers.items()}
         self.base_multiplier = chi_profile(mag / 2.0**self.j_min)
 
@@ -430,12 +441,8 @@ def _window(j_indices: np.ndarray, window) -> slice:
 
 
 @lru_cache(maxsize=32)
-def _scheme_cache(d: int, N: int, L: float) -> DyadicScheme:
-    return DyadicScheme(Grid(d, N, L))
-
-
 def scheme_for(grid: Grid) -> DyadicScheme:
-    return _scheme_cache(grid.d, grid.N, grid.L)
+    return DyadicScheme(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -489,16 +496,14 @@ def lp_norm(field: SpectralField, p) -> float:
 def block_lp_norms(field: SpectralField, p, sch: DyadicScheme | None = None) -> np.ndarray:
     """||block_j field||_{L^p} for every j in the scheme's range.
 
-    p=2 is Parseval weighted by the multiplicity. Other p invert each block
-    on the leading last-axis columns its multiplier reaches
-    (DyadicScheme.columns), through one coefficient and one sample buffer
-    that every block reuses. A block whose evaluation size
-    M = DyadicScheme.eval_size(j, p) is below N (even p only) is sampled on
-    the M-point grid, where the rectangle rule is exact: its rows
-    |k| <= reach[j] go into an (n,) + (M,) * (d-1) + (columns[j],) view of
-    the coefficient buffer and invert into an (n,) + (M,) * d view of the
-    sample buffer. The norm then moves from the N-point rule's value by
-    roundoff only.
+    p=2 is Parseval weighted by the multiplicity. Every other p samples
+    block j on the M-point grid, M = DyadicScheme.eval_size(j, p): its rows
+    |k| <= K = reach[j] of its first K + 1 last-axis columns go into an
+    (n,) + (M,) * (d-1) + (K + 1,) view of one coefficient buffer and invert
+    into an (n,) + (M,) * d view of one sample buffer, both reused by every
+    block. M is N for odd p, p = inf and the top blocks; below N (even p
+    only) the rectangle rule is exact, so the norm moves from the N-point
+    rule's value by roundoff only.
     """
     sch = sch or scheme_for(field.grid)
     g = field.grid
@@ -513,22 +518,16 @@ def block_lp_norms(field: SpectralField, p, sch: DyadicScheme | None = None) -> 
     cbuf = np.empty(c.shape, dtype=complex)
     phys = np.empty((n,) + g.shape)
     for i, j in enumerate(sch.j_indices):
-        m, M, mult = sch.columns[j], sch.eval_size(j, p), sch.multipliers[j]
-        if M == N:
-            blk = np.multiply(c[..., :m], mult[..., :m], out=cbuf[..., :m])
-            x = phys
+        K, M, mult = sch.reach[j], sch.eval_size(j, p), sch.multipliers[j]
+        blk = cbuf.reshape(-1)[: n * M ** (d - 1) * (K + 1)].reshape((n,) + (M,) * (d - 1) + (K + 1,))
+        x = phys.reshape(-1)[: n * M**d].reshape((n,) + (M,) * d)
+        if d == 1:
+            np.multiply(c[:, : K + 1], mult[: K + 1], out=blk)
         else:
-            blk = cbuf.reshape(-1)[: n * M ** (d - 1) * m].reshape((n,) + (M,) * (d - 1) + (m,))
-            x = phys.reshape(-1)[: n * M**d].reshape((n,) + (M,) * d)
-            if d == 1:
-                np.multiply(c[:, :m], mult[:m], out=blk)
-            else:
-                # modes k = 0..K lead axis -2 on either grid, and k = -K..-1 end it
-                K = sch.reach[j]
-                np.multiply(c[:, : K + 1, :m], mult[: K + 1, :m], out=blk[:, : K + 1])
-                np.multiply(c[:, N - K :, :m], mult[N - K :, :m], out=blk[:, M - K :])
-                blk[:, K + 1 : M - K] = 0
-        if d == 2:
+            # modes k = 0..K lead axis -2 on either grid, and k = -K..-1 end it
+            np.multiply(c[:, : K + 1, : K + 1], mult[: K + 1, : K + 1], out=blk[:, : K + 1])
+            np.multiply(c[:, N - K :, : K + 1], mult[N - K :, : K + 1], out=blk[:, M - K :])
+            blk[:, K + 1 : M - K] = 0
             np.fft.ifft(blk, axis=-2, norm="forward", out=blk)
         np.fft.irfft(blk, M, axis=-1, norm="forward", out=x)
         out[i] = _lp_physical(x, p, g)

@@ -356,6 +356,15 @@ class TestDispatch:
         # checked_velocities checks each a_i, then one a per dimension
         ({"experiment": "simulate", "model": {"a": [1, 2]}}, "config.model.a"),
         ({"experiment": "simulate", "model": {"a": [0]}}, "config.model.a[0]"),
+        # Grid checks d, N and L and is built before the flux, so d = 3 is not reported as a wrong-sized a
+        ({"experiment": "simulate", "grid": {"N": 12}}, "config.grid.N"),
+        ({"experiment": "simulate", "grid": {"N": 4}}, "config.grid.N"),
+        ({"experiment": "simulate", "model": {"d": 3}}, "config.model.d"),
+        ({"experiment": "simulate", "model": {"d": 0}}, "config.model.d"),
+        ({"experiment": "simulate", "grid": {"L": -1}}, "config.grid.L"),
+        ({"experiment": "simulate", "grid": {"L": 0}}, "config.grid.L"),
+        ({"experiment": "simulate", "grid": {"L": 10**400}}, "config.grid.L"),
+        ({"experiment": "simulate", "grid": {"N": 2**1100}}, "config.grid.N"),
     ])
     def test_main_malformed_config_lists(self, tmp_path, capsys, tree, path):
         p = tmp_path / "c.json"
@@ -385,6 +394,32 @@ class TestDispatch:
         assert rc == 2
         assert capsys.readouterr().err == "error: config.seed: must be a non-negative integer, got -1\n"
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("tree", [
+        {"experiment": "simulate", "grid": {"N": 2**40}},  # 8 TiB of grid coordinates
+        {"experiment": "simulate", "grid": {"N": 16}, "stepper": {"t_end": 1e12, "sample_every": 1e-3}},
+    ])
+    def test_main_oversized_run_is_an_error(self, tmp_path, capsys, tree):
+        # numpy refuses these sizes before it touches memory
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(tree))
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "runs")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert "config.grid.N" in err and "config.stepper.t_end" in err
+        assert not (tmp_path / "runs").exists()
+
+    def test_main_seed_flag_replaces_the_file_seed(self, tmp_path, monkeypatch):
+        # the file is parsed once, after --seed replaces its seed, so an invalid seed there is no error
+        from relaxlab import cli
+        calls = []
+        monkeypatch.setattr(cli, "parse_config_dict", lambda tree: calls.append(tree) or parse_config_dict(tree))
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"experiment": "spectrum", "seed": -1}))
+        assert main(["run", "--config", str(p), "--seed", "3", "--out", str(tmp_path / "runs")]) == 0
+        assert calls == [{"experiment": "spectrum", "seed": 3}]
+        (rundir,) = (tmp_path / "runs").iterdir()
+        assert json.loads((rundir / "config.json").read_text())["seed"] == 3
 
     def test_main_overdamping_default_span_on_fine_grid_runs(self, tmp_path, capsys):
         # about 1.28M steps at 1/eps = 0.5 and a 1.28M x 21 energy table (215 MB):

@@ -117,6 +117,13 @@ class TestFluxCatalog:
     def test_flux_error_is_a_config_error(self):
         assert issubclass(FluxValidationError, ConfigError)
 
+    def test_one_config_error_class(self):
+        # Grid raises it too, so it is defined below models and re-exported
+        import relaxlab.cli
+        import relaxlab.spectral_core
+        assert relaxlab.cli.ConfigError is ConfigError is relaxlab.spectral_core.ConfigError
+        assert issubclass(ConfigError, ValueError)
+
     def test_flux_checks_its_sizes(self):
         with pytest.raises(FluxValidationError, match=r"^config\.model\.n: .*n=5"):
             Flux("wide", 5, 1, lambda u: [u])

@@ -1,11 +1,13 @@
 import json
 import math
+import re
 import struct
 
 import numpy as np
 import pytest
 
 from relaxlab.spectral_core import (
+    ConfigError,
     DyadicRangeError,
     Grid,
     GridMismatchError,
@@ -71,6 +73,15 @@ class TestGrid:
         # (2 pi/L)^2 underflows to 0 for huge L, (pi N/L)^2 overflows for tiny L
         with pytest.raises(ValueError, match="out of range"):
             Grid(2, 16, L)
+
+    @pytest.mark.parametrize("args,path", [((3, 16, 1.0), "config.model.d"), ((1, 12, 1.0), "config.grid.N"),
+                                           ((1, 16, -1), "config.grid.L"), ((1, 16, 10**400), "config.grid.L")])
+    def test_errors_name_their_config_path(self, args, path):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: "):
+            Grid(*args)
+
+    def test_box_length_is_a_float(self):
+        assert type(Grid(1, 16, 3).L) is float and Grid(1, 16, 3) == Grid(1, 16, 3.0)
 
     @pytest.mark.parametrize("L", [1e150, 1e-150])
     def test_box_length_in_float_range_accepted(self, L):
@@ -495,9 +506,9 @@ class TestRealTransforms:
             else:
                 # an even-p block on its coarser exact grid moves by roundoff
                 assert got[i] == pytest.approx(_lp_physical(full, p, g), rel=1e-14, abs=0.0)
-        for j, m in sch.columns.items():
-            assert sch.multipliers[j][..., m - 1].any() and not sch.multipliers[j][..., m:].any()
-        assert sch.columns[sch.j_min] < sch.columns[sch.j_max] == N // 2 + 1
+        for j, K in sch.reach.items():
+            assert sch.multipliers[j][..., K].any() and not sch.multipliers[j][..., K + 1 :].any()
+        assert sch.reach[sch.j_min] < sch.reach[sch.j_max] == N // 2
 
     @pytest.mark.parametrize("d,N,L_over_pi", [(1, 256, 32), (2, 64, 16)])
     @pytest.mark.parametrize("p", [4, 6])

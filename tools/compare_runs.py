@@ -8,7 +8,9 @@ config; without names, every preset except thm3-decay-2d, the three
 workloads and the configs under tools/compare_configs/ run. Those configs
 take seconds each and cover what no preset does: exact_linear in the
 overdamping scan, int-valued data and stepper sections, a simulate run with
-p = 4 and Z trackers, an eps sweep over three v_kind variants, a simulate
+p = 4 and Z trackers, a 2D simulate run with trackers at p = 3, inf, 1 and 6
+(simulate-2d-odd-p.json, the one config whose block norms take odd p and
+p = inf), an eps sweep over three v_kind variants, a simulate
 run that sets every data and stepper field away from its default (so each
 passes through the config schema into the run unchanged), and a simulate
 run of a polynomial flux of two components with mixed terms
