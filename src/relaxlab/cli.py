@@ -376,16 +376,12 @@ def dispatch(cfg: dict, cfg_hash: str, out_dir: str = "runs", jobs: int | None =
             summary += f"; difference: {result['fits']['difference_fit']['exponent']:.3f}"
     elif exp == "simulate":
         if m["eps_list"]:
-            variants = cfg["data_variants"] or [data.v_kind]
-            rows_all, fits_all = [], {}
-            for vk in variants:
-                dv = dataclasses.replace(data, v_kind=vk)
-                res = harness.run_uniformity_study(grid, flux, a, m["eps_list"], dv, stepper,
-                                                   p=cfg["p"], k0=cfg["k0"], jobs=jobs)
-                fits_all[vk] = res["fits"]
-                if not all(r["small_data_ok"] for r in res["fits"]["rows"]):
-                    failures.append(f"{vk}: |u| exceeded the small-data bound")
-            result = {"fits": {"experiment": "uniformity", "variants": fits_all}}
+            result = harness.run_uniformity_study(grid, flux, a, m["eps_list"], data, stepper, p=cfg["p"],
+                                                  k0=cfg["k0"], jobs=jobs,
+                                                  variants=cfg["data_variants"] or [data.v_kind])
+            fits_all = result["fits"]["variants"]
+            failures = [f"{vk}: |u| exceeded the small-data bound" for vk, f in fits_all.items()
+                        if not all(r["small_data_ok"] for r in f["rows"])]
             spreads = {vk: fits_all[vk]["ratio_spread"] for vk in fits_all}
             summary = "uniformity: X(t_end)/X0 spread across eps " + ", ".join(
                 f"{vk}: {v:.3f}" for vk, v in spreads.items())

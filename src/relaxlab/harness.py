@@ -14,7 +14,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -380,19 +380,41 @@ def _sorted_union(*parts) -> np.ndarray:
     return x[np.append(True, x[1:] != x[:-1])]
 
 
-def _eps_run(grid: Grid, flux: Flux, a, eps: float, data: InitialDataSpec, stepper: StepperConfig,
-             k0: int, trackers, *ladder):
-    """(trajectory, threshold J) of one run at friction 1/eps, sampled at the
-    sorted union of the ladder arrays, or on evolve's linear ladder without one."""
-    model = JinXinModel(flux, tuple(a), eps)
-    traj = evolve(model, make_initial_data(data, grid, model, k0), stepper, trackers,
-                  sample_times=_sorted_union(*ladder) if ladder else None)
-    return traj, threshold_J(eps, k0)
+def _eps_runs(grid: Grid, flux: Flux, a, members, stepper: StepperConfig, k0: int, trackers) -> list:
+    """[(trajectory, threshold J)] of the runs (eps, data, ladder) at friction
+    1/eps, marched together by evolve; each run samples at the sorted union
+    of its ladder's arrays, or on evolve's linear ladder when it has none."""
+    models = [JinXinModel(flux, tuple(a), eps) for eps, _, _ in members]
+    trajectories = evolve(models, [make_initial_data(data, grid, m, k0) for m, (_, data, _) in zip(models, members)],
+                          stepper, trackers, [_sorted_union(*ladder) if ladder else None for _, _, ladder in members])
+    return [(traj, threshold_J(m.eps, k0)) for traj, m in zip(trajectories, models)]
+
+
+def _sweep(row, grid: Grid, flux: Flux, a, members, stepper: StepperConfig, p, k0: int, trackers,
+           jobs: int) -> list:
+    """row(grid, p, eps, trajectory, J) of each run (eps, data, ladder) of
+    members, in order. The runs are split into `jobs` groups of neighbours,
+    each group one march of _eps_runs in its own worker process."""
+    size = -(-len(members) // jobs)
+    args = [(row, grid, flux, a, members[i:i + size], stepper, p, k0, trackers)
+            for i in range(0, len(members), size)]
+    return [r for rows in _pmap(_sweep_group, args, jobs) for r in rows]
+
+
+def _sweep_group(arg):
+    row, grid, flux, a, members, stepper, p, k0, trackers = arg
+    return [row(grid, p, m[0], traj, J)
+            for m, (traj, J) in zip(members, _eps_runs(grid, flux, a, members, stepper, k0, trackers))]
 
 
 def run_uniformity_study(grid: Grid, flux: Flux, a, eps_list, data: InitialDataSpec,
-                         stepper: StepperConfig, p=2, k0: int = 0, jobs: int = 1) -> dict:
-    """Uniform-bound experiment: X ratios across an eps sweep."""
+                         stepper: StepperConfig, p=2, k0: int = 0, jobs: int = 1, variants=None) -> dict:
+    """Uniform-bound experiment: X ratios across an eps sweep.
+
+    Without variants the fits are those of data; with a list of v_kind
+    variants they are {"experiment": "uniformity", "variants": {v_kind:
+    fits}}. Every (variant, eps) run is a member of one march.
+    """
     for eps in eps_list:
         t1 = _growth_onset(eps)
         if t1 >= stepper.t_end:
@@ -400,24 +422,25 @@ def run_uniformity_study(grid: Grid, flux: Flux, a, eps_list, data: InitialDataS
                 f"config.stepper.t_end: eps={eps:g}: the growth onset t1=max(1, 10 eps^2)={t1:g} "
                 f"is not before t_end={stepper.t_end:g}, so the no-growth check would see no samples; "
                 "raise stepper.t_end")
-    args = [(grid, flux, a, eps, data, stepper, p, k0) for eps in eps_list]
-    rows = list(_pmap(_uniformity_one, args, jobs))
-    ratios = [r["ratio_end"] for r in rows]
-    fits = {
-        "experiment": "uniformity",
-        "p": p,
-        "rows": rows,
-        "ratio_spread": max(ratios) / min(ratios),
-        "max_growth_after_t1": max(r["growth_after_t1"] for r in rows),
-    }
-    return {"fits": fits}
+    kinds = variants or [data.v_kind]
+    ladder = (np.geomspace(min(0.01, stepper.t_end / 100), 1.0, 25), np.linspace(1.0, stepper.t_end, 140))
+    members = [(eps, replace(data, v_kind=vk), ladder) for vk in kinds for eps in eps_list]
+    rows = _sweep(_uniformity_one, grid, flux, a, members, stepper, p, k0, _X_TRACKERS(p), jobs)
+    fits = {}
+    for i, vk in enumerate(kinds):
+        part = rows[i * len(eps_list):(i + 1) * len(eps_list)]
+        ratios = [r["ratio_end"] for r in part]
+        fits[vk] = {
+            "experiment": "uniformity",
+            "p": p,
+            "rows": part,
+            "ratio_spread": max(ratios) / min(ratios),
+            "max_growth_after_t1": max(r["growth_after_t1"] for r in part),
+        }
+    return {"fits": fits[data.v_kind] if variants is None else {"experiment": "uniformity", "variants": fits}}
 
 
-def _uniformity_one(arg):
-    grid, flux, a, eps, data, stepper, p, k0 = arg
-    traj, J = _eps_run(grid, flux, a, eps, data, stepper, k0, _X_TRACKERS(p),
-                       np.geomspace(min(0.01, stepper.t_end / 100), 1.0, 25),
-                       np.linspace(1.0, stepper.t_end, 140))
+def _uniformity_one(grid, p, eps, traj, J):
     d = grid.d
     x0 = functional_X0(traj.series, eps, p, J, d)
     t1 = _growth_onset(eps)
@@ -453,8 +476,10 @@ def run_epsilon_convergence(grid: Grid, flux: Flux, a, eps_list, data: InitialDa
     distinct = sorted(set(eps_list), reverse=True)
     if len(distinct) < 3:
         raise ConfigError(f"config.model.eps_list: a fit in eps needs at least 3 distinct eps, got {distinct}")
-    args = [(grid, flux, a, eps, data, stepper, p, k0) for eps in sorted(eps_list, reverse=True)]
-    rows = list(_pmap(_convergence_one, args, jobs))
+    members = [(eps, data, (np.geomspace(max(1e-4, eps**2 / 4), 1.0, 30),
+                            np.linspace(1.0, stepper.t_end, int(stepper.t_end / stepper.sample_every) + 1)))
+               for eps in sorted(eps_list, reverse=True)]
+    rows = _sweep(_convergence_one, grid, flux, a, members, stepper, p, k0, [("Z", p), ("du", p), ("dv", p)], jobs)
     eps_arr = [r["eps"] for r in rows]
     fits = {"experiment": "epsilon-convergence", "p": p, "rows": rows}
     for key in ("sup_du", "int_dv", "int_Zlow"):
@@ -463,11 +488,7 @@ def run_epsilon_convergence(grid: Grid, flux: Flux, a, eps_list, data: InitialDa
     return {"fits": fits}
 
 
-def _convergence_one(arg):
-    grid, flux, a, eps, data, stepper, p, k0 = arg
-    traj, J = _eps_run(grid, flux, a, eps, data, stepper, k0, [("Z", p), ("du", p), ("dv", p)],
-                       np.geomspace(max(1e-4, eps**2 / 4), 1.0, 30),
-                       np.linspace(1.0, stepper.t_end, int(stepper.t_end / stepper.sample_every) + 1))
+def _convergence_one(grid, p, eps, traj, J):
     dp = grid.d / p
     du = traj.get("du", p)
     dv = traj.get("dv", p)
@@ -508,7 +529,7 @@ def run_decay_study(grid: Grid, flux: Flux, a, eps: float, data: InitialDataSpec
 
     fits = {"experiment": "decay", "eps": eps, "p": p, "sigma1": data.sigma1, "rows": []}
     diff = with_difference or compare_half_eps
-    traj, J = _eps_run(grid, flux, a, eps, data, stepper, k0, [("u", p)] + [("du", p)] * diff, ts)
+    [(traj, J)] = _eps_runs(grid, flux, a, [(eps, data, (ts,))], stepper, k0, [("u", p)] + [("du", p)] * diff)
     u_series = traj.get("u", p)
     du_series = traj.get("du", p) if diff else None
 
@@ -540,7 +561,7 @@ def run_decay_study(grid: Grid, flux: Flux, a, eps: float, data: InitialDataSpec
         fits["difference_fit"] = fit_rate(tarr[1:], dcurve[1:], fit_window, kind="time").to_dict()
         curves["du"] = dcurve.tolist()
     if compare_half_eps:
-        traj2, _ = _eps_run(grid, flux, a, eps / 2, data, stepper, k0, [("du", p)], ts)
+        [(traj2, _)] = _eps_runs(grid, flux, a, [(eps / 2, data, (ts,))], stepper, k0, [("du", p)])
         d2 = traj2.get("du", p).besov_curve(sigma_list[0], 1, "full")
         d1 = np.asarray(curves["du"])
         sel = (tarr >= fit_window[0]) & (tarr <= fit_window[1])
@@ -686,7 +707,7 @@ def run_simulate(grid: Grid, flux: Flux, a, eps: float, data: InitialDataSpec,
                  stepper: StepperConfig, trackers, p=2, k0: int = 0) -> dict:
     """Single trajectory with named Besov trackers, and its final fields."""
     base = sorted({(t["field"], t["p"]) for t in trackers} | set(_X_TRACKERS(p)))
-    traj, J = _eps_run(grid, flux, a, eps, data, stepper, k0, base)
+    [(traj, J)] = _eps_runs(grid, flux, a, [(eps, data, ())], stepper, k0, base)
     rows = []
     for t in trackers:
         ser = traj.get(t["field"], t["p"])

@@ -120,8 +120,10 @@ def advance(kernel, coeffs, w: list, n_sub: int, t, h):
     """n_sub steps w <- kernel(w, coeffs) of size h from t; returns (w, t).
 
     w lists raw coefficient arrays, [u, v_1, ..., v_d] or [u*]; t and h are
-    floats or member columns. A non-finite step raises DivergenceError at its
-    (largest) t. A caller that hands w over frees each step's input in turn.
+    floats or member arrays, and member m is index m on axis 1 of every
+    array of w. A non-finite step raises DivergenceError at the time of its
+    first non-finite member, whose index it records as `member`. A caller
+    that hands w over frees each step's input in turn.
     """
     # a diverging state overflows on its way to the check below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -129,7 +131,11 @@ def advance(kernel, coeffs, w: list, n_sub: int, t, h):
             w = kernel(w, coeffs)
             t += h
             if not all(np.isfinite(wi).all() for wi in w):
-                raise DivergenceError(float(np.max(t)))
+                if np.ndim(t) == 0:
+                    raise DivergenceError(float(t))
+                finite = [np.isfinite(wi).all(axis=tuple(ax for ax in range(wi.ndim) if ax != 1)) for wi in w]
+                bad = np.flatnonzero(~np.logical_and.reduce(finite))[0]
+                raise DivergenceError(float(np.ravel(t)[bad]), member=int(bad))
     return w, t
 
 
@@ -365,13 +371,12 @@ def _tracked_field(model: JinXinModel, state: JinXinState, name: str,
     raise KeyError(f"unknown tracker field {name!r}")
 
 
-def _stepper_for(model: JinXinModel, initial: JinXinState, config: StepperConfig,
-                 companion: bool) -> list:
-    """[(prepare, run)] of the relaxation system, then of its if_rk2 limit
-    companion when asked for, on one stepper. prepare(h) gives (kernel,
-    coefficients) of one step of size h; run records the scheme, dt, the
-    stepper's bound for it and the steps."""
-    stepper = _JinXinStepper(model.flux, model.a, initial.grid)
+def _member_runs(stepper: _JinXinStepper, model: JinXinModel, initial: JinXinState,
+                 config: StepperConfig, companion: bool) -> list:
+    """[(prepare, run)] of one member's relaxation system, then of its if_rk2
+    limit companion when asked for. prepare(h) gives (kernel, coefficients)
+    of one step of size h at the member's eps; run records the scheme, dt,
+    the stepper's bound for it and the steps."""
     runs = []
     for scheme in [config.scheme] + ["if_rk2"] * companion:
         bound = stepper.bound(scheme, model.eps, initial.u)
@@ -381,6 +386,59 @@ def _stepper_for(model: JinXinModel, initial: JinXinState, config: StepperConfig
         runs.append((partial(stepper.prepare, scheme, eps=model.eps),
                      {"scheme": scheme, "dt": dt, "bound": bound, "steps": 0}))
     return runs
+
+
+def _plan(prepare, run: dict, span: float) -> tuple:
+    """(n_sub, h, (kernel, coefficients)) of one member's sampling interval
+    of length span: n_sub equal steps h <= run's dt, counted into run."""
+    n_sub = max(1, int(math.ceil(span / run["dt"] - 1e-12)))
+    run["steps"] += n_sub
+    h = span / n_sub
+    return n_sub, h, prepare(h)
+
+
+def _stacked(member_coeffs: list, d: int) -> tuple:
+    """The members' step coefficients as member columns on axis 0 that
+    broadcast against arrays stacked on axis 1; every entry is the member's
+    own float or table, so each member steps with its solo run's numbers."""
+    out = []
+    for entries in zip(*member_coeffs):
+        c = np.stack(entries)
+        out.append(c.reshape(c.shape + (1,) * d) if c.ndim == 1 else c)
+    return tuple(out)
+
+
+def _step_members(arrays: dict, clock: list, plans: dict, eps: list):
+    """Step each planned member i, plans[i] = (n_sub, h, (kernel, coeffs)),
+    n_sub times by h from clock[i]; arrays[i] lists its raw arrays.
+
+    The members that still need steps are stepped together, so the set
+    shrinks as members reach their sample: their arrays are stacked on axis 1
+    and their coefficients into member columns (_stacked), and each comes
+    back as a contiguous copy, laid out as in its solo run. A member stepping
+    alone hands its own arrays over, as a solo run does. A non-finite member
+    raises DivergenceError at its own t, naming its eps.
+    """
+    done = 0
+    for n in sorted({plan[0] for plan in plans.values()}):
+        rows = [i for i, plan in plans.items() if plan[0] >= n]
+        try:
+            if len(rows) == 1:
+                (i,) = rows
+                kernel, coeffs = plans[i][2]
+                arrays[i], clock[i] = advance(kernel, coeffs, arrays.pop(i), n - done, clock[i], plans[i][1])
+            else:
+                d = arrays[rows[0]][0].ndim - 1
+                kernel = plans[rows[0]][2][0]
+                w, t = advance(kernel, _stacked([plans[i][2][1] for i in rows], d),
+                               [np.stack(col, axis=1) for col in zip(*(arrays.pop(i) for i in rows))],
+                               n - done, np.array([clock[i] for i in rows]), np.array([plans[i][1] for i in rows]))
+                for j, i in enumerate(rows):
+                    arrays[i] = [np.ascontiguousarray(wi[:, j]) for wi in w]
+                    clock[i] = float(t[j])
+        except DivergenceError as e:
+            raise DivergenceError(e.t, eps=eps[rows[e.member or 0]]) from None
+        done = n
 
 
 def _checked_sample_times(sample_times) -> np.ndarray:
@@ -398,8 +456,7 @@ def _checked_sample_times(sample_times) -> np.ndarray:
     return ts
 
 
-def evolve(model: JinXinModel, initial: JinXinState, config: StepperConfig, trackers,
-           sample_times=None) -> Trajectory:
+def evolve(model, initial, config: StepperConfig, trackers, sample_times=None):
     """March to t_end sampling per-block norms of the tracked quantities.
 
     trackers is a list of (field, p) pairs; field is one of u/v/z/Z, or
@@ -410,59 +467,74 @@ def evolve(model: JinXinModel, initial: JinXinState, config: StepperConfig, trac
     interval uniformly so samples land exactly on the requested instants,
     and advances over it on raw coefficient arrays. sample_times must be
     finite and strictly increasing; 0 is prepended when missing.
+
+    Member form: model and initial are lists, one entry per member, the
+    members sharing flux, a and grid; sample_times is None or a list of one
+    ladder (or None) per member; the result is one Trajectory per member.
+    The members are marched in one loop of sampling rounds: in round k each
+    member steps over its own k-th interval with its own n_sub and h, and
+    the members still stepping are stepped together (_step_members), so each
+    member's numbers are those of its solo run, bit for bit. Each member's
+    wall_time is that of the whole march.
     """
-    if sample_times is None:
-        sample_times = np.linspace(0.0, config.t_end, int(round(config.t_end / config.sample_every)) + 1)
-    sample_times = _checked_sample_times(sample_times)
+    single = isinstance(model, JinXinModel)
+    models, initials = ([model], [initial]) if single else (list(model), list(initial))
+    ladders = [sample_times] if single else list(sample_times or [None] * len(models))
+    grid = initials[0].grid
+    if not len(initials) == len(ladders) == len(models) or any(
+            (m.flux, m.a, st.grid) != (models[0].flux, models[0].a, grid) for m, st in zip(models, initials)):
+        raise ValueError("evolve's members need one initial state and one ladder each, and share flux, a and grid")
+    default = np.linspace(0.0, config.t_end, int(round(config.t_end / config.sample_every)) + 1)
+    ladders = [_checked_sample_times(default if ts is None else ts) for ts in ladders]
 
     companion = any(name in ("du", "dv") for name, _ in trackers)
-    runs = _stepper_for(model, initial, config, companion)
-    grid = initial.grid
-    # each run's raw arrays and time; kernels never write their input, so the
-    # companion may start from initial's own u
-    arrays = [_arrays(initial)] + ([[initial.u.coeffs]] if companion else [])
-    clocks = [initial.t] * len(runs)
+    stepper = _JinXinStepper(models[0].flux, models[0].a, grid)
+    runs = [_member_runs(stepper, m, st, config, companion) for m, st in zip(models, initials)]
+    eps = [m.eps for m in models]
+    # per system, the relaxation runs and then their companions, each member's
+    # raw arrays and time; kernels never write their input, so a companion
+    # may start from its member's own u
+    arrays = [dict(enumerate(_arrays(st) for st in initials))]
+    if companion:
+        arrays.append(dict(enumerate([st.u.coeffs] for st in initials)))
+    clocks = [[float(st.t) for st in initials] for _ in arrays]
 
     sch = scheme_for(grid)
     # one row of block norms per sample; each series reads the transpose
-    rows = {key: np.empty((sample_times.size, sch.j_indices.size)) for key in trackers}
+    tables = [{key: np.empty((ts.size, sch.j_indices.size)) for key in trackers} for ts in ladders]
     t_start = time.perf_counter()
-    mean0 = initial.u.mean()
-    max_abs_u = 0.0
-    mean_drift = 0.0
+    mean0 = [st.u.mean() for st in initials]
+    max_abs_u = [0.0] * len(models)
+    mean_drift = [0.0] * len(models)
 
-    def sample(k):
-        nonlocal max_abs_u, mean_drift
-        st = _state(grid, arrays[0], clocks[0])
-        u_star = SpectralField(grid, arrays[1][0]) if companion else None
-        max_abs_u = max(max_abs_u, lp_norm(st.u, np.inf))
-        mean_drift = max(mean_drift, float(np.max(np.abs(st.u.mean() - mean0))))
-        for (name, p), tab in rows.items():
-            tab[k] = block_lp_norms(_tracked_field(model, st, name, u_star), p, sch)
+    def sample(k, i):
+        st = _state(grid, arrays[0][i], clocks[0][i])
+        u_star = SpectralField(grid, arrays[1][i][0]) if companion else None
+        max_abs_u[i] = max(max_abs_u[i], lp_norm(st.u, np.inf))
+        mean_drift[i] = max(mean_drift[i], float(np.max(np.abs(st.u.mean() - mean0[i]))))
+        for (name, p), tab in tables[i].items():
+            tab[k] = block_lp_norms(_tracked_field(models[i], st, name, u_star), p, sch)
 
-    sample(0)
-    for k in range(1, sample_times.size):
-        span = sample_times[k] - sample_times[k - 1]
-        for i, (prepare, run) in enumerate(runs):
-            n_sub = max(1, int(math.ceil(span / run["dt"] - 1e-12)))
-            h = span / n_sub
-            kernel, coeffs = prepare(h)
-            # popped into a plain call (no argument tuple), then w and the tables
-            # unbound: advance frees each step's input, prepare the old tables
-            w, clocks[i] = advance(kernel, coeffs, arrays.pop(i), n_sub, clocks[i], h)
-            arrays.insert(i, w)
-            del w, kernel, coeffs
-            run["steps"] += n_sub
-        sample(k)
+    for i in range(len(models)):
+        sample(0, i)
+    for k in range(1, max(ts.size for ts in ladders)):
+        live = [i for i, ts in enumerate(ladders) if k < ts.size]
+        for g, system in enumerate(arrays):
+            # the plans, and with them the step tables, die with the call
+            _step_members(system, clocks[g], {i: _plan(*runs[i][g], ladders[i][k] - ladders[i][k - 1])
+                                              for i in live}, eps)
+        for i in live:
+            sample(k, i)
 
-    return Trajectory(
-        times=sample_times,
-        series={(name, p): NormSeries(sch.j_indices, p, sample_times, tab.T)
-                for (name, p), tab in rows.items()},
-        final_state=_state(grid, arrays[0], clocks[0]),
-        steps=sum(run["steps"] for _, run in runs),
-        wall_time=time.perf_counter() - t_start,
-        mean_drift=mean_drift,
-        max_abs_u=max_abs_u,
-        runs=[run for _, run in runs],
-    )
+    wall_time = time.perf_counter() - t_start
+    trajectories = [Trajectory(
+        times=ts,
+        series={(name, p): NormSeries(sch.j_indices, p, ts, tab.T) for (name, p), tab in tables[i].items()},
+        final_state=_state(grid, arrays[0][i], clocks[0][i]),
+        steps=sum(run["steps"] for _, run in runs[i]),
+        wall_time=wall_time,
+        mean_drift=mean_drift[i],
+        max_abs_u=max_abs_u[i],
+        runs=[run for _, run in runs[i]],
+    ) for i, ts in enumerate(ladders)]
+    return trajectories[0] if single else trajectories

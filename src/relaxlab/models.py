@@ -52,11 +52,13 @@ def _positive(path: str, v):
 
 
 class DivergenceError(RuntimeError):
-    """A field picked up NaN/Inf coefficients."""
+    """A field picked up NaN/Inf coefficients; eps names the run, member its index in a march."""
 
-    def __init__(self, t: float, what: str = "state"):
-        super().__init__(f"non-finite values in {what} at t={t}")
+    def __init__(self, t: float, what: str = "state", eps=None, member=None):
+        super().__init__(f"non-finite values in {what} at t={t}" + ("" if eps is None else f" of the run at eps={eps}"))
         self.t = t
+        self.eps = eps
+        self.member = member
 
 
 class FluxValidationError(ConfigError):

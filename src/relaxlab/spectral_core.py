@@ -99,16 +99,16 @@ class Grid:
             raise ConfigError(f"config.model.d: d must be 1 or 2, got {self.d}")
         if self.N < 8 or (self.N & (self.N - 1)) != 0:
             raise ConfigError(f"config.grid.N: N must be a power of two >= 8, got {self.N}")
+        if 16 * self.N**self.d > np.iinfo(np.intp).max:
+            raise ConfigError(f"config.grid.N: a lattice of N^d = {self.N}^{self.d} complex numbers is "
+                              "larger than numpy can address")
         try:
             object.__setattr__(self, "L", float(self.L))
         except OverflowError as e:
             raise ConfigError(f"config.grid.L: L is out of range ({e})") from None
         if not self.L > 0:
             raise ConfigError(f"config.grid.L: L must be positive, got {self.L}")
-        try:
-            k_lo, k_hi = 2.0 * np.pi / self.L, np.pi * self.N / self.L
-        except OverflowError as e:  # only an int N can leave the float range here
-            raise ConfigError(f"config.grid.N: N is out of range ({e})") from None
+        k_lo, k_hi = 2.0 * np.pi / self.L, np.pi * self.N / self.L
         if not (k_lo * k_lo > 0.0 and k_hi * k_hi < np.inf and self.L * self.L < np.inf):
             raise ConfigError(f"config.grid.L: L={self.L:g} is out of range: "
                               "(2 pi/L)^2, (pi N/L)^2 or L^2 leaves the float range")

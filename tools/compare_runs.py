@@ -10,19 +10,20 @@ take seconds each and cover what no preset does: exact_linear in the
 overdamping scan, int-valued data and stepper sections, a simulate run with
 p = 4 and Z trackers, a 2D simulate run with trackers at p = 3, inf, 1 and 6
 (simulate-2d-odd-p.json, the one config whose block norms take odd p and
-p = inf), an eps sweep over three v_kind variants, a simulate
-run that sets every data and stepper field away from its default (so each
-passes through the config schema into the run unchanged), and a simulate
-run of a polynomial flux of two components with mixed terms
-(polynomial-n2.json, the one config that builds its flux from
-model.terms). Each name runs once per root through `python -m relaxlab.cli
-run --jobs 1` with PYTHONPATH=<root>/src, into a fresh output directory.
-Every output file is compared byte for byte, except the wall_time entry of
-trajectory.json, and so are the exit status and the printed lines (with the
-roots and output directories masked). Each difference is printed, and for
-a .json or .csv file also the largest relative difference between the
-numbers that stand at the same place in both; the exit status is 1 on any
-difference, else 0.
+p = inf), an eps sweep over three v_kind variants, a 2D eps sweep over
+two variants at p = 4 (sweep-2d-members.json, the one config that marches
+2D members together), a simulate run that sets every data and stepper
+field away from its default (so each passes through the config schema into
+the run unchanged), and a simulate run of a polynomial flux of two
+components with mixed terms (polynomial-n2.json, the one config that builds
+its flux from model.terms). Each name runs once per root through `python
+-m relaxlab.cli run --jobs 1` with PYTHONPATH=<root>/src, into a fresh
+output directory. Every output file is compared byte for byte, except the
+wall_time entry of trajectory.json, and so are the exit status and the
+printed lines (with the roots and output directories masked). Each
+difference is printed, and for a .json or .csv file also the largest
+relative difference between the numbers that stand at the same place in
+both; the exit status is 1 on any difference, else 0.
 
 Standard library only: the runs import relaxlab and numpy, this script
 does not.
