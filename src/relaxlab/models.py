@@ -57,8 +57,13 @@ class DivergenceError(RuntimeError):
     def __init__(self, t: float, what: str = "state", eps=None, member=None):
         super().__init__(f"non-finite values in {what} at t={t}" + ("" if eps is None else f" of the run at eps={eps}"))
         self.t = t
+        self.what = what
         self.eps = eps
         self.member = member
+
+    def __reduce__(self):
+        # rebuilt from its fields, not its message, when a sweep worker hands it back
+        return type(self), (self.t, self.what, self.eps, self.member)
 
 
 class FluxValidationError(ConfigError):

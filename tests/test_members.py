@@ -179,3 +179,16 @@ class TestOversizedGrid:
         Grid(2, big // 2, 1.0)
         with pytest.raises(ConfigError, match=r"^config\.grid\.N: "):
             Grid(2, big * 2, 1.0)
+
+
+class TestDivergenceInWorkers:
+    def test_divergence_from_a_worker_process_keeps_its_message(self, tmp_path, capsys):
+        # with two jobs the error comes back pickled from a worker process
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"experiment": "epsilon-convergence",
+                                 "model": {"flux": "burgers1d", "eps_list": [0.3, 0.2, 0.1]},
+                                 "grid": {"N": 32}, "data": {"amplitude": 1e6}, "stepper": {"t_end": 1}}))
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "runs"), "--jobs", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite values in state at t=") and err.count("non-finite") == 1
+        assert " of the run at eps=" in err and err.count("\n") == 1
