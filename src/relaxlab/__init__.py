@@ -32,7 +32,6 @@ from .spectral_analysis import (
 from .integrators import StepperConfig, evolve, step_jinxin, step_limit
 from .harness import (
     InitialDataSpec,
-    RateFit,
     fit_rate,
     functional_X,
     functional_X0,

@@ -378,7 +378,7 @@ def dispatch(cfg: dict, cfg_hash: str, out_dir: str = "runs", jobs: int | None =
         if m["eps_list"]:
             result = harness.run_uniformity_study(grid, flux, a, m["eps_list"], data, stepper, p=cfg["p"],
                                                   k0=cfg["k0"], jobs=jobs,
-                                                  variants=cfg["data_variants"] or [data.v_kind])
+                                                  variants=cfg["data_variants"])
             fits_all = result["fits"]["variants"]
             failures = [f"{vk}: |u| exceeded the small-data bound" for vk, f in fits_all.items()
                         if not all(r["small_data_ok"] for r in f["rows"])]
@@ -420,8 +420,9 @@ def main(argv=None) -> int:
     parser.add_argument("command", nargs="?", default="run", choices=["run", "plot"],
                         help="run an experiment (default) or plot a results CSV")
     parser.add_argument("csv", nargs="?", help="CSV path for the plot command")
-    parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--preset", choices=sorted(PRESETS), help="named experiment preset")
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("--config", help="JSON config file")
+    source.add_argument("--preset", choices=sorted(PRESETS), help="named experiment preset")
     parser.add_argument("--out", default="runs", help="results directory (default: runs)")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--jobs", default=None,

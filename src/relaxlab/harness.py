@@ -14,7 +14,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,8 +70,6 @@ from .svgplot import plot_emit
 
 __all__ = [
     "InitialDataSpec",
-    "RateFit",
-    "FunctionalX",
     "make_initial_data",
     "functional_X",
     "functional_X0",
@@ -194,8 +192,20 @@ def _add_ir_tail(grid: Grid, prof: np.ndarray, sigma1: float, sigma_fit: float, 
     return out
 
 
+def _check_mode_on_grid(path: str, mode, grid: Grid):
+    """A ConfigError at path unless mode is a nonzero wavevector inside the
+    2/3-rule cut |k_i| <= N/3, where the grid holds data."""
+    cut = grid.N // 3
+    if not any(mode) or any(abs(k) > cut for k in mode):
+        raise ConfigError(f"{path}: the mode must be a nonzero wavevector inside the 2/3-rule "
+                          f"cut |k_i| <= N/3 = {cut} of N = {grid.N}, got {list(mode)}")
+
+
 def make_initial_data(spec: InitialDataSpec, grid: Grid, model: JinXinModel, k0: int = 0) -> JinXinState:
-    """Synthesize the relaxation system's initial state (u0, v0)."""
+    """Synthesize the relaxation system's initial state (u0, v0). Single-mode
+    data needs a mode the grid holds, else a ConfigError at config.data.mode."""
+    if spec.kind == "single_mode":
+        _check_mode_on_grid("config.data.mode", spec.mode, grid)
     n, d = model.n, model.d
     rng = np.random.default_rng(spec.seed)
     coords = grid.coords()
@@ -255,17 +265,12 @@ def check_sigma1_admissible(sigma1: float, d: int, p: float):
 # ---------------------------------------------------------------------------
 # the uniform-bound functional
 
-@dataclass
-class FunctionalX:
-    terms: dict
-    total: float
-
-
 _X_TRACKERS = lambda p: sorted({("u", p), ("v", p), ("u", 2), ("v", 2)})
 
 
-def functional_X(series: dict, eps: float, p, J: int, d: int) -> FunctionalX:
-    """Assemble the eight weighted space-time norms of the uniform bound.
+def functional_X(series: dict, eps: float, p, J: int, d: int) -> dict:
+    """Assemble the eight weighted space-time norms of the uniform bound:
+    {"terms": {name: norm}, "total": their sum}.
 
     series maps (field, p) to NormSeries for fields u and v at exponent p
     (low-window terms) and exponent 2 (high-window terms).
@@ -291,8 +296,7 @@ def functional_X(series: dict, eps: float, p, J: int, d: int) -> FunctionalX:
             "v_high_sup": (eps + eps**2) * cl(v2, np.inf, d / 2, 1, hi),
             "v_high_int": (1 + 1 / eps) * cl(v2, 1, d / 2, 1, hi),
         }
-    total = float(sum(terms.values()))
-    return FunctionalX(terms, total)
+    return {"terms": terms, "total": float(sum(terms.values()))}
 
 
 def functional_X0(series: dict, eps: float, p, J: int, d: int) -> float:
@@ -317,32 +321,19 @@ def functional_X_at(traj_series: dict, eps: float, p, J: int, d: int, upto: int)
     """X assembled from the first `upto` samples of each series."""
     cut = {key: NormSeries(s.j_indices, s.p, s.times[:upto], s.table[:, :upto])
            for key, s in traj_series.items()}
-    return functional_X(cut, eps, p, J, d).total
+    return functional_X(cut, eps, p, J, d)["total"]
 
 
 # ---------------------------------------------------------------------------
 # rate fitting
 
-@dataclass
-class RateFit:
-    exponent: float
-    intercept: float
-    window: tuple
-    r_squared: float
-    stderr: float
-    n_points: int
-    low_r2: bool
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "window": list(self.window)}
-
-
-def fit_rate(x, y, window=None, kind: str = "time", r2_flag: float = 0.98,
-             min_points: int = 5) -> RateFit:
+def fit_rate(x, y, window=None, kind: str = "time", min_points: int = 5) -> dict:
     """OLS power-law fit: log y against log(1+t) or log(eps).
 
     kind="time" fits against 1+x; kind="plain" against x directly. Epsilon
-    sweeps run four values by convention, so they lower min_points.
+    sweeps run four values by convention, so they lower min_points. The fit
+    is the dict fits.json stores: exponent, intercept, window [lo, hi],
+    r_squared, stderr, n_points, and low_r2, which flags r_squared < 0.98.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -367,7 +358,8 @@ def fit_rate(x, y, window=None, kind: str = "time", r2_flag: float = 0.98,
     ss_tot = float(np.sum((ly - my) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     stderr = math.sqrt(ss_res / (n - 2) / sxx) if n > 2 else math.inf
-    return RateFit(slope, intercept, (float(window[0]), float(window[1])), r2, stderr, n, r2 < r2_flag)
+    return {"exponent": slope, "intercept": intercept, "window": [float(window[0]), float(window[1])],
+            "r_squared": r2, "stderr": stderr, "n_points": n, "low_r2": r2 < 0.98}
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +403,9 @@ def run_uniformity_study(grid: Grid, flux: Flux, a, eps_list, data: InitialDataS
                          stepper: StepperConfig, p=2, k0: int = 0, jobs: int = 1, variants=None) -> dict:
     """Uniform-bound experiment: X ratios across an eps sweep.
 
-    Without variants the fits are those of data; with a list of v_kind
-    variants they are {"experiment": "uniformity", "variants": {v_kind:
-    fits}}. Every (variant, eps) run is a member of one march.
+    The fits are {"experiment": "uniformity", "variants": {v_kind: fits}}
+    over the v_kind variants, [data.v_kind] by default. Every (variant, eps)
+    run is a member of one march.
     """
     for eps in eps_list:
         t1 = _growth_onset(eps)
@@ -437,7 +429,7 @@ def run_uniformity_study(grid: Grid, flux: Flux, a, eps_list, data: InitialDataS
             "ratio_spread": max(ratios) / min(ratios),
             "max_growth_after_t1": max(r["growth_after_t1"] for r in part),
         }
-    return {"fits": fits[data.v_kind] if variants is None else {"experiment": "uniformity", "variants": fits}}
+    return {"fits": {"experiment": "uniformity", "variants": fits}}
 
 
 def _uniformity_one(grid, p, eps, traj, J):
@@ -446,7 +438,7 @@ def _uniformity_one(grid, p, eps, traj, J):
     t1 = _growth_onset(eps)
     i1 = int(np.searchsorted(traj.times, t1, side="right"))
     x_at_t1 = functional_X_at(traj.series, eps, p, J, d, i1)
-    x_end = functional_X(traj.series, eps, p, J, d).total
+    x_end = functional_X(traj.series, eps, p, J, d)["total"]
     return {
         "eps": eps,
         "x0": x0,
@@ -483,8 +475,7 @@ def run_epsilon_convergence(grid: Grid, flux: Flux, a, eps_list, data: InitialDa
     eps_arr = [r["eps"] for r in rows]
     fits = {"experiment": "epsilon-convergence", "p": p, "rows": rows}
     for key in ("sup_du", "int_dv", "int_Zlow"):
-        fits[f"fit_{key}"] = fit_rate(eps_arr, [r[key] for r in rows], kind="plain",
-                                      min_points=3).to_dict()
+        fits[f"fit_{key}"] = fit_rate(eps_arr, [r[key] for r in rows], kind="plain", min_points=3)
     return {"fits": fits}
 
 
@@ -536,8 +527,7 @@ def run_decay_study(grid: Grid, flux: Flux, a, eps: float, data: InitialDataSpec
     tarr = u_series.times
     for sigma in sigma_list:
         curve = u_series.besov_curve(sigma, 1, "full")
-        f = fit_rate(tarr, curve, fit_window, kind="time")
-        fits["rows"].append({"quantity": "u", "sigma": sigma, **f.to_dict()})
+        fits["rows"].append({"quantity": "u", "sigma": sigma, **fit_rate(tarr, curve, fit_window, kind="time")})
     # high-frequency trace decays faster than the full norm
     hi_curve = u_series.besov_curve(d / 2, 1, ("high", J))
     j_max = scheme_for(grid).j_max
@@ -550,15 +540,14 @@ def run_decay_study(grid: Grid, flux: Flux, a, eps: float, data: InitialDataSpec
         # fit only while the trace still decays, not along its roundoff floor
         end = min(fit_window[0] * 2, _decay_end(tarr, hi_curve))
         try:
-            f_hi = fit_rate(tarr, hi_curve, (tarr[1], end), kind="time", min_points=4)
-            fits["high_freq_fit"] = f_hi.to_dict()
+            fits["high_freq_fit"] = fit_rate(tarr, hi_curve, (tarr[1], end), kind="time", min_points=4)
         except ValueError as e:
             fits["high_freq_fit_skipped"] = str(e)
 
     curves = {"t": tarr.tolist(), "u": u_series.besov_curve(sigma_list[0], 1, "full").tolist()}
     if du_series is not None:
         dcurve = du_series.besov_curve(sigma_list[0], 1, "full")
-        fits["difference_fit"] = fit_rate(tarr[1:], dcurve[1:], fit_window, kind="time").to_dict()
+        fits["difference_fit"] = fit_rate(tarr[1:], dcurve[1:], fit_window, kind="time")
         curves["du"] = dcurve.tolist()
     if compare_half_eps:
         [(traj2, _)] = _eps_runs(grid, flux, a, [(eps / 2, data, (ts,))], stepper, k0, [("du", p)])
@@ -648,10 +637,7 @@ def run_overdamping_scan(grid: Grid, a, mode, eps_grid, scheme: str = "imex_ssp2
     inside the 2/3-rule cut |k_i| <= N/3, or the grid holds no data to fit.
     Each rejection is a ConfigError naming the config path at fault.
     """
-    cut = grid.N // 3
-    if not any(mode) or any(abs(k) > cut for k in mode):
-        raise ConfigError(f"config.scan.mode: the scan mode must be a nonzero wavevector inside the 2/3-rule "
-                          f"cut |k_i| <= N/3 = {cut} of N = {grid.N}, got {list(mode)}")
+    _check_mode_on_grid("config.scan.mode", mode, grid)
     kap = tuple(2 * np.pi * m / grid.L for m in mode)
     S = mode_symbol(kap, a)
     a = tuple(a)
@@ -682,7 +668,7 @@ def run_overdamping_scan(grid: Grid, a, mode, eps_grid, scheme: str = "imex_ssp2
             "omega_measured": om_meas,
             "omega_analytic": om[i],
             "rel_err": abs(om_meas - om[i]) / om[i],
-            "regime": classify_regime(kap, e, a).regime.value,
+            "regime": classify_regime(kap, e, a),
         })
     rows.sort(key=lambda r: r["inv_eps"])
     worst = max(r["rel_err"] for r in rows)
@@ -715,11 +701,10 @@ def run_simulate(grid: Grid, flux: Flux, a, eps: float, data: InitialDataSpec,
         curve = ser.besov_curve(t["s"], t["r"], window)
         for ti, val in zip(ser.times, curve):
             rows.append((ti, t["field"], t["s"], t["p"], t["r"], t.get("window", "full"), val))
-    X = functional_X(traj.series, eps, p, J, grid.d)
     fits = {
         "experiment": "simulate",
         "eps": eps,
-        "functional_X": {"terms": X.terms, "total": X.total,
+        "functional_X": {**functional_X(traj.series, eps, p, J, grid.d),
                          "x0": functional_X0(traj.series, eps, p, J, grid.d)},
         "steps": traj.steps,
         "mean_drift": traj.mean_drift,
@@ -760,8 +745,7 @@ def run_spectrum(a, mode_kappa=(1.0,), points: int = 41, span=(0.25, 4.0)) -> di
     for ie in friction_grid(S, span, points):
         eps = 1.0 / ie
         om = decay_rate_omega(mode_kappa, eps, a)
-        reg = classify_regime(mode_kappa, eps, a).regime.value
-        rows.append({"inv_eps": float(ie), "omega": om, "regime": reg})
+        rows.append({"inv_eps": float(ie), "omega": om, "regime": classify_regime(mode_kappa, eps, a)})
     return {
         "fits": {"experiment": "spectrum", "S": S, "rows": rows},
         "csv_curves": {"inv_eps": [r["inv_eps"] for r in rows],
@@ -829,10 +813,9 @@ def run_selftest(N: int = 256, seed: int = 0) -> dict:
         xi = rng.uniform(-6, 6, d)
         eps = 10.0 ** rng.uniform(-2, 0.5)
         a = 10.0 ** rng.uniform(-1, 1, d)
-        ms = eigenvalues(xi, eps, a)
         A = generator_matrix(xi, eps, a)
         nrm = np.linalg.norm(A, 2)
-        for lam in ms.eigenvalues:
+        for lam in eigenvalues(xi, eps, a):
             worst = max(worst, abs(np.linalg.det(A - lam * np.eye(d + 1))) / (1 + nrm ** (d + 1)))
     record("charpoly_residual", worst, 1e-8)
 

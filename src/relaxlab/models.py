@@ -54,16 +54,15 @@ def _positive(path: str, v):
 class DivergenceError(RuntimeError):
     """A field picked up NaN/Inf coefficients; eps names the run, member its index in a march."""
 
-    def __init__(self, t: float, what: str = "state", eps=None, member=None):
-        super().__init__(f"non-finite values in {what} at t={t}" + ("" if eps is None else f" of the run at eps={eps}"))
+    def __init__(self, t: float, eps=None, member=None):
+        super().__init__(f"non-finite values in state at t={t}" + ("" if eps is None else f" of the run at eps={eps}"))
         self.t = t
-        self.what = what
         self.eps = eps
         self.member = member
 
     def __reduce__(self):
         # rebuilt from its fields, not its message, when a sweep worker hands it back
-        return type(self), (self.t, self.what, self.eps, self.member)
+        return type(self), (self.t, self.eps, self.member)
 
 
 class FluxValidationError(ConfigError):
@@ -128,7 +127,7 @@ def _polynomial_eval(d: int, parsed: tuple, u):
     return out
 
 
-def polynomial_flux(n: int, d: int, terms: list, name: str = "polynomial") -> Flux:
+def polynomial_flux(n: int, d: int, terms: list) -> Flux:
     """Sparse polynomial flux from terms {direction, component, exponents, coefficient}.
 
     Every monomial must have total degree >= 2; a constant or linear part is
@@ -152,7 +151,7 @@ def polynomial_flux(n: int, d: int, terms: list, name: str = "polynomial") -> Fl
                 "the flux must satisfy f(0)=Df(0)=0"
             )
         parsed.append((i, c, expo, coef))
-    return Flux(name, n, d, partial(_polynomial_eval, d, tuple(parsed)))
+    return Flux("polynomial", n, d, partial(_polynomial_eval, d, tuple(parsed)))
 
 
 def builtin_fluxes() -> dict:

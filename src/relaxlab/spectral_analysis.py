@@ -17,15 +17,10 @@ peaks at friction 1/eps = 2*sqrt(S) with maximum value 2S.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 __all__ = [
-    "Regime",
-    "RegimeLabel",
-    "ModeSpectrum",
     "eigenvalues",
     "decay_rate_omega",
     "threshold_J",
@@ -41,27 +36,6 @@ __all__ = [
 # 1e-16/|t (lam_+ - lam_-)| to cancellation beyond
 _MERGED_TOL = 1e-2
 _TRANSITIONAL_TOL = 1e-12
-
-
-class Regime(Enum):
-    LOW = "low"
-    HIGH = "high"
-    TRANSITIONAL = "transitional"
-
-
-@dataclass(frozen=True)
-class RegimeLabel:
-    regime: Regime
-    discriminant: float
-
-
-@dataclass(frozen=True)
-class ModeSpectrum:
-    xi: tuple
-    eps: float
-    a: tuple
-    eigenvalues: tuple  # d+1 complex values, damped ones first
-    S: float
 
 
 def mode_symbol(xi, a):
@@ -80,8 +54,9 @@ def _slow_pair(S, eps):
     return lam_p, lam_m
 
 
-def eigenvalues(xi, eps: float, a) -> ModeSpectrum:
-    """All d+1 eigenvalues of the per-mode generator."""
+def eigenvalues(xi, eps: float, a) -> tuple:
+    """The d+1 complex eigenvalues of the per-mode generator: the d-1 damped
+    ones -1/eps^2 first, then the slow pair (lam_+, lam_-)."""
     xi = tuple(float(x) for x in np.atleast_1d(xi))
     a = tuple(float(x) for x in np.atleast_1d(a))
     if eps <= 0 or any(ai <= 0 for ai in a):
@@ -89,8 +64,7 @@ def eigenvalues(xi, eps: float, a) -> ModeSpectrum:
     d = len(xi)
     S = mode_symbol(xi, a)
     lam_p, lam_m = _slow_pair(S, eps)
-    lams = tuple([-1.0 / eps**2 + 0j] * (d - 1) + [lam_p, lam_m])
-    return ModeSpectrum(xi, eps, a, lams, S)
+    return tuple([-1.0 / eps**2 + 0j] * (d - 1) + [lam_p, lam_m])
 
 
 def decay_rate_omega(xi, eps: float, a) -> float:
@@ -119,20 +93,17 @@ def threshold_J(eps: float, k0: int = 0) -> int:
     return -math.floor(math.log2(eps)) + k0
 
 
-def classify_regime(xi, eps: float, a) -> RegimeLabel:
-    """Low (real eigenvalues), high (complex pair) or transitional mode."""
+def classify_regime(xi, eps: float, a) -> str:
+    """The mode's regime: "low" (a real slow pair), "high" (a complex pair) or
+    "transitional" (the discriminant 1/eps^2 - 4S is 0 up to roundoff)."""
     xi = np.atleast_1d(xi)
     a = np.atleast_1d(a)
     S = mode_symbol(xi, a)
     disc = 1.0 / eps**2 - 4.0 * S
     tol = _TRANSITIONAL_TOL * max(1.0 / eps**2, 16.0 * eps**2 * S * S)
     if abs(disc) <= tol:
-        regime = Regime.TRANSITIONAL
-    elif disc > 0:
-        regime = Regime.LOW
-    else:
-        regime = Regime.HIGH
-    return RegimeLabel(regime, disc)
+        return "transitional"
+    return "low" if disc > 0 else "high"
 
 
 def generator_matrix(xi, eps: float, a) -> np.ndarray:

@@ -443,6 +443,32 @@ class TestDispatch:
         assert err.startswith("error: non-finite values in state at t=") and "Traceback" not in err
         assert err.count("\n") == 1 and err.endswith("\n")
 
+    @pytest.mark.parametrize("model,grid,mode", [
+        ({"eps_list": [0.5, 0.25]}, {"N": 16, "L": 2 * math.pi}, [0]),  # an eps sweep
+        ({"eps": 0.5}, {"N": 16, "L": 2 * math.pi}, [0]),
+        ({"eps": 0.5}, {"N": 16, "L": 2 * math.pi}, [7]),  # beyond the cut floor(16/3) = 5
+        ({"flux": "burgers2d", "n": 2, "d": 2, "a": [1.0, 1.0], "eps": 0.5}, {"N": 32, "L": 2 * math.pi}, [1, 11]),
+    ])
+    def test_main_rejects_single_mode_the_grid_cannot_hold(self, tmp_path, capsys, model, grid, mode):
+        # the zero wavevector holds no data to track, and the 2/3 rule zeroes a
+        # mode past |k_i| <= N/3: both are rejected before any step or file
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"experiment": "simulate", "model": {"flux": "burgers1d", **model}, "grid": grid,
+                                 "data": {"kind": "single_mode", "mode": mode}, "stepper": {"t_end": 4.0}}))
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "runs")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config.data.mode: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "runs").exists()
+
+    def test_main_config_and_preset_exclude_each_other(self, tmp_path, capsys):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"experiment": "selftest"}))
+        with pytest.raises(SystemExit) as stop:
+            main(["run", "--config", str(p), "--preset", "spectrum", "--out", str(tmp_path / "runs")])
+        assert stop.value.code == 2
+        assert "argument --preset: not allowed with argument --config" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_overdamping_exact_linear_with_any_model_flux(self, tmp_path):
         # the scan steps the zero flux whatever model.flux names
         p = tmp_path / "c.json"

@@ -164,8 +164,8 @@ class TestFunctionalX:
     def test_zero_trajectory(self, grid):
         series = {(n, 2): self._zero_series(grid, 2) for n in ("u", "v")}
         X = functional_X(series, 0.5, 2, 1, 1)
-        assert X.total == 0.0
-        assert all(v == 0.0 for v in X.terms.values())
+        assert X["total"] == 0.0
+        assert all(v == 0.0 for v in X["terms"].values())
 
     def test_missing_tracker_listed(self, grid):
         series = {("u", 2): self._zero_series(grid, 2)}
@@ -187,13 +187,13 @@ class TestFunctionalX:
         w = lambda s: 2.0 ** (j0 * s)
         integral = 1.0 - math.exp(-8.0)
         dp = d / p
-        assert X.terms["u_low_sup"] == pytest.approx(w(dp - 1) + w(dp), rel=1e-12)
-        assert X.terms["u_low_int"] == pytest.approx((w(dp + 1) + w(dp + 2)) * integral, rel=5e-6)
-        assert X.terms["v_low_sup"] == pytest.approx(eps**2 * (w(dp) + w(dp + 1)), rel=1e-12)
-        assert X.terms["v_low_int"] == pytest.approx((w(dp) + w(dp + 1)) * integral, rel=5e-6)
+        assert X["terms"]["u_low_sup"] == pytest.approx(w(dp - 1) + w(dp), rel=1e-12)
+        assert X["terms"]["u_low_int"] == pytest.approx((w(dp + 1) + w(dp + 2)) * integral, rel=5e-6)
+        assert X["terms"]["v_low_sup"] == pytest.approx(eps**2 * (w(dp) + w(dp + 1)), rel=1e-12)
+        assert X["terms"]["v_low_int"] == pytest.approx((w(dp) + w(dp + 1)) * integral, rel=5e-6)
         # block j0 = J-2 lies outside the high window j >= J-1
-        assert X.terms["u_high_sup"] == 0.0
-        assert X.total == pytest.approx(sum(X.terms.values()))
+        assert X["terms"]["u_high_sup"] == 0.0
+        assert X["total"] == pytest.approx(sum(X["terms"].values()))
 
     def test_x0_weights(self, grid):
         model = JinXinModel(make_flux("burgers1d"), (1.0,), 0.5)
@@ -240,20 +240,20 @@ class TestFitRate:
         ts = np.geomspace(1.0, 100.0, 30)
         y = (1.0 + ts) ** -0.25
         f = fit_rate(ts, y, kind="time")
-        assert f.exponent == pytest.approx(-0.25, abs=1e-12)
-        assert f.r_squared == pytest.approx(1.0, abs=1e-12)
+        assert f["exponent"] == pytest.approx(-0.25, abs=1e-12)
+        assert f["r_squared"] == pytest.approx(1.0, abs=1e-12)
 
     def test_linear_epsilon_slope(self):
         eps = [0.2, 0.1, 0.05, 0.025]
         y = [3.0 * e for e in eps]
         f = fit_rate(eps, y, kind="plain", min_points=3)
-        assert f.exponent == pytest.approx(1.0, abs=1e-12)
+        assert f["exponent"] == pytest.approx(1.0, abs=1e-12)
 
     def test_exponential_flagged(self):
         ts = np.geomspace(1.0, 100.0, 40)
         y = np.exp(-ts / 10)
         f = fit_rate(ts, y, kind="time")
-        assert f.low_r2
+        assert f["low_r2"]
 
     def test_degenerate_window(self):
         with pytest.raises(ValueError, match="points"):
@@ -317,7 +317,7 @@ class TestExperiments:
         flux = make_flux("zero", 1, 1)
         data = InitialDataSpec(kind="single_mode", amplitude=0.1, mode=(1,), v_kind="darcy")
         stepper = StepperConfig(scheme="imex_ssp2", dt_max=0.05, t_end=20.0)
-        row = run_uniformity_study(g, flux, (1.0,), [1.0], data, stepper)["fits"]["rows"][0]
+        row = run_uniformity_study(g, flux, (1.0,), [1.0], data, stepper)["fits"]["variants"]["darcy"]["rows"][0]
         assert row["t1"] == 10.0
         assert row["growth_after_t1"] <= 1.05
         # the same trajectory measured from t=1 grows past the bound
@@ -327,9 +327,24 @@ class TestExperiments:
         traj = evolve(model, jx0, stepper, trackers, sample_times=np.linspace(0.0, 20.0, 401))
         J = threshold_J(1.0)
         i1 = int(np.searchsorted(traj.times, 1.0, side="right"))
-        growth_from_1 = (functional_X(traj.series, 1.0, 2, J, 1).total
+        growth_from_1 = (functional_X(traj.series, 1.0, 2, J, 1)["total"]
                          / functional_X_at(traj.series, 1.0, 2, J, 1, i1))
         assert growth_from_1 > 1.05
+
+    def test_half_eps_level_ratio_is_the_median_ratio_of_two_difference_studies(self):
+        # the half-eps run is the with_difference study at eps/2 on the same
+        # sample times, so the level ratio is the median of d1/d2 over the window
+        g = Grid(1, 64, 200.0)
+        args = (g, make_flux("burgers1d"), (1.0,))
+        data = InitialDataSpec(kind="random_spectrum", amplitude=0.02, sigma1=-0.5, v_kind="darcy")
+        kw = {"stepper": StepperConfig(), "fit_window": (2.0, 40.0), "with_difference": True}
+        both = run_decay_study(*args, 0.5, data, compare_half_eps=True, **kw)
+        d1, d2 = (run_decay_study(*args, eps, data, **kw)["csv_curves"] for eps in (0.5, 0.25))
+        t = np.asarray(d1["t"])
+        assert t.tolist() == d2["t"] == both["csv_curves"]["t"]
+        sel = (t >= 2.0) & (t <= 40.0)
+        ratio = float(np.median(np.asarray(d1["du"])[sel] / np.asarray(d2["du"])[sel]))
+        assert both["fits"]["half_eps_level_ratio"] == ratio != 1.0
 
     def test_uniformity_onset_past_t_end_rejected(self):
         # at eps=1 the onset is t1=10: with t_end=5 no sample follows it and

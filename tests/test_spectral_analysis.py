@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from relaxlab.spectral_analysis import (
-    Regime,
     classify_regime,
     decay_rate_omega,
     eigenvalues,
     exact_linear_propagator,
     exp_slow_block,
     generator_matrix,
+    mode_symbol,
     threshold_J,
 )
 from relaxlab.spectral_core import Grid
@@ -18,16 +18,15 @@ from relaxlab.spectral_core import Grid
 
 class TestEigenvalues:
     def test_conserved_mode_1d(self):
-        ms = eigenvalues([0.0], 1.0, [1.0])
-        assert sorted(l.real for l in ms.eigenvalues) == pytest.approx([-1.0, 0.0])
+        lams = eigenvalues([0.0], 1.0, [1.0])
+        assert sorted(l.real for l in lams) == pytest.approx([-1.0, 0.0])
 
     def test_double_root(self):
-        ms = eigenvalues([0.5], 1.0, [1.0])
-        assert all(l == pytest.approx(-0.5) for l in ms.eigenvalues)
+        lams = eigenvalues([0.5], 1.0, [1.0])
+        assert all(l == pytest.approx(-0.5) for l in lams)
 
     def test_2d_complex_pair(self):
-        ms = eigenvalues([1.0, 1.0], 1.0, (1.0, 1.0))
-        lams = ms.eigenvalues
+        lams = eigenvalues([1.0, 1.0], 1.0, (1.0, 1.0))
         assert lams[0] == pytest.approx(-1.0)
         assert lams[1] == pytest.approx(-0.5 + 1j * math.sqrt(7) / 2)
         assert lams[2] == pytest.approx(-0.5 - 1j * math.sqrt(7) / 2)
@@ -39,11 +38,11 @@ class TestEigenvalues:
             xi = rng.uniform(-4, 4, d)
             eps = 10.0 ** rng.uniform(-2, 0.3)
             a = 10.0 ** rng.uniform(-0.5, 0.5, d)
-            ms = eigenvalues(xi, eps, a)
-            lam_d, lam_d1 = ms.eigenvalues[-2], ms.eigenvalues[-1]
+            lams = eigenvalues(xi, eps, a)
+            lam_d, lam_d1 = lams[-2], lams[-1]
             assert lam_d + lam_d1 == pytest.approx(-1.0 / eps**2, rel=1e-10)
-            assert lam_d * lam_d1 == pytest.approx(ms.S / eps**2, rel=1e-10)
-            assert all(l.real <= 1e-15 for l in ms.eigenvalues)
+            assert lam_d * lam_d1 == pytest.approx(mode_symbol(xi, a) / eps**2, rel=1e-10)
+            assert all(l.real <= 1e-15 for l in lams)
 
     def test_charpoly_residual(self):
         rng = np.random.default_rng(1)
@@ -52,10 +51,9 @@ class TestEigenvalues:
             xi = rng.uniform(-6, 6, d)
             eps = 10.0 ** rng.uniform(-2, 0.5)
             a = 10.0 ** rng.uniform(-1, 1, d)
-            ms = eigenvalues(xi, eps, a)
             A = generator_matrix(xi, eps, a)
             bound = 1e-8 * (1 + np.linalg.norm(A, 2) ** (d + 1))
-            for lam in ms.eigenvalues:
+            for lam in eigenvalues(xi, eps, a):
                 assert abs(np.linalg.det(A - lam * np.eye(d + 1))) <= bound
 
 
@@ -106,24 +104,21 @@ class TestThreshold:
 
 class TestRegimes:
     def test_low(self):
-        lab = classify_regime([0.1], 1.0, [1.0])
-        assert lab.regime is Regime.LOW and lab.discriminant > 0
+        assert classify_regime([0.1], 1.0, [1.0]) == "low"
 
     def test_high_real_part(self):
-        lab = classify_regime([10.0], 1.0, [1.0])
-        assert lab.regime is Regime.HIGH
-        ms = eigenvalues([10.0], 1.0, [1.0])
-        assert ms.eigenvalues[-1].real == pytest.approx(-0.5)
+        assert classify_regime([10.0], 1.0, [1.0]) == "high"
+        assert eigenvalues([10.0], 1.0, [1.0])[-1].real == pytest.approx(-0.5)
 
     def test_transitional(self):
-        assert classify_regime([0.5], 1.0, [1.0]).regime is Regime.TRANSITIONAL
+        assert classify_regime([0.5], 1.0, [1.0]) == "transitional"
 
     @pytest.mark.parametrize("eps", [1.0, 0.01, 0.001])
     def test_transitional_band_on_one_scale(self, eps):
         # a relative 1e-7 past the defective point 1/eps^2 = 4S is oscillatory
         # at every eps, the band being a relative 1e-12 on the 1/eps^2 scale
         xi = math.sqrt((1.0 + 1e-7) / (4.0 * eps**2))
-        assert classify_regime([xi], eps, [1.0]).regime is Regime.HIGH
+        assert classify_regime([xi], eps, [1.0]) == "high"
 
 
 class TestPropagator:
@@ -170,8 +165,7 @@ class TestPropagator:
         # operator norm decay over [50, 100]/omega matches the analytic rate
         for xi, eps in (([1.0], 0.2), ([0.6], 1.3)):
             om = decay_rate_omega(xi, eps, [1.0])
-            lab = classify_regime(xi, eps, [1.0])
-            assert lab.regime is not Regime.TRANSITIONAL
+            assert classify_regime(xi, eps, [1.0]) != "transitional"
             t1, t2 = 50.0 / om, 100.0 / om
             n1 = np.linalg.norm(exact_linear_propagator(xi, eps, [1.0], t1), 2)
             n2 = np.linalg.norm(exact_linear_propagator(xi, eps, [1.0], t2), 2)

@@ -16,7 +16,10 @@ two variants at p = 4 (sweep-2d-members.json, the one config that marches
 field away from its default (so each passes through the config schema into
 the run unchanged), and a simulate run of a polynomial flux of two
 components with mixed terms (polynomial-n2.json, the one config that builds
-its flux from model.terms). Each name runs once per root through `python
+its flux from model.terms), and a 1D decay study on N = 64 with
+with_difference and compare_half_eps on (decay-1d-half-eps.json, which runs
+the half-eps comparison in under a second, where thm3-decay-2d takes
+minutes). Each name runs once per root through `python
 -m relaxlab.cli run --jobs 1` with PYTHONPATH=<root>/src, into a fresh
 output directory. Every output file is compared byte for byte, except the
 wall_time entry of trajectory.json, and so are the exit status and the
