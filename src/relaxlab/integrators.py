@@ -22,17 +22,18 @@ from .models import (
     Flux,
     JinXinModel,
     JinXinState,
+    _closure_v,
+    _closure_Z,
     _positive,
     checked_velocities,
-    darcy_velocity,
-    effective_Z,
-    effective_z,
-    flux_coeffs,
+    flux_band,
 )
 from .spectral_core import (
     NormSeries,
     SpectralField,
+    _band,
     _dealiased_physical,
+    _expand,
     block_lp_norms,
     diffusion_symbol,
     lp_norm,
@@ -119,7 +120,7 @@ def limit_advective_speed(flux: Flux, u: SpectralField) -> float:
 def advance(kernel, coeffs, w: list, n_sub: int, t, h):
     """n_sub steps w <- kernel(w, coeffs) of size h from t; returns (w, t).
 
-    w lists raw coefficient arrays, [u, v_1, ..., v_d] or [u*]; t and h are
+    w lists band coefficient arrays, [u, v_1, ..., v_d] or [u*]; t and h are
     floats or member arrays, and member m is index m on axis 1 of every
     array of w. A non-finite step raises DivergenceError at the time of its
     first non-finite member, whose index it records as `member`. A caller
@@ -169,8 +170,11 @@ def _march_kernel(w, powers):
 class _JinXinStepper:
     """Precomputed multipliers for one (flux, a, grid) and every scheme on it.
 
-    The kernels of imex_ssp2 and exact_linear map [u, v_1, ..., v_d], raw
-    coefficient arrays of shape (..., n, N...), one step on (see advance);
+    The kernels of imex_ssp2 and exact_linear map [u, v_1, ..., v_d], band
+    coefficient arrays (spectral_core._band) of shape (n, [members,]) + band,
+    one step on (see advance); a stepped state is zero off the 2/3-rule band,
+    since the linear part acts on each mode alone and the flux is dealiased,
+    so the band holds all of it.
     if_rk2 steps [u*] of the limit u_t + div f(u) = sum_i a_i d_i^2 u. eps
     and dt enter only through prepare(), as floats or as member columns that
     broadcast against u, so one kernel advances a leading member axis of
@@ -182,9 +186,12 @@ class _JinXinStepper:
         self.flux = flux
         self.a = a
         self.grid = grid
-        self.kap = grid.kappa_axes()
+        self.kap = [_band(kap, grid) for kap in grid.kappa_axes()]
         self.deriv = [1j * kap for kap in self.kap]
         self.neg_a_deriv = [-a[i] * self.deriv[i] for i in range(flux.d)]
+        # buffers the flux transforms reuse from step to step; evolve empties
+        # it after each round of steps, so that a sample reuses their memory
+        self.work = {}
 
     def bound(self, scheme: str, eps, u0: SpectralField):
         """The bound dt of `scheme` is taken against at friction 1/eps from u0:
@@ -205,7 +212,7 @@ class _JinXinStepper:
 
         imex_ssp2 checks every member against its hyperbolic CFL bound, and
         exact_linear that the flux is zero. Its coefficients are the per-mode
-        propagator P on the stored lattice and eps; those of if_rk2, which
+        propagator P on the band and eps; those of if_rk2, which
         takes no eps, exp(-S dt) and dt. S is built here, so a stepper that
         never prepares if_rk2 keeps no S table.
         """
@@ -224,14 +231,14 @@ class _JinXinStepper:
             xi = np.stack(np.broadcast_arrays(*self.kap), -1)
             return self.exact_linear, (exact_linear_propagator(xi, eps, self.a, dt), eps)
         if scheme == "if_rk2":
-            return self.if_rk2, (np.exp(-diffusion_symbol(self.grid, self.a) * dt), dt)
+            return self.if_rk2, (np.exp(-_band(diffusion_symbol(self.grid, self.a), self.grid) * dt), dt)
         raise ValueError(f"unknown scheme {scheme!r}")
 
     def _stiff(self, u):
         """[-a_i d_i u + f_i(u)], the relaxed targets of v."""
         s = [nad * u for nad in self.neg_a_deriv]
         if not self.flux.is_zero:
-            for si, fi in zip(s, flux_coeffs(self.flux, self.grid, u)):
+            for si, fi in zip(s, flux_band(self.flux, self.grid, u, self.work)):
                 si += fi
         return s
 
@@ -263,7 +270,7 @@ class _JinXinStepper:
         return [w1[0]] + [wi / eps for wi in w1[1:]]
 
     def _nonlin(self, u):
-        return -self._div_v(flux_coeffs(self.flux, self.grid, u))
+        return -self._div_v(flux_band(self.flux, self.grid, u, self.work))
 
     def if_rk2(self, w, coeffs):
         """One integrating-factor RK2 step of [u0]; ef = exp(-S dt)."""
@@ -283,14 +290,30 @@ def checked_relaxation_scheme(scheme: str) -> str:
     return scheme
 
 
+def _in_band(field: SpectralField) -> np.ndarray:
+    """The band coefficients of a field that has no nonzero coefficient off
+    the 2/3-rule band; a ValueError names the largest one otherwise, which
+    the band kernels would drop."""
+    g = field.grid
+    off = np.max(np.abs(field.coeffs), where=~g.dealias_mask(), initial=0.0)
+    if not off == 0.0:
+        raise ValueError(f"the initial state has a nonzero coefficient outside the 2/3-rule band "
+                         f"|k_i| <= {g.N // 3}, the largest of size {off:g}; dealias it first")
+    return _band(field.coeffs, g)
+
+
 def _arrays(state: JinXinState) -> list:
-    """[u, v_1, ..., v_d], the raw coefficient arrays of state."""
-    return [state.u.coeffs] + [vi.coeffs for vi in state.v]
+    """[u, v_1, ..., v_d], the band coefficient arrays of state (see _in_band)."""
+    return [_in_band(f) for f in [state.u, *state.v]]
+
+
+def _field(grid, band: np.ndarray) -> SpectralField:
+    return SpectralField(grid, _expand(band, grid))
 
 
 def _state(grid, w: list, t: float) -> JinXinState:
-    """The relaxation state of raw coefficient arrays [u, v_1, ..., v_d] at time t."""
-    return JinXinState(SpectralField(grid, w[0]), [SpectralField(grid, wi) for wi in w[1:]], t)
+    """The relaxation state of band arrays [u, v_1, ..., v_d] at time t."""
+    return JinXinState(_field(grid, w[0]), [_field(grid, wi) for wi in w[1:]], t)
 
 
 def step_jinxin(model: JinXinModel, state: JinXinState, dt: float, scheme: str = "imex_ssp2") -> JinXinState:
@@ -313,7 +336,7 @@ def step_limit(flux: Flux, a, u_star: SpectralField, dt: float) -> SpectralField
     through evolve.
     """
     kernel, coeffs = _JinXinStepper(flux, checked_velocities(flux, a), u_star.grid).prepare("if_rk2", dt)
-    return SpectralField(u_star.grid, advance(kernel, coeffs, [u_star.coeffs], 1, 0.0, dt)[0][0])
+    return _field(u_star.grid, advance(kernel, coeffs, [_in_band(u_star)], 1, 0.0, dt)[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -352,22 +375,23 @@ class Trajectory:
         return out
 
 
-def _tracked_field(model: JinXinModel, state: JinXinState, name: str,
-                   u_star: SpectralField | None) -> SpectralField:
-    """The named field of state; du/dv compare it with the limit u_star."""
-    if name == "u":
-        return state.u
+def _tracked(stepper: _JinXinStepper, w: list, name: str, u_star) -> np.ndarray:
+    """The band array of a tracked field other than u, from the band arrays
+    w = [u, v_1, ..., v_d]: the components of v, z or Z stacked, or du and
+    dv against the limit's band u_star; models' formulas on the band."""
+    u, *v = w
+    a, deriv = stepper.a, stepper.deriv
     if name == "v":
-        return SpectralField.stack(state.v)
+        return np.concatenate(v)
     if name == "z":
-        return SpectralField.stack(effective_z(model, state))
+        return np.concatenate(_closure_Z(a, deriv, u, v))
     if name == "Z":
-        return SpectralField.stack(effective_Z(model, state))
+        return np.concatenate(_closure_Z(a, deriv, u, v, flux_band(stepper.flux, stepper.grid, u)))
     if name == "du":
-        return state.u - u_star
+        return u - u_star
     if name == "dv":
-        vstar = darcy_velocity(model.flux, model.a, u_star)
-        return SpectralField.stack([state.v[i] - vstar[i] for i in range(model.d)])
+        vstar = _closure_v(a, deriv, u_star, flux_band(stepper.flux, stepper.grid, u_star))
+        return np.concatenate([vi - si for vi, si in zip(v, vstar)])
     raise KeyError(f"unknown tracker field {name!r}")
 
 
@@ -410,7 +434,7 @@ def _stacked(member_coeffs: list, d: int) -> tuple:
 
 def _step_members(arrays: dict, clock: list, plans: dict, eps: list):
     """Step each planned member i, plans[i] = (n_sub, h, (kernel, coeffs)),
-    n_sub times by h from clock[i]; arrays[i] lists its raw arrays.
+    n_sub times by h from clock[i]; arrays[i] lists its band arrays.
 
     The members that still need steps are stepped together, so the set
     shrinks as members reach their sample: their arrays are stacked on axis 1
@@ -465,7 +489,9 @@ def evolve(model, initial, config: StepperConfig, trackers, sample_times=None):
     limit as a companion run stepped with if_rk2 in lockstep.
     Deterministic for a fixed config; each run subdivides every sampling
     interval uniformly so samples land exactly on the requested instants,
-    and advances over it on raw coefficient arrays. sample_times must be
+    and advances over it on band coefficient arrays, which a sample and the
+    final state expand to the half lattice. The initial states must be zero
+    off the 2/3-rule band (ValueError otherwise). sample_times must be
     finite and strictly increasing; 0 is prepended when missing.
 
     Member form: model and initial are lists, one entry per member, the
@@ -492,11 +518,12 @@ def evolve(model, initial, config: StepperConfig, trackers, sample_times=None):
     runs = [_member_runs(stepper, m, st, config, companion) for m, st in zip(models, initials)]
     eps = [m.eps for m in models]
     # per system, the relaxation runs and then their companions, each member's
-    # raw arrays and time; kernels never write their input, so a companion
+    # band arrays and time; kernels never write their input, so a companion
     # may start from its member's own u
-    arrays = [dict(enumerate(_arrays(st) for st in initials))]
+    start = [_arrays(st) for st in initials]
+    arrays = [dict(enumerate(start))]
     if companion:
-        arrays.append(dict(enumerate([st.u.coeffs] for st in initials)))
+        arrays.append(dict(enumerate([w[0]] for w in start)))
     clocks = [[float(st.t) for st in initials] for _ in arrays]
 
     sch = scheme_for(grid)
@@ -507,13 +534,21 @@ def evolve(model, initial, config: StepperConfig, trackers, sample_times=None):
     max_abs_u = [0.0] * len(models)
     mean_drift = [0.0] * len(models)
 
+    p_of = {}
+    for name, p in dict.fromkeys(trackers):
+        p_of.setdefault(name, []).append(p)
+
     def sample(k, i):
-        st = _state(grid, arrays[0][i], clocks[0][i])
-        u_star = SpectralField(grid, arrays[1][i][0]) if companion else None
-        max_abs_u[i] = max(max_abs_u[i], lp_norm(st.u, np.inf))
-        mean_drift[i] = max(mean_drift[i], float(np.max(np.abs(st.u.mean() - mean0[i]))))
-        for (name, p), tab in tables[i].items():
-            tab[k] = block_lp_norms(_tracked_field(models[i], st, name, u_star), p, sch)
+        w = arrays[0][i]
+        u_star = arrays[1][i][0] if companion else None
+        u = _field(grid, w[0])
+        max_abs_u[i] = max(max_abs_u[i], lp_norm(u, np.inf))
+        mean_drift[i] = max(mean_drift[i], float(np.max(np.abs(u.mean() - mean0[i]))))
+        for name, ps in p_of.items():
+            # each field is expanded from the band once, for all its p
+            field = u if name == "u" else _field(grid, _tracked(stepper, w, name, u_star))
+            for p in ps:
+                tables[i][(name, p)][k] = block_lp_norms(field, p, sch)
 
     for i in range(len(models)):
         sample(0, i)
@@ -523,6 +558,7 @@ def evolve(model, initial, config: StepperConfig, trackers, sample_times=None):
             # the plans, and with them the step tables, die with the call
             _step_members(system, clocks[g], {i: _plan(*runs[i][g], ladders[i][k] - ladders[i][k - 1])
                                               for i in live}, eps)
+        stepper.work.clear()
         for i in live:
             sample(k, i)
 

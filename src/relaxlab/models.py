@@ -22,9 +22,10 @@ from .spectral_core import (
     ConfigError,
     Grid,
     SpectralField,
-    _dealiased_physical,
-    _rfft_dealiased,
-    spectral_derivative,
+    _band,
+    _band_physical,
+    _expand,
+    _physical_band,
 )
 
 __all__ = [
@@ -244,15 +245,22 @@ class JinXinState:
 # ---------------------------------------------------------------------------
 # flux evaluation on spectral fields
 
+def flux_band(flux: Flux, grid: Grid, band: np.ndarray, work: dict | None = None) -> list:
+    """f_i(u) band arrays (spectral_core._band) of u's band coefficients:
+    the flux is evaluated on grid samples of the band, and each f_i keeps its
+    band coefficients only (2/3 rule). work lends the transforms buffers."""
+    if flux.is_zero:
+        return [np.zeros_like(band) for _ in range(flux.d)]
+    return [_physical_band(val, grid, work) for val in flux.evaluate(_band_physical(band, grid, work))]
+
+
 def flux_coeffs(flux: Flux, grid: Grid, coeffs: np.ndarray) -> list:
     """f_i(u) coefficient arrays of u's coefficients, dealiased.
 
     The flux is evaluated on grid samples of the dealiased u, and the
     coefficients of each f_i are dealiased again (2/3 rule).
     """
-    if flux.is_zero:
-        return [np.zeros((flux.n,) + grid.spectral_shape, dtype=complex) for _ in range(flux.d)]
-    return [_rfft_dealiased(val, grid) for val in flux.evaluate(_dealiased_physical(coeffs, grid))]
+    return [_expand(c, grid) for c in flux_band(flux, grid, _band(coeffs, grid))]
 
 
 def flux_fields(flux: Flux, u: SpectralField) -> list:
@@ -261,33 +269,43 @@ def flux_fields(flux: Flux, u: SpectralField) -> list:
 
 
 # ---------------------------------------------------------------------------
-# closure velocities and effective unknowns
+# closure velocities and effective unknowns, each one formula over
+# coefficient arrays with deriv[i] = i kappa_i on their lattice: the public
+# functions apply it to fields, and a trajectory's samples to band arrays
+
+def _closure_v(a, deriv, u, f) -> list:
+    """[-a_i d_i u + f_i]."""
+    return [-a[i] * (u * deriv[i]) + f[i] for i in range(len(f))]
+
+
+def _closure_Z(a, deriv, u, v, f=None) -> list:
+    """[a_i d_i u + v_i], less f_i where f is given."""
+    z = [a[i] * (u * deriv[i]) + v[i] for i in range(len(v))]
+    return z if f is None else [zi - fi for zi, fi in zip(z, f)]
+
+
+def _fields(grid: Grid, arrays: list) -> list:
+    return [SpectralField(grid, c) for c in arrays]
+
+
+def _derivatives(grid: Grid) -> list:
+    return [1j * kap for kap in grid.kappa_axes()]
+
 
 def darcy_velocity(flux: Flux, a, u_star: SpectralField) -> list:
     """Closure velocities v*_i = -a_i d_i u* + f_i(u*)."""
-    fvals = flux_fields(flux, u_star)
-    return [
-        SpectralField(
-            u_star.grid,
-            -a[i] * spectral_derivative(u_star, i).coeffs + fvals[i].coeffs,
-        )
-        for i in range(flux.d)
-    ]
+    g = u_star.grid
+    return _fields(g, _closure_v(a, _derivatives(g), u_star.coeffs, flux_coeffs(flux, g, u_star.coeffs)))
 
 
 def effective_z(model: JinXinModel, state: JinXinState) -> list:
     """Damped combinations z_i = a_i d_i u + v_i."""
-    return [
-        SpectralField(
-            state.grid,
-            model.a[i] * spectral_derivative(state.u, i).coeffs + state.v[i].coeffs,
-        )
-        for i in range(model.d)
-    ]
+    g = state.grid
+    return _fields(g, _closure_Z(model.a, _derivatives(g), state.u.coeffs, [vi.coeffs for vi in state.v]))
 
 
 def effective_Z(model: JinXinModel, state: JinXinState) -> list:
     """Distance to the closure manifold: Z_i = a_i d_i u + v_i - f_i(u)."""
-    z = effective_z(model, state)
-    fvals = flux_fields(model.flux, state.u)
-    return [SpectralField(state.grid, z[i].coeffs - fvals[i].coeffs) for i in range(model.d)]
+    g, u = state.grid, state.u.coeffs
+    return _fields(g, _closure_Z(model.a, _derivatives(g), u, [vi.coeffs for vi in state.v],
+                                 flux_coeffs(model.flux, g, u)))

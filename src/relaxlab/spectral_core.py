@@ -147,7 +147,7 @@ class Grid:
         """dealias_mask on its first floor(N/3) + 1 last-axis columns, which hold
         every survivor. In 1D every column of the band survives.
         """
-        return _grid_tables(self.d, self.N, self.L)[5]
+        return self.dealias_mask()[..., : self.N // 3 + 1]
 
     def multiplicity(self) -> np.ndarray:
         """Full-lattice modes per stored mode: 1 on last-axis planes 0 and N/2, else 2."""
@@ -186,8 +186,7 @@ def _grid_tables(d: int, N: int, L: float):
     kmax = mag[keep].max()
     weight = np.full(N // 2 + 1, 2.0)
     weight[[0, N // 2]] = 1.0
-    band = np.ascontiguousarray(keep[..., : int(cut) + 1])
-    return kap, mag, keep, kmax, weight.reshape((1,) * (d - 1) + (-1,)), band
+    return kap, mag, keep, kmax, weight.reshape((1,) * (d - 1) + (-1,))
 
 
 def _support_reach(table: np.ndarray) -> int:
@@ -215,25 +214,10 @@ def diffusion_symbol(grid: Grid, a) -> np.ndarray:
 
 # rfftn/irfftn over the grid axes, spelled out: rfftn is an rfft of the last
 # axis followed by an fft of the one before it (d=2), and irfftn the reverse.
-# Band-limited data is nonzero only in the leading last-axis columns, so the
-# axis -2 passes run on those alone; irfft zero-pads the rest to N/2+1.
 def _rfft(values: np.ndarray, grid: Grid) -> np.ndarray:
     """(..., n) + spectral_shape coefficients of (..., n) + grid.shape samples."""
     c = np.fft.rfft(values, axis=-1, norm="forward")
     return c if grid.d == 1 else np.fft.fft(c, axis=-2, norm="forward")
-
-
-def _rfft_dealiased(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """The 2/3-rule survivors of _rfft(values, grid); other columns are zero."""
-    band = grid.dealias_band()
-    m = band.shape[-1]
-    c = np.fft.rfft(values, axis=-1, norm="forward")
-    head = c[..., :m]
-    if grid.d == 2:
-        np.fft.fft(head, axis=-2, norm="forward", out=head)
-        head *= band
-    c[..., m:] = 0
-    return c
 
 
 def _irfft(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
@@ -246,11 +230,86 @@ def _irfft(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     return np.fft.irfft(coeffs, grid.N, axis=-1, norm="forward")
 
 
+# The 2/3-rule band: the modes |k_i| <= c = N // 3 that dealiasing keeps.
+# On the half lattice they are the first c + 1 last-axis columns and, in 2D,
+# the rows k = 0..c and k = -c..-1 (indices N-c..N-1), which the band stores
+# as its rows c+1..2c; a band array is (..., 2c+1, c+1) in 2D, (..., c+1) in 1D.
+
+def _band(table: np.ndarray, grid: Grid) -> np.ndarray:
+    """The band of a half-lattice array, as a new array. An axis of size 1
+    broadcasts and stays so, so the take applies to wavenumber tables too."""
+    c = grid.N // 3
+    head = table[..., : c + 1]
+    if grid.d == 1:
+        return head.copy()
+    return np.concatenate([head[..., : c + 1, :], head[..., grid.N - c :, :]], axis=-2)
+
+
+def _expand(band: np.ndarray, grid: Grid) -> np.ndarray:
+    """The half-lattice array of a band array, zero off the band."""
+    c = grid.N // 3
+    out = np.zeros(band.shape[: band.ndim - grid.d] + grid.spectral_shape, dtype=complex)
+    if grid.d == 1:
+        out[..., : c + 1] = band
+    else:
+        out[..., : c + 1, : c + 1] = band[..., : c + 1, :]
+        out[..., grid.N - c :, : c + 1] = band[..., c + 1 :, :]
+    return out
+
+
+def _buffer(work, shape: tuple, dtype) -> np.ndarray:
+    """An uninitialized array; with a work dict, the one it keeps for this
+    shape and dtype, so repeated calls reuse one allocation."""
+    if work is None:
+        return np.empty(shape, dtype)
+    buf = work.get((shape, dtype))
+    if buf is None:
+        buf = work[shape, dtype] = np.empty(shape, dtype)
+    return buf
+
+
+def _band_physical(band: np.ndarray, grid: Grid, work: dict | None = None) -> np.ndarray:
+    """Grid samples (..., n) + grid.shape of (..., n) + band coefficients.
+
+    With a work dict the samples are its buffer, valid until the next call
+    that passes the same dict; without, a new array.
+    """
+    N = grid.N
+    lead = band.shape[: band.ndim - grid.d]
+    if grid.d == 2:
+        # the band's rows in their lattice places of its columns, and zero
+        # between; the axis -2 pass runs on these columns alone, and irfft
+        # zero-pads the rest
+        c = N // 3
+        cols = _buffer(work, lead + grid.spectral_shape, complex)[..., : c + 1]
+        cols[..., : c + 1, :] = band[..., : c + 1, :]
+        cols[..., c + 1 : N - c, :] = 0
+        cols[..., N - c :, :] = band[..., c + 1 :, :]
+        band = np.fft.ifft(cols, axis=-2, norm="forward", out=cols)
+    return np.fft.irfft(band, N, axis=-1, norm="forward", out=_buffer(work, lead + grid.shape, float))
+
+
+def _physical_band(values: np.ndarray, grid: Grid, work: dict | None = None) -> np.ndarray:
+    """Band coefficients (..., n) + band of (..., n) + grid.shape samples, a
+    new array; a work dict lends the transform its buffer."""
+    c = grid.N // 3
+    full = _buffer(work, values.shape[: values.ndim - grid.d] + grid.spectral_shape, complex)
+    head = np.fft.rfft(values, axis=-1, norm="forward", out=full)[..., : c + 1]
+    if grid.d == 1:
+        return head.copy()
+    # the axis -2 pass runs on the band's columns alone
+    np.fft.fft(head, axis=-2, norm="forward", out=head)
+    return np.concatenate([head[..., : c + 1, :], head[..., grid.N - c :, :]], axis=-2)
+
+
+def _rfft_dealiased(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """The 2/3-rule survivors of _rfft(values, grid); other modes are zero."""
+    return _expand(_physical_band(values, grid), grid)
+
+
 def _dealiased_physical(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     """Grid samples of the 2/3-rule survivors of coeffs."""
-    band = grid.dealias_band()
-    head = coeffs[..., : band.shape[-1]]
-    return _irfft(head * band if grid.d == 2 else head, grid)
+    return _band_physical(_band(coeffs, grid), grid)
 
 
 def _lp_physical(phys: np.ndarray, p, grid: Grid) -> float:

@@ -1,12 +1,13 @@
 """tools/compare_runs.py finds no difference between a checkout and itself,
 names the output file that a changed plot format alters: tick labels with
 five decimals ("1.00000" for "1"), and reports by how much the numbers of a
-differing .json or .csv file moved."""
+differing .json, .csv or saved field (.bin) file moved."""
 
 import importlib.util
 import json
 import pathlib
 import shutil
+import struct
 import subprocess
 import sys
 
@@ -48,3 +49,21 @@ def test_numeric_difference_is_reported():
     assert line == "norms.csv differs (largest relative difference 0.333 over 4 numbers)"
     assert tool._describe("curves.svg", b"<svg/>", b"<svg />") == "curves.svg differs"
     assert tool._describe("fits.json", b"{", b"{}") == "fits.json differs"
+
+
+def test_saved_field_difference_is_reported():
+    # a saved field compares as its float64 values: a zero that changed its
+    # sign moves nothing, a changed value moves by its relative difference
+    spec = importlib.util.spec_from_file_location("compare_runs", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+
+    def field(*values):
+        header = json.dumps({"n": 1}).encode()
+        return b"RLXF" + struct.pack("<I", len(header)) + header + struct.pack(f"<{len(values)}d", *values)
+
+    line = tool._describe("fields/u_final.bin", field(1.0, -0.0, 2.0, 0.0), field(1.0, 0.0, 2.0, 0.0))
+    assert line == "fields/u_final.bin differs (largest relative difference 0 over 4 numbers)"
+    line = tool._describe("fields/u_final.bin", field(1.0, 4.0), field(1.0, 5.0, 0.0, 0.0))
+    assert line == "fields/u_final.bin differs (largest relative difference 0.2 over 2 numbers; 2 numbers in one file only)"
+    assert tool._describe("fields/u_final.bin", b"RLXF", b"RLXF") == "fields/u_final.bin differs"

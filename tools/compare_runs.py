@@ -26,7 +26,8 @@ wall_time entry of trajectory.json, and so are the exit status and the
 printed lines (with the roots and output directories masked). Each
 difference is printed, and for a .json or .csv file also the largest
 relative difference between the numbers that stand at the same place in
-both; the exit status is 1 on any difference, else 0.
+both, for a saved field (.bin) between its float64 values; the exit
+status is 1 on any difference, else 0.
 
 Standard library only: the runs import relaxlab and numpy, this script
 does not.
@@ -35,6 +36,7 @@ does not.
 from __future__ import annotations
 
 import argparse
+import array
 import csv
 import importlib.util
 import io
@@ -43,6 +45,7 @@ import math
 import os
 import pathlib
 import re
+import struct
 import subprocess
 import sys
 import tempfile
@@ -92,7 +95,9 @@ def _files(top: pathlib.Path) -> dict:
 
 
 def _numbers(rel: str, data: bytes) -> dict:
-    """place -> value of every number in a .json or .csv file; {} for other files."""
+    """place -> value of every number in a .json or .csv file or of every
+    float64 a saved field (.bin: magic, header length, JSON header, values)
+    holds; {} for other files."""
     found = {}
     if rel.endswith(".json"):
         def walk(place, x):
@@ -112,6 +117,12 @@ def _numbers(rel: str, data: bytes) -> dict:
                     found[(i, k)] = float(cell)
                 except ValueError:
                     pass
+    elif rel.endswith(".bin"):
+        (size,) = struct.unpack_from("<I", data, 4)
+        values = array.array("d", data[8 + size:])
+        if sys.byteorder == "big":
+            values.byteswap()
+        found = dict(enumerate(values))
     return found
 
 
@@ -127,7 +138,7 @@ def _describe(rel: str, data_p: bytes, data_c: bytes) -> str:
     """The line that reports one output file whose bytes differ."""
     try:
         nums_p, nums_c = _numbers(rel, data_p), _numbers(rel, data_c)
-    except (ValueError, csv.Error):
+    except (ValueError, csv.Error, struct.error):
         return f"{rel} differs"
     shared = nums_p.keys() & nums_c.keys()
     if not shared:
