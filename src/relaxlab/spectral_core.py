@@ -245,15 +245,20 @@ def _band(table: np.ndarray, grid: Grid) -> np.ndarray:
     return np.concatenate([head[..., : c + 1, :], head[..., grid.N - c :, :]], axis=-2)
 
 
-def _expand(band: np.ndarray, grid: Grid) -> np.ndarray:
-    """The half-lattice array of a band array, zero off the band."""
-    c = grid.N // 3
-    out = np.zeros(band.shape[: band.ndim - grid.d] + grid.spectral_shape, dtype=complex)
+def _expand(band: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
+    """The half-lattice array of a band array, zero off the band. A given
+    out is filled instead: its first c + 1 last-axis columns, the rows
+    between the band's rows zeroed."""
+    c, N = grid.N // 3, grid.N
+    if out is None:
+        out = np.zeros(band.shape[: band.ndim - grid.d] + grid.spectral_shape, dtype=complex)
+    cols = out[..., : c + 1]
     if grid.d == 1:
-        out[..., : c + 1] = band
+        cols[...] = band
     else:
-        out[..., : c + 1, : c + 1] = band[..., : c + 1, :]
-        out[..., grid.N - c :, : c + 1] = band[..., c + 1 :, :]
+        cols[..., : c + 1, :] = band[..., : c + 1, :]
+        cols[..., c + 1 : N - c, :] = 0
+        cols[..., N - c :, :] = band[..., c + 1 :, :]
     return out
 
 
@@ -274,32 +279,25 @@ def _band_physical(band: np.ndarray, grid: Grid, work: dict | None = None) -> np
     With a work dict the samples are its buffer, valid until the next call
     that passes the same dict; without, a new array.
     """
-    N = grid.N
     lead = band.shape[: band.ndim - grid.d]
     if grid.d == 2:
-        # the band's rows in their lattice places of its columns, and zero
-        # between; the axis -2 pass runs on these columns alone, and irfft
+        # the axis -2 pass runs on the band's columns alone, and irfft
         # zero-pads the rest
-        c = N // 3
-        cols = _buffer(work, lead + grid.spectral_shape, complex)[..., : c + 1]
-        cols[..., : c + 1, :] = band[..., : c + 1, :]
-        cols[..., c + 1 : N - c, :] = 0
-        cols[..., N - c :, :] = band[..., c + 1 :, :]
+        cols = _expand(band, grid, _buffer(work, lead + grid.spectral_shape, complex)[..., : grid.N // 3 + 1])
         band = np.fft.ifft(cols, axis=-2, norm="forward", out=cols)
-    return np.fft.irfft(band, N, axis=-1, norm="forward", out=_buffer(work, lead + grid.shape, float))
+    return np.fft.irfft(band, grid.N, axis=-1, norm="forward", out=_buffer(work, lead + grid.shape, float))
 
 
 def _physical_band(values: np.ndarray, grid: Grid, work: dict | None = None) -> np.ndarray:
     """Band coefficients (..., n) + band of (..., n) + grid.shape samples, a
     new array; a work dict lends the transform its buffer."""
-    c = grid.N // 3
     full = _buffer(work, values.shape[: values.ndim - grid.d] + grid.spectral_shape, complex)
-    head = np.fft.rfft(values, axis=-1, norm="forward", out=full)[..., : c + 1]
-    if grid.d == 1:
-        return head.copy()
-    # the axis -2 pass runs on the band's columns alone
-    np.fft.fft(head, axis=-2, norm="forward", out=head)
-    return np.concatenate([head[..., : c + 1, :], head[..., grid.N - c :, :]], axis=-2)
+    np.fft.rfft(values, axis=-1, norm="forward", out=full)
+    if grid.d == 2:
+        # the axis -2 pass runs on the band's columns alone
+        head = full[..., : grid.N // 3 + 1]
+        np.fft.fft(head, axis=-2, norm="forward", out=head)
+    return _band(full, grid)
 
 
 def _rfft_dealiased(values: np.ndarray, grid: Grid) -> np.ndarray:
