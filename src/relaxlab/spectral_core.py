@@ -262,7 +262,7 @@ def _expand(band: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.n
     return out
 
 
-def _buffer(work, shape: tuple, dtype) -> np.ndarray:
+def _buffer(work: dict | None, shape: tuple, dtype) -> np.ndarray:
     """An uninitialized array; with a work dict, the one it keeps for this
     shape and dtype, so repeated calls reuse one allocation."""
     if work is None:
