@@ -228,8 +228,7 @@ def make_initial_data(spec: InitialDataSpec, grid: Grid, model: JinXinModel, k0:
             cc = SpectralField.from_physical(grid, vals).coeffs[0]
             cc[(0,) * d] = 0.0  # zero mean (a cos quadrature leaves roundoff there)
             comps.append(cc)
-    # also for band-limited data: the multiply sets the sign of zero coefficients, which saved fields keep
-    u0 = SpectralField(grid, np.stack(comps)).dealias()
+    u0 = SpectralField(grid, np.stack(comps))
 
     if spec.v_kind == "darcy":
         v0 = darcy_velocity(model.flux, model.a, u0)

@@ -32,11 +32,12 @@ from .spectral_core import (
     NormSeries,
     SpectralField,
     _band,
+    _band_physical,
     _dealiased_physical,
     _expand,
+    _lp_physical,
     block_lp_norms,
     diffusion_symbol,
-    lp_norm,
     scheme_for,
 )
 from .spectral_analysis import exact_linear_propagator
@@ -489,10 +490,10 @@ def evolve(model, initial, config: StepperConfig, trackers, sample_times=None):
     limit as a companion run stepped with if_rk2 in lockstep.
     Deterministic for a fixed config; each run subdivides every sampling
     interval uniformly so samples land exactly on the requested instants,
-    and advances over it on band coefficient arrays, which a sample and the
-    final state expand to the half lattice. The initial states must be zero
-    off the 2/3-rule band (ValueError otherwise). sample_times must be
-    finite and strictly increasing; 0 is prepended when missing.
+    and advances over it on band coefficient arrays, which the samples read
+    and the final state expands to the half lattice. The initial states must
+    be zero off the 2/3-rule band (ValueError otherwise). sample_times must
+    be finite and strictly increasing; 0 is prepended when missing.
 
     Member form: model and initial are lists, one entry per member, the
     members sharing flux, a and grid; sample_times is None or a list of one
@@ -540,15 +541,14 @@ def evolve(model, initial, config: StepperConfig, trackers, sample_times=None):
 
     def sample(k, i):
         w = arrays[0][i]
-        u_star = arrays[1][i][0] if companion else None
-        u = _field(grid, w[0])
-        max_abs_u[i] = max(max_abs_u[i], lp_norm(u, np.inf))
-        mean_drift[i] = max(mean_drift[i], float(np.max(np.abs(u.mean() - mean0[i]))))
+        u, u_star = w[0], (arrays[1][i][0] if companion else None)
+        max_abs_u[i] = max(max_abs_u[i], _lp_physical(_band_physical(u, grid), np.inf, grid))
+        mean_drift[i] = max(mean_drift[i], float(np.max(np.abs(u[(slice(None),) + (0,) * grid.d].real - mean0[i]))))
         for name, ps in p_of.items():
-            # each field is expanded from the band once, for all its p
-            field = u if name == "u" else _field(grid, _tracked(stepper, w, name, u_star))
+            # each field is built on the band once, for all its p
+            band = u if name == "u" else _tracked(stepper, w, name, u_star)
             for p in ps:
-                tables[i][(name, p)][k] = block_lp_norms(field, p, sch)
+                tables[i][(name, p)][k] = block_lp_norms(band, p, sch)
 
     for i in range(len(models)):
         sample(0, i)

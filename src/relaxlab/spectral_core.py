@@ -143,12 +143,6 @@ class Grid:
         """True where every |mode| <= N/3 (2/3-rule survivors)."""
         return _grid_tables(self.d, self.N, self.L)[2]
 
-    def dealias_band(self) -> np.ndarray:
-        """dealias_mask on its first floor(N/3) + 1 last-axis columns, which hold
-        every survivor. In 1D every column of the band survives.
-        """
-        return self.dealias_mask()[..., : self.N // 3 + 1]
-
     def multiplicity(self) -> np.ndarray:
         """Full-lattice modes per stored mode: 1 on last-axis planes 0 and N/2, else 2."""
         return _grid_tables(self.d, self.N, self.L)[4]
@@ -300,11 +294,6 @@ def _physical_band(values: np.ndarray, grid: Grid, work: dict | None = None) -> 
     return _band(full, grid)
 
 
-def _rfft_dealiased(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """The 2/3-rule survivors of _rfft(values, grid); other modes are zero."""
-    return _expand(_physical_band(values, grid), grid)
-
-
 def _dealiased_physical(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     """Grid samples of the 2/3-rule survivors of coeffs."""
     return _band_physical(_band(coeffs, grid), grid)
@@ -352,7 +341,7 @@ class SpectralField:
         values = np.asarray(values, dtype=float)
         if values.shape == grid.shape:
             values = values[None, ...]
-        return cls(grid, _rfft_dealiased(values, grid) if dealias else _rfft(values, grid))
+        return cls(grid, _expand(_physical_band(values, grid), grid) if dealias else _rfft(values, grid))
 
     # -- basics ------------------------------------------------------------
     @property
@@ -550,40 +539,51 @@ def lp_norm(field: SpectralField, p) -> float:
     return _lp_physical(field.to_physical(), p, g)
 
 
-def block_lp_norms(field: SpectralField, p, sch: DyadicScheme | None = None) -> np.ndarray:
+def block_lp_norms(field, p, sch: DyadicScheme | None = None) -> np.ndarray:
     """||block_j field||_{L^p} for every j in the scheme's range.
 
-    p=2 is Parseval weighted by the multiplicity. Every other p samples
-    block j on the M-point grid, M = DyadicScheme.eval_size(j, p): its rows
-    |k| <= K = reach[j] of its first K + 1 last-axis columns go into an
-    (n,) + (M,) * (d-1) + (K + 1,) view of one coefficient buffer and invert
-    into an (n,) + (M,) * d view of one sample buffer, both reused by every
-    block. M is N for odd p, p = inf and the top blocks; below N (even p
-    only) the rectangle rule is exact, so the norm moves from the N-point
-    rule's value by roundoff only.
+    field is a SpectralField or, with sch, an (n,) + half-lattice or (n,) +
+    band coefficient array of sch's grid (ValueError else). p=2 is Parseval
+    weighted by the multiplicity on the half lattice, onto which a band's
+    energy density is expanded. Every other p samples block j on the M-point
+    grid, M = DyadicScheme.eval_size(j, p): its rows |k| <= K = reach[j] of
+    its first K + 1 last-axis columns (K capped at the array's last column)
+    go into an (n,) + (M,) * (d-1) + (K + 1,) view of one coefficient buffer
+    and invert into an (n,) + (M,) * d view of one sample buffer, both
+    reused by every block. M is N for odd p, p = inf and the top blocks;
+    below N (even p only) the rectangle rule is exact, so the norm moves
+    from the N-point rule's value by roundoff only.
     """
-    sch = sch or scheme_for(field.grid)
-    g = field.grid
+    if isinstance(field, SpectralField):
+        g, c, sch = field.grid, field.coeffs, sch or scheme_for(field.grid)
+    elif sch is None:
+        raise ValueError(f"block_lp_norms of an array (shape {np.shape(field)}) needs the scheme of its grid")
+    else:
+        g, c, cut = sch.grid, np.asarray(field), sch.grid.N // 3
+        band = (2 * cut + 1,) * (g.d - 1) + (cut + 1,)
+        if c.shape[1:] not in (g.spectral_shape, band):
+            raise ValueError(f"block_lp_norms: an array of shape {c.shape} is neither (n,) + the half "
+                             f"lattice {g.spectral_shape} nor (n,) + the band {band} of its grid")
     out = np.empty(sch.j_max - sch.j_min + 1)
     if p == 2:
-        e = np.sum(np.abs(field.coeffs) ** 2, axis=0) * g.multiplicity()
+        e = np.sum(np.abs(c) ** 2, axis=0)
+        e = (e if e.shape == g.spectral_shape else _expand(e, g, np.zeros(g.spectral_shape))) * g.multiplicity()
         for i, j in enumerate(sch.j_indices):
             out[i] = np.sqrt(g.L**g.d * np.sum(sch.multipliers[j] ** 2 * e))
         return out
-    c = field.coeffs
-    n, d, N = field.n, g.d, g.N
-    cbuf = np.empty(c.shape, dtype=complex)
+    n, d, N, rows, top = c.shape[0], g.d, g.N, c.shape[-2], c.shape[-1] - 1
+    cbuf = np.empty(n * N ** (d - 1) * (top + 1), dtype=complex)
     phys = np.empty((n,) + g.shape)
     for i, j in enumerate(sch.j_indices):
-        K, M, mult = sch.reach[j], sch.eval_size(j, p), sch.multipliers[j]
-        blk = cbuf.reshape(-1)[: n * M ** (d - 1) * (K + 1)].reshape((n,) + (M,) * (d - 1) + (K + 1,))
+        K, M, mult = min(sch.reach[j], top), sch.eval_size(j, p), sch.multipliers[j]
+        blk = cbuf[: n * M ** (d - 1) * (K + 1)].reshape((n,) + (M,) * (d - 1) + (K + 1,))
         x = phys.reshape(-1)[: n * M**d].reshape((n,) + (M,) * d)
         if d == 1:
             np.multiply(c[:, : K + 1], mult[: K + 1], out=blk)
         else:
-            # modes k = 0..K lead axis -2 on either grid, and k = -K..-1 end it
+            # modes k = 0..K lead axis -2 on every grid and array, and k = -K..-1 end it
             np.multiply(c[:, : K + 1, : K + 1], mult[: K + 1, : K + 1], out=blk[:, : K + 1])
-            np.multiply(c[:, N - K :, : K + 1], mult[N - K :, : K + 1], out=blk[:, M - K :])
+            np.multiply(c[:, rows - K :, : K + 1], mult[N - K :, : K + 1], out=blk[:, M - K :])
             blk[:, K + 1 : M - K] = 0
             np.fft.ifft(blk, axis=-2, norm="forward", out=blk)
         np.fft.irfft(blk, M, axis=-1, norm="forward", out=x)

@@ -24,7 +24,17 @@ from relaxlab.models import (
     make_flux,
     polynomial_flux,
 )
-from relaxlab.spectral_core import Grid, SpectralField, _band, _band_physical, _expand, _physical_band, block_lp_norms
+from relaxlab.spectral_core import (
+    Grid,
+    SpectralField,
+    _band,
+    _band_physical,
+    _expand,
+    _physical_band,
+    block_lp_norms,
+    lp_norm,
+    scheme_for,
+)
 
 from oracles import FullLatticeStepper, dealiased_physical, rfft_dealiased
 
@@ -181,3 +191,65 @@ class TestOutOfBandState:
         g, model, bad, u = setup
         out = step_jinxin(model, JinXinState(bad.dealias(), [u.copy()]), 0.01)
         assert np.isfinite(out.u.coeffs).all() and not out.u.coeffs[0, 11:].any()
+
+
+# grids whose top dyadic block reaches past the band's last mode c = N // 3
+REACH_GRIDS = [(1, 16, 2 * np.pi), (2, 32, 2 * np.pi), (2, 256, 64 * np.pi)]
+
+
+def _band_limited(g, n, seed):
+    """(n,) + spectral_shape coefficients of a random field, zero off the band."""
+    x = np.random.default_rng(seed).standard_normal((n,) + g.shape)
+    return _expand(_physical_band(x, g), g)
+
+
+@pytest.mark.parametrize("d,N,L", REACH_GRIDS)
+def test_reach_grids_reach_past_the_band(d, N, L):
+    reach = scheme_for(Grid(d, N, L)).reach
+    assert max(reach.values()) == N // 2 > N // 3
+
+
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("d,N,L", REACH_GRIDS)
+def test_block_norms_of_a_band_equal_the_field_form(d, N, L, n):
+    g = Grid(d, N, L)
+    sch = scheme_for(g)
+    c = _band_limited(g, n, N + n)
+    band = _band(c, g)
+    for p in (1, 2, 3, 4, 6, np.inf):
+        assert np.array_equal(block_lp_norms(band, p, sch), block_lp_norms(SpectralField(g, c), p))
+
+
+@pytest.mark.parametrize("d,N,L", REACH_GRIDS[:2])
+def test_block_norms_of_a_half_lattice_array_equal_the_field_form(d, N, L):
+    g = Grid(d, N, L)
+    # modes past the band too, which the half-lattice array keeps
+    c = SpectralField.from_physical(g, np.random.default_rng(d).standard_normal((2,) + g.shape), dealias=False).coeffs
+    for p in (1, 2, 3, 4, 6, np.inf):
+        assert np.array_equal(block_lp_norms(c, p, scheme_for(g)), block_lp_norms(SpectralField(g, c), p))
+
+
+def test_block_norms_of_an_array_need_the_scheme():
+    g = Grid(1, 16, 2 * np.pi)
+    with pytest.raises(ValueError, match=r"shape \(1, 6\)"):
+        block_lp_norms(_band(_band_limited(g, 1, 0), g), 4)
+
+
+def test_block_norms_reject_an_array_of_another_shape():
+    g = Grid(2, 32, 2 * np.pi)
+    with pytest.raises(ValueError, match=r"shape \(2, 21, 10\)"):
+        block_lp_norms(np.zeros((2, 21, 10), dtype=complex), 2, scheme_for(g))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_evolve_max_abs_u_and_mean_drift_read_the_sample_states(d):
+    # a run to each sample time ends in that sample's state
+    g = Grid(d, 32, 2 * np.pi)
+    flux = make_flux("burgers1d" if d == 1 else "burgers2d")
+    model = JinXinModel(flux, (1.0,) * d, 0.3)
+    u, *v = _state(flux, g, 7)
+    start, config, ladder = JinXinState(u, v), StepperConfig(cfl=0.4, dt_max=0.02), [0.1, 0.2, 0.3]
+    traj = evolve(model, start, config, [("u", 2)], sample_times=ladder)
+    states = [evolve(model, start, config, [("u", 2)], sample_times=ladder[:k]).final_state.u for k in range(4)]
+    assert traj.max_abs_u == max(lp_norm(s, np.inf) for s in states)
+    assert traj.mean_drift == max(float(np.max(np.abs(s.mean() - u.mean()))) for s in states)

@@ -560,9 +560,9 @@ class TestRealTransforms:
         g = Grid(d, N, 3.0)
         axes = tuple(range(1, d + 1))
         mask = g.dealias_mask()
-        m = g.dealias_band().shape[-1]
-        assert m == N // 3 + 1 and not mask[..., m:].any()
-        assert np.array_equal(g.dealias_band(), mask[..., :m])
+        # every survivor lies in the band's first N // 3 + 1 last-axis columns
+        band = mask[..., : N // 3 + 1]
+        assert band.sum() == mask.sum() and (d == 2 or band.all())
         x = rng.standard_normal((2,) + g.shape)
         c = np.fft.rfftn(x, axes=axes, norm="forward")
         assert np.array_equal(SpectralField.from_physical(g, x).coeffs, c * mask)

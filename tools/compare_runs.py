@@ -19,7 +19,8 @@ components with mixed terms (polynomial-n2.json, the one config that builds
 its flux from model.terms), and a 1D decay study on N = 64 with
 with_difference and compare_half_eps on (decay-1d-half-eps.json, which runs
 the half-eps comparison in under a second, where thm3-decay-2d takes
-minutes). Each name runs once per root through `python
+minutes), and a 2D eps-convergence sweep at p = 4 (epsilon-2d-p4.json, the
+one config whose du and dv trackers take p != 2). Each name runs once per root through `python
 -m relaxlab.cli run --jobs 1` with PYTHONPATH=<root>/src, into a fresh
 output directory. Every output file is compared byte for byte, except the
 wall_time entry of trajectory.json, and so are the exit status and the
